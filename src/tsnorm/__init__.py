@@ -8,7 +8,7 @@ a small GRU training stack (`neural`), a synthetic data generator
 CLI (`harness`, `cli`).
 """
 
-from .data import LabeledDataset, RngState, TimeSeriesBatch, load_csv, minibatches, save_csv
+from .data import LabeledDataset, RngState, TimeSeriesBatch, load_csv, save_csv
 from .adaptive import (DainLayer, DainParams, EdainLayer, EdainParams, LocalSummary,
                        RunningMean, dain_backward, dain_forward, edain_backward,
                        edain_forward, init_edain_params, update_running_mean)

@@ -104,17 +104,17 @@ def update_running_mean(state: RunningMean, batch: TimeSeriesBatch) -> RunningMe
 
 @dataclass(frozen=True)
 class LocalSummary:
-    """Per-series reductions along time: means, stds (population), h1 centers."""
+    """Per-series reductions along time: means (also the h1 centers) and
+    population stds."""
 
     mu_x: np.ndarray        # (N, d)
     sigma_x: np.ndarray     # (N, d)
-    mu_hat_local: np.ndarray  # (N, d)
 
 
 def local_summary(x: TimeSeriesBatch) -> LocalSummary:
     mu = x.values.mean(axis=2)
     sigma = np.sqrt(((x.values - mu[:, :, None]) ** 2).mean(axis=2))
-    return LocalSummary(mu_x=mu, sigma_x=sigma, mu_hat_local=mu)
+    return LocalSummary(mu_x=mu, sigma_x=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def outlier_forward(x: TimeSeriesBatch, params: EdainParams, mean_source) -> tup
     """
     local = isinstance(mean_source, LocalSummary)
     if local:
-        mu = mean_source.mu_hat_local[:, :, None]
+        mu = mean_source.mu_x[:, :, None]
     else:
         mu = mean_source.mu_hat[None, :, None]
     beta = params.beta[None, :, None]

@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,35 +19,28 @@ from scipy.special import ndtr
 
 from .adaptive import DainLayer, EdainLayer
 from .flow_kl import fit_kl
-from .data import LabeledDataset, RngState, load_csv, save_csv
+from .data import LabeledDataset, load_csv, save_csv
 from .harness import (CvConfig, ExperimentConfig, KlPreproc, PRESETS, StaticPreproc,
-                      SyntheticSource, _fold_metrics, _load_dataset, _make_folds,
-                      ablation_json, make_preproc, run_ablation, run_experiment,
-                      save_report)
-from .neural import (GruStack, IdentityPreproc, TrainConfig, gru_forward, history_to_csv,
-                     train_loop)
+                      SyntheticSource, ablation_json, fold_metrics, run_ablation,
+                      run_experiment, save_report)
+from .neural import GruStack, IdentityPreproc, TrainConfig, gru_forward, history_to_csv
 from .synthgen import SynthConfig, default_config, generate_dataset
+
+
+_PREPROC_KINDS = {
+    "static": StaticPreproc,
+    "edain": EdainLayer,
+    "edain_kl": KlPreproc,
+    "dain": DainLayer,
+    "identity": IdentityPreproc,
+}
 
 
 def _load_preproc(doc: dict):
     kind = doc.get("kind")
-    if kind == "static":
-        return StaticPreproc.from_json_dict(doc)
-    if kind == "edain":
-        return EdainLayer.from_json_dict(doc)
-    if kind == "edain_kl":
-        return KlPreproc.from_json_dict(doc)
-    if kind == "dain":
-        return DainLayer.from_json_dict(doc)
-    if kind == "identity":
-        return IdentityPreproc()
-    raise ValueError(f"checkpoint has unknown preprocessing kind {kind!r}")
-
-
-def _preproc_doc(preproc) -> dict:
-    if type(preproc) is IdentityPreproc:
-        return {"kind": "identity"}
-    return preproc.to_json_dict()
+    if not isinstance(kind, str) or kind not in _PREPROC_KINDS:
+        raise ValueError(f"checkpoint has unknown preprocessing kind {kind!r}")
+    return _PREPROC_KINDS[kind].from_json_dict(doc)
 
 
 def _pdf_from_expression(expr: str):
@@ -200,30 +192,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _fit_full_checkpoint(cfg: ExperimentConfig):
-    """Train once on the first fold's split and keep the fitted objects.
-
-    Replays the same seed derivation as run_experiment's repetition 0, so the
-    checkpoint corresponds to the report's first row.
-    """
-    root = RngState(cfg.seed)
-    rep_state = root.child(0)
-    dataset = _load_dataset(cfg, rep_state)
-    folds = _make_folds(dataset.n, cfg.cv, rep_state.child(9999))
-    tr_idx, va_idx = folds[0]
-    train_ds = dataset.subset(tr_idx)
-    valid_ds = dataset.subset(va_idx)
-    preproc = make_preproc(cfg, train_ds.batch)
-    n_classes = 1 if dataset.label_kind == "binary" else 3
-    model = GruStack(d_in=dataset.batch.d, hidden=cfg.model.hidden, head=cfg.model.head,
-                     n_classes=n_classes, dropout=cfg.model.dropout,
-                     rng=rep_state.child(100).child(1).generator())
-    train_cfg = replace(cfg.train, seed=rep_state.child(100).child(2).seed,
-                        corrections=cfg.resolved_corrections())
-    result = train_loop(train_ds, valid_ds, preproc, model, train_cfg)
-    return result
-
-
 def _cmd_train(args) -> int:
     cfg = _experiment_config(args)
     report = run_experiment(cfg)
@@ -232,9 +200,12 @@ def _cmd_train(args) -> int:
         save_report(report.to_json_dict(), args.out)
         print(f"report written to {args.out}")
     if args.checkpoint_out or args.history_out:
-        result = _fit_full_checkpoint(cfg)
+        result = report.first_fold
+        if result is None:
+            raise RuntimeError(f"fold 0 of repetition 0 failed, nothing to save: "
+                               f"{report.incomplete[0]['error']}")
         if args.checkpoint_out:
-            doc = {"preproc": _preproc_doc(result.preproc), "model": result.model.to_json_dict()}
+            doc = {"preproc": result.preproc.to_json_dict(), "model": result.model.to_json_dict()}
             save_report(doc, args.checkpoint_out)
             print(f"checkpoint written to {args.checkpoint_out}")
         if args.history_out:
@@ -252,7 +223,7 @@ def _cmd_evaluate(args) -> int:
     dataset = load_csv(args.data)
     xn, _ = preproc.forward(dataset.batch, training=False)
     probs, _ = gru_forward(xn, model, training=False)
-    metrics = _fold_metrics(dataset, probs)
+    metrics = fold_metrics(dataset, probs)
     for name in sorted(metrics):
         print(f"{name:<14}{metrics[name]:>12.4f}")
     if args.out:

@@ -3,8 +3,11 @@
 The data model is deliberately small: a dense ``(N, d, T)`` float64 array of
 N series with d features observed at T timesteps, an integer label per
 series, and an optional per-series weight vector.  Everything downstream
-(normalization layers, the training stack, the synthetic generator) moves
-these batches around without copying.
+(normalization layers, the training stack, the synthetic generator) passes
+these batches around.  Building a :class:`TimeSeriesBatch` scans its values
+for NaN/Inf and freezes a private copy unless it is handed an array that is
+already read-only and C-contiguous, so each new batch (every layer output and
+every minibatch) costs a pass and usually a copy.
 """
 
 from __future__ import annotations
@@ -269,10 +272,3 @@ def minibatch_indices(
     order = generator.permutation(n) if shuffle else np.arange(n)
     for start in range(0, n, batch_size):
         yield order[start : start + batch_size]
-
-
-def minibatches(
-    dataset: LabeledDataset, batch_size: int, rng: RngState, shuffle: bool = True
-) -> list[np.ndarray]:
-    """One epoch of minibatch index slices, deterministic under a fixed seed."""
-    return list(minibatch_indices(dataset.n, batch_size, rng.generator(), shuffle))

@@ -24,8 +24,8 @@ from .adaptive import ALL_SUBLAYERS, DainLayer, EdainLayer, GLOBAL_AWARE, LOCAL_
 from .data import BINARY, LabeledDataset, RngState, TimeSeriesBatch, load_csv
 from .flow_kl import KlBijectorParams, fit_kl, normalize_direction
 from .metrics import (amex_metric, binary_accuracy, cohen_kappa, macro_f1, ternary_accuracy)
-from .neural import GruStack, IdentityPreproc, TrainConfig, bce_loss, cross_entropy_loss, \
-    gru_forward, train_loop
+from .neural import GruStack, IdentityPreproc, TrainConfig, TrainResult, bce_loss, \
+    cross_entropy_loss, gru_forward, train_loop
 from .static_norm import StaticPipeline
 from .synthgen import default_config, generate_dataset
 
@@ -356,10 +356,14 @@ class MetricsReport:
     config_echo: dict
     seed: int
     runtime_seconds: float = 0.0
+    # the trained preprocessing and model of repetition 0, fold 0 (None when
+    # that fold failed); the CLI checkpoints it
+    first_fold: Optional[TrainResult] = None
 
     def to_json_dict(self) -> dict:
-        # runtime is intentionally omitted: the JSON document is the
-        # determinism surface and must be identical across same-seed runs
+        # runtime and the trained objects are intentionally omitted: the JSON
+        # document is the determinism surface and must be identical across
+        # same-seed runs
         return {
             "method": self.method,
             "seed": self.seed,
@@ -413,7 +417,7 @@ def _load_dataset(config: ExperimentConfig, rep_state: RngState) -> LabeledDatas
     return generate_dataset(synth)
 
 
-def _fold_metrics(dataset: LabeledDataset, probs: np.ndarray) -> dict:
+def fold_metrics(dataset: LabeledDataset, probs: np.ndarray) -> dict:
     y = dataset.labels
     if dataset.label_kind == BINARY:
         loss, _ = bce_loss(probs, y)
@@ -438,7 +442,7 @@ def _fold_metrics(dataset: LabeledDataset, probs: np.ndarray) -> dict:
 
 def _run_fold(config: ExperimentConfig, dataset: LabeledDataset,
               train_idx: np.ndarray, valid_idx: np.ndarray,
-              rep: int, fold: int, fold_state: RngState) -> dict:
+              rep: int, fold: int, fold_state: RngState) -> tuple[dict, TrainResult]:
     train_ds = dataset.subset(train_idx)
     valid_ds = dataset.subset(valid_idx)
     preproc = make_preproc(config, train_ds.batch)
@@ -453,7 +457,7 @@ def _run_fold(config: ExperimentConfig, dataset: LabeledDataset,
 
     xn, _ = result.preproc.forward(valid_ds.batch, training=False)
     probs, _ = gru_forward(xn, result.model, training=False)
-    metrics = _fold_metrics(valid_ds, probs)
+    metrics = fold_metrics(valid_ds, probs)
     return {
         "rep": rep,
         "fold": fold,
@@ -462,25 +466,29 @@ def _run_fold(config: ExperimentConfig, dataset: LabeledDataset,
         "best_epoch": result.best_epoch,
         "epochs_run": len(result.history),
         "metrics": metrics,
-    }
+    }, result
 
 
 def run_experiment(config: ExperimentConfig) -> MetricsReport:
     """Train and evaluate one preprocessing method under the configured CV."""
     start = time.perf_counter()
     root = RngState(config.seed)
-    rows, incomplete = [], []
+    rows, incomplete, first_fold = [], [], None
     for rep in range(config.repetitions):
         rep_state = root.child(rep)
         dataset = _load_dataset(config, rep_state)
         folds = _make_folds(dataset.n, config.cv, rep_state.child(9999))
         for f, (tr_idx, va_idx) in enumerate(folds):
             try:
-                rows.append(_run_fold(config, dataset, tr_idx, va_idx, rep, f,
-                                      rep_state.child(100 + f)))
+                row, result = _run_fold(config, dataset, tr_idx, va_idx, rep, f,
+                                        rep_state.child(100 + f))
             except Exception as exc:  # noqa: BLE001 - a fold failure is recorded, not fatal
                 incomplete.append({"rep": rep, "fold": f,
                                    "error": f"{type(exc).__name__}: {exc}"})
+                continue
+            rows.append(row)
+            if rep == 0 and f == 0:
+                first_fold = result
     report = MetricsReport(
         method=config.method,
         rows=rows,
@@ -489,6 +497,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
         config_echo=config.to_json_dict(),
         seed=config.seed,
         runtime_seconds=time.perf_counter() - start,
+        first_fold=first_fold,
     )
     return report
 

@@ -377,16 +377,6 @@ class Optimizer:
             self.projection()
 
 
-def optimizer_step(params: dict, grads: dict, groups: dict, config: TrainConfig,
-                   state: Optional[Optimizer] = None,
-                   projection: Optional[Callable[[], None]] = None) -> Optimizer:
-    """One update; returns the optimizer so moment state can be carried along."""
-    if state is None:
-        state = Optimizer(config, projection=projection)
-    state.step(params, grads, groups)
-    return state
-
-
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -414,6 +404,13 @@ class IdentityPreproc:
 
     def restore(self, snap):
         return None
+
+    def to_json_dict(self) -> dict:
+        return {"kind": "identity"}
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "IdentityPreproc":
+        return cls()
 
 
 @dataclass

@@ -9,7 +9,7 @@ them offline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -25,9 +25,18 @@ LAMBDA_RANGE = (-5.0, 5.0)
 yeo_johnson = yj.forward
 
 
+# fields that hold one array per feature (their lengths differ)
+_RAGGED = ("quantile_values", "quantile_cdf", "grid", "cdf")
+
+
 @dataclass
 class StaticStats:
-    """Per-feature statistics; only the fields a given fit needs are set."""
+    """Per-feature statistics; only the fields a given fit needs are set.
+
+    One codec serves every fit: each set field is written under its own name
+    and read back with its dtype (``zero_variance`` is boolean, ``alpha`` a
+    scalar, the rest float64).
+    """
 
     mean: Optional[np.ndarray] = None
     std: Optional[np.ndarray] = None
@@ -39,30 +48,37 @@ class StaticStats:
     lam: Optional[np.ndarray] = None
     quantile_values: Optional[list[np.ndarray]] = None
     quantile_cdf: Optional[list[np.ndarray]] = None
+    # kernel density integral transform
+    alpha: Optional[float] = None
+    grid: Optional[list[np.ndarray]] = None
+    cdf: Optional[list[np.ndarray]] = None
+    cdf_lo: Optional[np.ndarray] = None
+    cdf_hi: Optional[np.ndarray] = None
+    bandwidth: Optional[np.ndarray] = None
 
     def to_json_dict(self) -> dict:
         out = {}
-        for name in ("mean", "std", "zero_variance", "minimum", "maximum",
-                     "lower_clip", "upper_clip", "lam"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = np.asarray(v).tolist()
-        if self.quantile_values is not None:
-            out["quantile_values"] = [v.tolist() for v in self.quantile_values]
-            out["quantile_cdf"] = [v.tolist() for v in self.quantile_cdf]
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is None:
+                continue
+            out[f.name] = [a.tolist() for a in v] if f.name in _RAGGED else np.asarray(v).tolist()
         return out
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StaticStats":
         kwargs = {}
-        for name in ("mean", "std", "minimum", "maximum", "lower_clip", "upper_clip", "lam"):
-            if name in doc:
-                kwargs[name] = np.asarray(doc[name], dtype=np.float64)
-        if "zero_variance" in doc:
-            kwargs["zero_variance"] = np.asarray(doc["zero_variance"], dtype=bool)
-        if "quantile_values" in doc:
-            kwargs["quantile_values"] = [np.asarray(v, dtype=np.float64) for v in doc["quantile_values"]]
-            kwargs["quantile_cdf"] = [np.asarray(v, dtype=np.float64) for v in doc["quantile_cdf"]]
+        for f in fields(cls):
+            if f.name not in doc:
+                continue
+            v = doc[f.name]
+            dtype = bool if f.name == "zero_variance" else np.float64
+            if f.name == "alpha":
+                kwargs[f.name] = v  # kept as written, like the config it came from
+            elif f.name in _RAGGED:
+                kwargs[f.name] = [np.asarray(a, dtype=dtype) for a in v]
+            else:
+                kwargs[f.name] = np.asarray(v, dtype=dtype)
         return cls(**kwargs)
 
 
@@ -106,10 +122,6 @@ def apply_minmax(x: TimeSeriesBatch, stats: StaticStats) -> TimeSeriesBatch:
     out = (x.values - stats.minimum[None, :, None]) / span[None, :, None]
     out = np.where(stats.zero_variance[None, :, None], 0.5, out)
     return TimeSeriesBatch(out)
-
-
-def fit_apply_minmax(train: TimeSeriesBatch, x: TimeSeriesBatch) -> TimeSeriesBatch:
-    return apply_minmax(x, fit_minmax(train))
 
 
 def fit_winsorize(train: TimeSeriesBatch, lower_q: float = 0.01, upper_q: float = 0.99) -> StaticStats:
@@ -211,29 +223,19 @@ def apply_cdf_inversion(x: TimeSeriesBatch, stats: StaticStats) -> TimeSeriesBat
     return TimeSeriesBatch(out)
 
 
-def fit_apply_cdf_inversion(train: TimeSeriesBatch, x: TimeSeriesBatch) -> TimeSeriesBatch:
-    return apply_cdf_inversion(x, fit_cdf_inversion(train))
-
-
 @dataclass
 class KditConfig:
-    """Kernel density integral transform: settings plus fitted state.
+    """Settings of the kernel density integral transform.
 
     ``alpha`` scales the rule-of-thumb bandwidth h = alpha * std * (NT)^(-1/5);
     large alpha approaches min-max scaling, small alpha approaches the
-    empirical quantile transform.  The CDF is evaluated on a per-feature grid
-    covering [min - 3h, max + 3h] and renormalized over the training range so
-    both limits come out on the [0, 1] scale.
+    empirical quantile transform.  ``grid_size`` is the number of points of
+    the per-feature grid the CDF is evaluated on.  The fitted state is a
+    :class:`StaticStats` returned by :func:`fit_kdit`.
     """
 
     alpha: float = 1.0
     grid_size: int = 1024
-    grid: Optional[list[np.ndarray]] = None
-    cdf: Optional[list[np.ndarray]] = None
-    cdf_lo: Optional[np.ndarray] = None
-    cdf_hi: Optional[np.ndarray] = None
-    bandwidth: Optional[np.ndarray] = None
-    zero_variance: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -242,7 +244,12 @@ class KditConfig:
             raise ValueError("grid_size must be at least 2")
 
 
-def fit_kdit(train: TimeSeriesBatch, config: KditConfig) -> KditConfig:
+def fit_kdit(train: TimeSeriesBatch, config: KditConfig) -> StaticStats:
+    """Kernel-smoothed CDF per feature on a grid covering [min - 3h, max + 3h].
+
+    The CDF is renormalized over the training range so both limits come out
+    on the [0, 1] scale; constant features are flagged and map to 0.5.
+    """
     _require_data(train)
     grids, cdfs = [], []
     lo = np.empty(train.d)
@@ -272,13 +279,13 @@ def fit_kdit(train: TimeSeriesBatch, config: KditConfig) -> KditConfig:
         cdfs.append(cdf)
         lo[k] = np.interp(centers.min(), grid, cdf)
         hi[k] = np.interp(centers.max(), grid, cdf)
-    return KditConfig(alpha=config.alpha, grid_size=config.grid_size, grid=grids, cdf=cdfs,
-                      cdf_lo=lo, cdf_hi=hi, bandwidth=bw, zero_variance=zero)
+    return StaticStats(alpha=config.alpha, grid=grids, cdf=cdfs, cdf_lo=lo, cdf_hi=hi,
+                       bandwidth=bw, zero_variance=zero)
 
 
-def apply_kdit(x: TimeSeriesBatch, fitted: KditConfig) -> TimeSeriesBatch:
+def apply_kdit(x: TimeSeriesBatch, fitted: StaticStats) -> TimeSeriesBatch:
     if fitted.grid is None:
-        raise ValueError("apply_kdit needs a fitted KditConfig (call fit_kdit first)")
+        raise ValueError("apply_kdit needs statistics from fit_kdit")
     _check_dim(x, len(fitted.grid))
     out = np.empty_like(x.values)
     for k in range(x.d):
@@ -290,11 +297,20 @@ def apply_kdit(x: TimeSeriesBatch, fitted: KditConfig) -> TimeSeriesBatch:
     return TimeSeriesBatch(out)
 
 
-def fit_apply_kdit(train: TimeSeriesBatch, x: TimeSeriesBatch, config: KditConfig) -> TimeSeriesBatch:
-    return apply_kdit(x, fit_kdit(train, config))
-
-
-_PIPELINE_STEPS = ("winsorize", "zscore", "minmax", "yeo_johnson", "cdf_inversion", "kdit")
+# step name -> (fit(batch, pipeline), apply(batch, stats)).  The lambdas look
+# the module-level functions up at call time, so a function rebound on the
+# module (a tracer's or a test's wrapper) sees every pipeline call.
+_STEPS = {
+    "winsorize": (lambda b, p: fit_winsorize(b, *p.winsorize_quantiles),
+                  lambda x, s: apply_winsorize(x, s)),
+    "zscore": (lambda b, p: fit_zscore(b), lambda x, s: apply_zscore(x, s)),
+    "minmax": (lambda b, p: fit_minmax(b), lambda x, s: apply_minmax(x, s)),
+    "yeo_johnson": (lambda b, p: fit_yeo_johnson_static(b),
+                    lambda x, s: apply_yeo_johnson_static(x, s)),
+    "cdf_inversion": (lambda b, p: fit_cdf_inversion(b), lambda x, s: apply_cdf_inversion(x, s)),
+    "kdit": (lambda b, p: fit_kdit(b, KditConfig(alpha=p.kdit_alpha)),
+             lambda x, s: apply_kdit(x, s)),
+}
 
 
 @dataclass
@@ -303,41 +319,27 @@ class StaticPipeline:
 
     Each stage is fitted on the output of the stages before it, which is the
     only order under which applying the chain reproduces the fitted view of
-    the training data.
+    the training data.  ``fitted`` holds one :class:`StaticStats` per step;
+    the JSON form lists them as ``stages``, each tagged with its ``step``.
     """
 
     steps: list[str]
     winsorize_quantiles: tuple[float, float] = (0.01, 0.99)
     kdit_alpha: float = 1.0
-    fitted: list = field(default_factory=list)
+    fitted: list[StaticStats] = field(default_factory=list)
 
     def __post_init__(self):
         for s in self.steps:
-            if s not in _PIPELINE_STEPS:
+            if s not in _STEPS:
                 raise ValueError(f"unknown pipeline step {s!r}")
 
     def fit(self, train: TimeSeriesBatch) -> "StaticPipeline":
         self.fitted = []
         current = train
         for s in self.steps:
-            if s == "winsorize":
-                stats = fit_winsorize(current, *self.winsorize_quantiles)
-                current = apply_winsorize(current, stats)
-            elif s == "zscore":
-                stats = fit_zscore(current)
-                current = apply_zscore(current, stats)
-            elif s == "minmax":
-                stats = fit_minmax(current)
-                current = apply_minmax(current, stats)
-            elif s == "yeo_johnson":
-                stats = fit_yeo_johnson_static(current)
-                current = apply_yeo_johnson_static(current, stats)
-            elif s == "cdf_inversion":
-                stats = fit_cdf_inversion(current)
-                current = apply_cdf_inversion(current, stats)
-            else:
-                stats = fit_kdit(current, KditConfig(alpha=self.kdit_alpha))
-                current = apply_kdit(current, stats)
+            fit, apply = _STEPS[s]
+            stats = fit(current, self)
+            current = apply(current, stats)
             self.fitted.append(stats)
         return self
 
@@ -346,61 +348,23 @@ class StaticPipeline:
             raise ValueError("pipeline has not been fitted")
         current = x
         for s, stats in zip(self.steps, self.fitted):
-            if s == "winsorize":
-                current = apply_winsorize(current, stats)
-            elif s == "zscore":
-                current = apply_zscore(current, stats)
-            elif s == "minmax":
-                current = apply_minmax(current, stats)
-            elif s == "yeo_johnson":
-                current = apply_yeo_johnson_static(current, stats)
-            elif s == "cdf_inversion":
-                current = apply_cdf_inversion(current, stats)
-            else:
-                current = apply_kdit(current, stats)
+            current = _STEPS[s][1](current, stats)
         return current
 
     def to_json_dict(self) -> dict:
-        stages = []
-        for s, stats in zip(self.steps, self.fitted):
-            if s == "kdit":
-                stages.append({
-                    "step": s,
-                    "alpha": stats.alpha,
-                    "grid": [g.tolist() for g in stats.grid],
-                    "cdf": [c.tolist() for c in stats.cdf],
-                    "cdf_lo": stats.cdf_lo.tolist(),
-                    "cdf_hi": stats.cdf_hi.tolist(),
-                    "bandwidth": stats.bandwidth.tolist(),
-                    "zero_variance": stats.zero_variance.tolist(),
-                })
-            else:
-                stages.append({"step": s, **stats.to_json_dict()})
         return {
             "steps": list(self.steps),
             "winsorize_quantiles": list(self.winsorize_quantiles),
             "kdit_alpha": self.kdit_alpha,
-            "stages": stages,
+            "stages": [{"step": s, **stats.to_json_dict()}
+                       for s, stats in zip(self.steps, self.fitted)],
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StaticPipeline":
-        pipe = cls(
+        return cls(
             steps=list(doc["steps"]),
             winsorize_quantiles=tuple(doc.get("winsorize_quantiles", (0.01, 0.99))),
             kdit_alpha=doc.get("kdit_alpha", 1.0),
+            fitted=[StaticStats.from_json_dict(stage) for stage in doc["stages"]],
         )
-        for stage in doc["stages"]:
-            if stage["step"] == "kdit":
-                pipe.fitted.append(KditConfig(
-                    alpha=stage["alpha"],
-                    grid=[np.asarray(g, dtype=np.float64) for g in stage["grid"]],
-                    cdf=[np.asarray(c, dtype=np.float64) for c in stage["cdf"]],
-                    cdf_lo=np.asarray(stage["cdf_lo"], dtype=np.float64),
-                    cdf_hi=np.asarray(stage["cdf_hi"], dtype=np.float64),
-                    bandwidth=np.asarray(stage["bandwidth"], dtype=np.float64),
-                    zero_variance=np.asarray(stage["zero_variance"], dtype=bool),
-                ))
-            else:
-                pipe.fitted.append(StaticStats.from_json_dict(stage))
-        return pipe

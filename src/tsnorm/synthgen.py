@@ -94,13 +94,6 @@ class SynthConfig:
         return len(self.pdfs)
 
 
-@dataclass(frozen=True)
-class ResponseCoefficients:
-    """One coefficient per (feature, timestep), drawn once per dataset."""
-
-    beta: np.ndarray  # (d, T)
-
-
 def ma_autocovariance(theta: np.ndarray, sigma_eps: float, tau: int) -> float:
     """Covariance at lag tau of a q-th order moving average:
     sigma_eps^2 * sum_{j=0}^{q-tau} theta_j theta_{j+tau}; zero beyond q."""
@@ -263,16 +256,17 @@ def generate_dataset(config: SynthConfig, return_latent: bool = False):
     rng = np.random.Generator(np.random.PCG64(config.seed))
     d, t, n = config.d, config.t, config.n
 
-    beta = ResponseCoefficients(beta=rng.normal(1.0 / (d * t), config.sigma_beta, size=(d, t)))
+    # one response coefficient per (feature, timestep)
+    beta = rng.normal(1.0 / (d * t), config.sigma_beta, size=(d, t))
     sigma = build_covariance(config, rng)
     sigma_psd = nearest_psd(sigma)
     uniforms = sample_correlated_uniforms(sigma_psd, n, rng)  # (n, d*t)
     zeta = rng.normal(0.0, config.sigma_zeta, size=n)
 
     u_mat = uniforms.reshape(n, d, t)
-    score = np.einsum("ndt,dt->n", u_mat, beta.beta) + zeta
+    score = np.einsum("ndt,dt->n", u_mat, beta) + zeta
     if config.response_threshold == "adaptive":
-        threshold = float(beta.beta.sum()) / 2.0
+        threshold = float(beta.sum()) / 2.0
     else:
         threshold = float(config.response_threshold)
     labels = (score > threshold).astype(np.int64)

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from tsnorm import cli, harness, neural
 from tsnorm.cli import main
-from tsnorm.data import load_csv
+from tsnorm.data import load_csv, save_csv
 
 
 def small_experiment_config(tmp_path, data_path, method="zscore", **extra):
@@ -102,6 +103,64 @@ def test_train_history_out(tmp_path, dataset_csv):
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[1]) > 0.0
+
+
+def test_train_checkpoints_the_fold_it_trained(tmp_path, dataset_csv, monkeypatch):
+    real = neural.train_loop
+    valid_sets = []
+
+    def spy(train, valid, *args, **kwargs):
+        valid_sets.append(valid)
+        return real(train, valid, *args, **kwargs)
+
+    for module in (neural, harness, cli):
+        if getattr(module, "train_loop", None) is real:
+            monkeypatch.setattr(module, "train_loop", spy)
+    cfg = small_experiment_config(tmp_path, dataset_csv, method="edain_global",
+                                  cv={"kind": "kfold", "k": 3})
+    report, ckpt, hist = tmp_path / "report.json", tmp_path / "ckpt.json", tmp_path / "h.csv"
+    assert main(["train", "--config", str(cfg), "--out", str(report),
+                 "--checkpoint-out", str(ckpt), "--history-out", str(hist)]) == 0
+    assert len(valid_sets) == 3  # one training run per fold, none for the checkpoint
+
+    row = json.loads(report.read_text())["rows"][0]
+    assert len(hist.read_text().splitlines()) == 1 + row["epochs_run"]
+    valid_csv, evaluated = tmp_path / "valid0.csv", tmp_path / "eval.json"
+    save_csv(valid_sets[0], valid_csv)
+    assert main(["evaluate", "--data", str(valid_csv), "--checkpoint", str(ckpt),
+                 "--out", str(evaluated)]) == 0
+    assert json.loads(evaluated.read_text())["metrics"] == row["metrics"]
+
+
+def test_train_checkpoint_of_failed_first_fold_exits_two(tmp_path, dataset_csv, monkeypatch,
+                                                         capsys):
+    def diverge(*args, **kwargs):
+        raise FloatingPointError("non-finite training loss")
+
+    monkeypatch.setattr(harness, "train_loop", diverge)
+    cfg = small_experiment_config(tmp_path, dataset_csv)
+    ckpt = tmp_path / "ckpt.json"
+    assert main(["train", "--config", str(cfg), "--checkpoint-out", str(ckpt)]) == 2
+    assert "FloatingPointError: non-finite training loss" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_identity_checkpoint_preprocess_is_passthrough(tmp_path, dataset_csv):
+    cfg = small_experiment_config(tmp_path, dataset_csv, method="none")
+    ckpt, out_csv = tmp_path / "ckpt.json", tmp_path / "same.csv"
+    assert main(["train", "--config", str(cfg), "--checkpoint-out", str(ckpt)]) == 0
+    assert json.loads(ckpt.read_text())["preproc"] == {"kind": "identity"}
+    assert main(["preprocess", "--checkpoint", str(ckpt), "--data", str(dataset_csv),
+                 "--out", str(out_csv)]) == 0
+    assert np.array_equal(load_csv(out_csv).batch.values, load_csv(dataset_csv).batch.values)
+
+
+def test_unknown_preprocessing_kind_is_runtime_error(tmp_path, dataset_csv, capsys):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps({"preproc": {"kind": "quantile"}}))
+    assert main(["preprocess", "--checkpoint", str(ckpt), "--data", str(dataset_csv),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "unknown preprocessing kind 'quantile'" in capsys.readouterr().err
 
 
 def test_kl_fit_then_preprocess(tmp_path, dataset_csv):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tsnorm.data import (CsvFormatError, LabeledDataset, RngState, TimeSeriesBatch,
-                         load_csv, minibatches, save_csv)
+                         load_csv, minibatch_indices, save_csv)
 
 
 def make_dataset(n=4, d=2, t=3, seed=0, kind="binary"):
@@ -127,7 +127,7 @@ def test_ternary_labels_roundtrip(tmp_path):
 
 def test_minibatch_sizes_and_partition():
     ds = make_dataset(n=5)
-    batches = minibatches(ds, 2, RngState(0))
+    batches = list(minibatch_indices(ds.n, 2, RngState(0).generator()))
     assert [len(b) for b in batches] == [2, 2, 1]
     joined = np.sort(np.concatenate(batches))
     assert joined.tolist() == [0, 1, 2, 3, 4]
@@ -135,21 +135,21 @@ def test_minibatch_sizes_and_partition():
 
 def test_minibatch_no_shuffle_identity_order():
     ds = make_dataset(n=6)
-    batches = minibatches(ds, 4, RngState(0), shuffle=False)
+    batches = list(minibatch_indices(ds.n, 4, RngState(0).generator(), shuffle=False))
     assert np.concatenate(batches).tolist() == list(range(6))
 
 
 def test_minibatch_deterministic():
     ds = make_dataset(n=50)
-    a = minibatches(ds, 7, RngState(123))
-    b = minibatches(ds, 7, RngState(123))
+    a = list(minibatch_indices(ds.n, 7, RngState(123).generator()))
+    b = list(minibatch_indices(ds.n, 7, RngState(123).generator()))
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_minibatch_rejects_zero_batch():
     ds = make_dataset()
     with pytest.raises(ValueError):
-        minibatches(ds, 0, RngState(0))
+        next(minibatch_indices(ds.n, 0, RngState(0).generator()))
 
 
 def test_rng_state_children_differ():

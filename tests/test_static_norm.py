@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -62,11 +64,11 @@ def test_zscore_empty_batch_rejected():
 
 def test_minmax_examples():
     train = batch_from([0.0, 10.0])
-    out = sn.fit_apply_minmax(train, train).values.ravel()
+    out = sn.apply_minmax(train, sn.fit_minmax(train)).values.ravel()
     assert out == pytest.approx([0.0, 1.0])
 
     const = batch_from([3.0, 3.0])
-    assert np.allclose(sn.fit_apply_minmax(const, const).values, 0.5)
+    assert np.allclose(sn.apply_minmax(const, sn.fit_minmax(const)).values, 0.5)
 
     beyond = sn.apply_minmax(batch_from([12.0]), sn.fit_minmax(train))
     assert beyond.values.ravel()[0] == pytest.approx(1.2)  # no clipping
@@ -197,7 +199,7 @@ def test_cdf_inversion_self_apply_standardizes():
     rng = np.random.default_rng(21)
     pooled = rng.gamma(2.0, 1.5, size=10_000)
     b = TimeSeriesBatch(pooled.reshape(100, 1, 100))
-    out = sn.fit_apply_cdf_inversion(b, b).values.ravel()
+    out = sn.apply_cdf_inversion(b, sn.fit_cdf_inversion(b)).values.ravel()
     assert abs(out.mean()) < 0.05
     assert abs(out.std() - 1.0) < 0.05
 
@@ -225,7 +227,7 @@ def test_kdit_large_alpha_matches_minmax():
     fitted = sn.fit_kdit(train, sn.KditConfig(alpha=1e4))
     xs = batch_from(np.linspace(0.0, 10.0, 23))
     got = sn.apply_kdit(xs, fitted).values.ravel()
-    want = sn.fit_apply_minmax(train, xs).values.ravel()
+    want = sn.apply_minmax(xs, sn.fit_minmax(train)).values.ravel()
     assert np.max(np.abs(got - want)) < 0.05
 
 
@@ -275,15 +277,32 @@ def test_pipeline_fit_apply_matches_stagewise():
     assert np.allclose(out.values, step3.values)
 
 
+# The keys each step's stage carries in pipeline JSON.  Pinned so that files
+# written by earlier versions keep loading.
+STAGE_KEYS = {
+    "winsorize": {"step", "lower_clip", "upper_clip"},
+    "zscore": {"step", "mean", "std", "zero_variance"},
+    "minmax": {"step", "minimum", "maximum", "zero_variance"},
+    "yeo_johnson": {"step", "lam"},
+    "cdf_inversion": {"step", "quantile_values", "quantile_cdf"},
+    "kdit": {"step", "alpha", "grid", "cdf", "cdf_lo", "cdf_hi", "bandwidth", "zero_variance"},
+}
+
+
 def test_pipeline_json_roundtrip():
     rng = np.random.default_rng(41)
     train = TimeSeriesBatch(rng.normal(size=(10, 2, 5)))
     apply_to = TimeSeriesBatch(rng.normal(size=(4, 2, 5)))
-    for steps in (["zscore"], ["cdf_inversion"], ["kdit"], ["winsorize", "zscore", "yeo_johnson"]):
+    for steps in (["zscore"], ["minmax"], ["winsorize"], ["yeo_johnson"], ["cdf_inversion"],
+                  ["kdit"], ["winsorize", "zscore", "yeo_johnson"],
+                  ["minmax", "kdit", "cdf_inversion"]):
         pipe = sn.StaticPipeline(list(steps)).fit(train)
         doc = pipe.to_json_dict()
-        back = sn.StaticPipeline.from_json_dict(doc)
-        assert np.allclose(pipe.apply(apply_to).values, back.apply(apply_to).values)
+        assert [set(stage) for stage in doc["stages"]] == [STAGE_KEYS[s] for s in steps]
+        text = json.dumps(doc, sort_keys=True)
+        back = sn.StaticPipeline.from_json_dict(json.loads(text))
+        assert np.array_equal(pipe.apply(apply_to).values, back.apply(apply_to).values), steps
+        assert json.dumps(back.to_json_dict(), sort_keys=True) == text
 
 
 def test_static_transforms_preserve_order():

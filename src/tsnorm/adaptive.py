@@ -25,6 +25,7 @@ import numpy as np
 
 from . import yeojohnson as yj
 from .data import TimeSeriesBatch
+from .neural import _sigmoid
 
 GLOBAL_AWARE = "global_aware"
 LOCAL_AWARE = "local_aware"
@@ -341,15 +342,6 @@ class DainParams:
     @property
     def d(self) -> int:
         return len(self.bias)
-
-
-def _sigmoid(v):
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
 
 
 def dain_forward(x: TimeSeriesBatch, params: DainParams) -> tuple[TimeSeriesBatch, dict]:

@@ -5,11 +5,19 @@ losses, and SGD/Adam/RMSProp optimizers that apply per-group learning-rate
 corrections so preprocessing sublayers can train at rates different from the
 model weights.  Everything is float64 numpy with explicit backward passes;
 the test suite checks every gradient against central finite differences.
+
+Each GRU cell (Cho et al. 2014) stores its weights in the stacked-gate layout
+used by cuDNN and PyTorch: ``wx`` (In x 3H), ``wh`` (H x 3H) and ``b`` (3H),
+with the reset, update and candidate gates in that column order.  The nine
+per-gate names (``wxr whr br wxz whz bz wxn whn bn``) that ``parameters()``,
+the optimizer and checkpoints use are views into those arrays, so an update
+through a name is an update of the stacked weights.  One step is then one
+``h @ wh`` matmul, and BPTT carries the hidden-state gradient back with one
+``d_gate @ wh.T``.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -22,11 +30,10 @@ GROUP_TAGS = ("outlier", "shift", "scale", "power", "model")
 
 
 def _sigmoid(v):
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
+    # branch-free: tanh saturates where exp would overflow or underflow
+    out = np.tanh(0.5 * v)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -60,14 +67,23 @@ class GruStack:
             bound = 1.0 / np.sqrt(n_in)
             return rng.uniform(-bound, bound, size=(n_in, n_out))
 
+        # stacked[i] holds cell i's wx/wh/b; cells[i] holds the per-gate views
+        self.stacked = []
         self.cells = []
         prev = d_in
         for h in self.hidden:
-            self.cells.append({
-                "wxr": mat(prev, h), "whr": mat(h, h), "br": np.zeros(h),
-                "wxz": mat(prev, h), "whz": mat(h, h), "bz": np.zeros(h),
-                "wxn": mat(prev, h), "whn": mat(h, h), "bn": np.zeros(h),
-            })
+            wx = np.empty((prev, 3 * h))
+            wh = np.empty((h, 3 * h))
+            b = np.zeros(3 * h)
+            cell = {}
+            for g, gate in enumerate("rzn"):
+                cols = slice(g * h, (g + 1) * h)
+                wx[:, cols] = mat(prev, h)
+                wh[:, cols] = mat(h, h)
+                cell.update({f"wx{gate}": wx[:, cols], f"wh{gate}": wh[:, cols],
+                             f"b{gate}": b[cols]})
+            self.stacked.append({"wx": wx, "wh": wh, "b": b})
+            self.cells.append(cell)
             prev = h
         self.head = []
         for width in self.head_sizes:
@@ -88,17 +104,12 @@ class GruStack:
     def groups(self) -> dict[str, str]:
         return {name: "model" for name in self.parameters()}
 
-    def snapshot(self):
-        return copy.deepcopy({"cells": self.cells, "head": self.head})
+    def snapshot(self) -> dict[str, np.ndarray]:
+        return {name: arr.copy() for name, arr in self.parameters().items()}
 
-    def restore(self, snap) -> None:
-        snap = copy.deepcopy(snap)
-        for cell, saved in zip(self.cells, snap["cells"]):
-            for name in cell:
-                cell[name][...] = saved[name]
-        for layer, saved in zip(self.head, snap["head"]):
-            layer["w"][...] = saved["w"]
-            layer["b"][...] = saved["b"]
+    def restore(self, snap: dict[str, np.ndarray]) -> None:
+        for name, arr in self.parameters().items():
+            arr[...] = snap[name]
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,21 +120,39 @@ class GruStack:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GruStack":
+        """Rebuild a checkpointed model; a missing, unknown, misshapen or
+        non-finite field is a ValueError that names it."""
+        for key in ("d_in", "hidden", "head", "n_classes", "dropout", "params"):
+            if key not in doc:
+                raise ValueError(f"model checkpoint is missing field {key!r}")
         model = cls(d_in=doc["d_in"], hidden=tuple(doc["hidden"]), head=tuple(doc["head"]),
                     n_classes=doc["n_classes"], dropout=doc["dropout"])
         params = model.parameters()
-        for name, arr in doc["params"].items():
-            params[name][...] = np.asarray(arr, dtype=np.float64)
+        for name in doc["params"]:
+            if name not in params:
+                raise ValueError(f"model checkpoint has unknown parameter {name!r}")
+        for name, arr in params.items():
+            if name not in doc["params"]:
+                raise ValueError(f"model checkpoint is missing parameter {name!r}")
+            try:
+                value = np.asarray(doc["params"][name], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"model parameter {name!r} is not numeric: {exc}") from None
+            if value.shape != arr.shape:
+                raise ValueError(f"model parameter {name!r} has shape {value.shape}, "
+                                 f"expected {arr.shape}")
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"model parameter {name!r} is not finite")
+            arr[...] = value
         return model
 
 
-def _cell_forward(cell: dict, seq: np.ndarray) -> tuple[np.ndarray, dict]:
+def _cell_forward(stacked: dict, seq: np.ndarray) -> tuple[np.ndarray, dict]:
     """Run one GRU cell over a (T, N, In) sequence; returns (T, N, H) outputs."""
     t_steps, n, _ = seq.shape
-    h_dim = cell["whr"].shape[0]
-    wx = np.concatenate([cell["wxr"], cell["wxz"], cell["wxn"]], axis=1)
-    bias = np.concatenate([cell["br"], cell["bz"], cell["bn"]])
-    proj = seq.reshape(t_steps * n, -1) @ wx + bias
+    wh = stacked["wh"]
+    h_dim = wh.shape[0]
+    proj = seq.reshape(t_steps * n, -1) @ stacked["wx"] + stacked["b"]
     proj = proj.reshape(t_steps, n, 3 * h_dim)
 
     h = np.zeros((n, h_dim))
@@ -133,57 +162,57 @@ def _cell_forward(cell: dict, seq: np.ndarray) -> tuple[np.ndarray, dict]:
     ns = np.empty_like(outs)
     qs = np.empty_like(outs)
     for t in range(t_steps):
-        pr = proj[t, :, :h_dim] + h @ cell["whr"]
-        pz = proj[t, :, h_dim:2 * h_dim] + h @ cell["whz"]
-        r = _sigmoid(pr)
-        z = _sigmoid(pz)
-        q = h @ cell["whn"]
-        nn = np.tanh(proj[t, :, 2 * h_dim:] + r * q)
+        hw = h @ wh
+        rz = _sigmoid(proj[t, :, :2 * h_dim] + hw[:, :2 * h_dim])
+        # per-gate contiguous copies: BPTT's elementwise ops run ~2.5x slower
+        # on column slices of a stacked block
+        r, z, q = rs[t], zs[t], qs[t]
+        r[...] = rz[:, :h_dim]
+        z[...] = rz[:, h_dim:]
+        q[...] = hw[:, 2 * h_dim:]
+        nn = np.tanh(proj[t, :, 2 * h_dim:] + r * q, out=ns[t])
         h = (1.0 - z) * nn + z * h
-        rs[t], zs[t], ns[t], qs[t], outs[t] = r, z, nn, q, h
-    cache = {"seq": seq, "r": rs, "z": zs, "n": ns, "q": qs, "out": outs, "cell": cell}
+        outs[t] = h
+    cache = {"seq": seq, "r": rs, "z": zs, "n": ns, "q": qs, "out": outs, "stacked": stacked}
     return outs, cache
 
 
 def _cell_backward(dout: np.ndarray, cache: dict) -> tuple[dict, np.ndarray]:
     """BPTT through one cell.  ``dout`` is the (T, N, H) gradient of the cell's
     per-step outputs; returns parameter grads and the (T, N, In) input grad."""
-    cell = cache["cell"]
+    stacked = cache["stacked"]
     seq, rs, zs, ns, qs, outs = cache["seq"], cache["r"], cache["z"], cache["n"], cache["q"], cache["out"]
     t_steps, n, h_dim = dout.shape
+    wh_t = np.ascontiguousarray(stacked["wh"].T)
 
+    # d_proj[t] = [dr | dz | dn] feeds wx and b; d_gate = [dr | dz | dq] feeds wh
     d_proj = np.empty((t_steps, n, 3 * h_dim))
-    g_whr = np.zeros_like(cell["whr"])
-    g_whz = np.zeros_like(cell["whz"])
-    g_whn = np.zeros_like(cell["whn"])
-    carry = np.zeros((n, h_dim))
+    d_gate = np.empty((n, 3 * h_dim))
+    g_wh = np.zeros_like(stacked["wh"])
+    h_zero = np.zeros((n, h_dim))
+    carry = h_zero
     for t in range(t_steps - 1, -1, -1):
         dh = dout[t] + carry
-        h_prev = outs[t - 1] if t > 0 else np.zeros((n, h_dim))
+        h_prev = outs[t - 1] if t > 0 else h_zero
         r, z, nn, q = rs[t], zs[t], ns[t], qs[t]
         dz_pre = dh * (h_prev - nn) * z * (1.0 - z)
         dn_pre = dh * (1.0 - z) * (1.0 - nn * nn)
         dr_pre = dn_pre * q * r * (1.0 - r)
-        dq = dn_pre * r
         d_proj[t, :, :h_dim] = dr_pre
         d_proj[t, :, h_dim:2 * h_dim] = dz_pre
         d_proj[t, :, 2 * h_dim:] = dn_pre
-        g_whr += h_prev.T @ dr_pre
-        g_whz += h_prev.T @ dz_pre
-        g_whn += h_prev.T @ dq
-        carry = dh * z + dr_pre @ cell["whr"].T + dz_pre @ cell["whz"].T + dq @ cell["whn"].T
+        d_gate[:, :2 * h_dim] = d_proj[t, :, :2 * h_dim]
+        np.multiply(dn_pre, r, out=d_gate[:, 2 * h_dim:])
+        if t > 0:  # at t = 0, h_prev = 0 adds nothing to g_wh and no step takes the carry
+            g_wh += h_prev.T @ d_gate
+            carry = dh * z + d_gate @ wh_t
 
     flat_seq = seq.reshape(t_steps * n, -1)
     flat_dp = d_proj.reshape(t_steps * n, 3 * h_dim)
-    g_wx = flat_seq.T @ flat_dp
-    g_bias = flat_dp.sum(axis=0)
-    grads = {
-        "wxr": g_wx[:, :h_dim], "wxz": g_wx[:, h_dim:2 * h_dim], "wxn": g_wx[:, 2 * h_dim:],
-        "whr": g_whr, "whz": g_whz, "whn": g_whn,
-        "br": g_bias[:h_dim], "bz": g_bias[h_dim:2 * h_dim], "bn": g_bias[2 * h_dim:],
-    }
-    wx = np.concatenate([cell["wxr"], cell["wxz"], cell["wxn"]], axis=1)
-    d_seq = (flat_dp @ wx.T).reshape(seq.shape)
+    blocks = {"wx": flat_seq.T @ flat_dp, "wh": g_wh, "b": flat_dp.sum(axis=0)}
+    grads = {f"{kind}{gate}": block[..., g * h_dim:(g + 1) * h_dim]
+             for kind, block in blocks.items() for g, gate in enumerate("rzn")}
+    d_seq = (flat_dp @ stacked["wx"].T).reshape(seq.shape)
     return grads, d_seq
 
 
@@ -195,8 +224,8 @@ def gru_forward(x: TimeSeriesBatch, model: GruStack, training: bool = False,
     seq = np.ascontiguousarray(np.moveaxis(x.values, 2, 0))  # (T, N, d)
     cell_caches = []
     masks = []
-    for i, cell in enumerate(model.cells):
-        outs, cache = _cell_forward(cell, seq)
+    for i, stacked in enumerate(model.stacked):
+        outs, cache = _cell_forward(stacked, seq)
         cell_caches.append(cache)
         if i < len(model.cells) - 1 and model.dropout > 0.0 and training:
             if rng is None:
@@ -363,16 +392,24 @@ class Optimizer:
             if self.kind == "sgd":
                 p -= rate * g
             elif self.kind == "adam":
-                st = self.state.setdefault(name, {"m": np.zeros_like(p), "v": np.zeros_like(p)})
-                st["m"] = cfg.adam_beta1 * st["m"] + (1 - cfg.adam_beta1) * g
-                st["v"] = cfg.adam_beta2 * st["v"] + (1 - cfg.adam_beta2) * g * g
-                m_hat = st["m"] / (1 - cfg.adam_beta1 ** self.t)
-                v_hat = st["v"] / (1 - cfg.adam_beta2 ** self.t)
+                if name not in self.state:
+                    self.state[name] = {"m": np.zeros_like(p), "v": np.zeros_like(p)}
+                # moments in place, in the order of b1 * m + (1 - b1) * g
+                m, v = self.state[name]["m"], self.state[name]["v"]
+                m *= cfg.adam_beta1
+                m += (1 - cfg.adam_beta1) * g
+                v *= cfg.adam_beta2
+                v += (1 - cfg.adam_beta2) * g * g
+                m_hat = m / (1 - cfg.adam_beta1 ** self.t)
+                v_hat = v / (1 - cfg.adam_beta2 ** self.t)
                 p -= rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
             else:
-                st = self.state.setdefault(name, {"sq": np.zeros_like(p)})
-                st["sq"] = cfg.rms_alpha * st["sq"] + (1 - cfg.rms_alpha) * g * g
-                p -= rate * g / (np.sqrt(st["sq"]) + cfg.rms_eps)
+                if name not in self.state:
+                    self.state[name] = {"sq": np.zeros_like(p)}
+                sq = self.state[name]["sq"]
+                sq *= cfg.rms_alpha
+                sq += (1 - cfg.rms_alpha) * g * g
+                p -= rate * g / (np.sqrt(sq) + cfg.rms_eps)
         if self.projection is not None:
             self.projection()
 

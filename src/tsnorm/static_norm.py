@@ -312,6 +312,16 @@ _STEPS = {
              lambda x, s: apply_kdit(x, s)),
 }
 
+# step name -> the StaticStats fields its fit sets, which a saved stage must carry
+_STAGE_FIELDS = {
+    "winsorize": ("lower_clip", "upper_clip"),
+    "zscore": ("mean", "std", "zero_variance"),
+    "minmax": ("minimum", "maximum", "zero_variance"),
+    "yeo_johnson": ("lam",),
+    "cdf_inversion": ("quantile_values", "quantile_cdf"),
+    "kdit": ("alpha", "grid", "cdf", "cdf_lo", "cdf_hi", "bandwidth", "zero_variance"),
+}
+
 
 @dataclass
 class StaticPipeline:
@@ -362,9 +372,37 @@ class StaticPipeline:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StaticPipeline":
-        return cls(
-            steps=list(doc["steps"]),
-            winsorize_quantiles=tuple(doc.get("winsorize_quantiles", (0.01, 0.99))),
-            kdit_alpha=doc.get("kdit_alpha", 1.0),
-            fitted=[StaticStats.from_json_dict(stage) for stage in doc["stages"]],
-        )
+        """Load a fitted pipeline; a stage that is missing, mistagged, lacks a
+        field of its step or disagrees on the feature count is a ValueError
+        naming the stage and the field."""
+        for key in ("steps", "stages"):
+            if key not in doc:
+                raise ValueError(f"static pipeline is missing field {key!r}")
+        steps, stages = list(doc["steps"]), doc["stages"]
+        if len(stages) != len(steps):
+            raise ValueError(f"static pipeline lists {len(steps)} steps "
+                             f"but {len(stages)} stages")
+        pipeline = cls(steps=steps,
+                       winsorize_quantiles=tuple(doc.get("winsorize_quantiles", (0.01, 0.99))),
+                       kdit_alpha=doc.get("kdit_alpha", 1.0))
+        n_features = None
+        for i, (step, stage) in enumerate(zip(steps, stages)):
+            if stage.get("step") != step:
+                raise ValueError(f"stage {i} is tagged {stage.get('step')!r} "
+                                 f"but step {i} is {step!r}")
+            for name in _STAGE_FIELDS[step]:
+                if name not in stage:
+                    raise ValueError(f"stage {i} ({step}) is missing field {name!r}")
+                if name == "alpha":  # the one scalar field
+                    continue
+                value = stage[name]
+                if not isinstance(value, list):
+                    raise ValueError(f"stage {i} ({step}) field {name!r} is not a "
+                                     f"per-feature list")
+                if n_features is None:
+                    n_features = len(value)
+                if len(value) != n_features:
+                    raise ValueError(f"stage {i} ({step}) field {name!r} has "
+                                     f"{len(value)} features, expected {n_features}")
+            pipeline.fitted.append(StaticStats.from_json_dict(stage))
+        return pipeline

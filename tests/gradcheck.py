@@ -17,18 +17,20 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def numeric_grad(loss_fn, array: np.ndarray, h: float = H) -> np.ndarray:
-    """Central differences of a scalar function w.r.t. an array perturbed in place."""
+    """Central differences of a scalar function w.r.t. an array perturbed in place.
+
+    Elements are indexed in place, not through ``reshape(-1)``, which copies a
+    non-contiguous view (a GRU gate's columns of its stacked weight matrix).
+    """
     grad = np.zeros_like(array)
-    flat = array.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
+    for i in np.ndindex(array.shape):
+        orig = array[i]
+        array[i] = orig + h
         up = loss_fn()
-        flat[i] = orig - h
+        array[i] = orig - h
         down = loss_fn()
-        flat[i] = orig
-        gflat[i] = (up - down) / (2.0 * h)
+        array[i] = orig
+        grad[i] = (up - down) / (2.0 * h)
     return grad
 
 

@@ -163,6 +163,24 @@ def test_unknown_preprocessing_kind_is_runtime_error(tmp_path, dataset_csv, caps
     assert "unknown preprocessing kind 'quantile'" in capsys.readouterr().err
 
 
+def test_malformed_checkpoint_names_the_field(tmp_path, dataset_csv, capsys):
+    ckpt = tmp_path / "ckpt.json"
+    assert main(["train", "--config", str(small_experiment_config(tmp_path, dataset_csv)),
+                 "--out", str(tmp_path / "r.json"), "--checkpoint-out", str(ckpt)]) == 0
+    doc = json.loads(ckpt.read_text())
+    doc["model"]["params"]["cell0.whr"] = [0.5]
+    del doc["preproc"]["stages"][0]["std"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["preprocess", "--checkpoint", str(bad), "--data", str(dataset_csv),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "stage 0 (zscore) is missing field 'std'" in capsys.readouterr().err
+    doc["preproc"] = {"kind": "identity"}
+    bad.write_text(json.dumps(doc))
+    assert main(["evaluate", "--checkpoint", str(bad), "--data", str(dataset_csv)]) == 2
+    assert "'cell0.whr' has shape (1,), expected (4, 4)" in capsys.readouterr().err
+
+
 def test_kl_fit_then_preprocess(tmp_path, dataset_csv):
     ckpt = tmp_path / "kl.json"
     code = main(["kl-fit", "--data", str(dataset_csv), "--out", str(ckpt),

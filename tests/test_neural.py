@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -33,23 +35,60 @@ def test_softmax_rows_sum_to_one():
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_single_step_matches_hand_unrolled_cell():
-    rng = np.random.default_rng(3)
-    model = nn.GruStack(d_in=2, hidden=(4,), head=(), n_classes=1, dropout=0.0, rng=rng)
-    x = np.random.default_rng(4).normal(size=(3, 2, 1))
+def reference_sigmoid(v):
+    """The two-branch logistic: exp of a non-positive argument only."""
+    v = np.asarray(v, dtype=np.float64)
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def test_forward_matches_hand_unrolled_cells():
+    # two cells over several steps, one gate at a time through the per-gate
+    # names: a mix-up of the stacked wx/wh/b columns changes the output
+    model = nn.GruStack(d_in=2, hidden=(4, 3), head=(5,), n_classes=1, dropout=0.0,
+                        rng=np.random.default_rng(3))
+    rng = np.random.default_rng(5)
+    for arr in model.parameters().values():  # distinct gates, non-zero biases
+        arr[...] = rng.uniform(-0.8, 0.8, arr.shape)
+    x = np.random.default_rng(4).normal(size=(3, 2, 4))
     probs, _ = nn.gru_forward(TimeSeriesBatch(x), model)
 
-    def sigmoid(v):
-        return 1.0 / (1.0 + np.exp(-v))
+    seq = [x[:, :, t] for t in range(x.shape[2])]
+    for cell in model.cells:
+        h = np.zeros((x.shape[0], cell["whr"].shape[0]))
+        outs = []
+        for x_t in seq:
+            r = reference_sigmoid(x_t @ cell["wxr"] + h @ cell["whr"] + cell["br"])
+            z = reference_sigmoid(x_t @ cell["wxz"] + h @ cell["whz"] + cell["bz"])
+            n = np.tanh(x_t @ cell["wxn"] + r * (h @ cell["whn"]) + cell["bn"])
+            h = (1.0 - z) * n + z * h
+            outs.append(h)
+        seq = outs
+    hidden = np.maximum(seq[-1] @ model.head[0]["w"] + model.head[0]["b"], 0.0)
+    logits = hidden @ model.head[1]["w"] + model.head[1]["b"]
+    assert np.max(np.abs(probs - reference_sigmoid(logits[:, 0]))) < 1e-12
 
-    cell = model.cells[0]
-    x0 = x[:, :, 0]
-    r = sigmoid(x0 @ cell["wxr"] + cell["br"])          # h_prev = 0
-    z = sigmoid(x0 @ cell["wxz"] + cell["bz"])
-    n = np.tanh(x0 @ cell["wxn"] + r * 0.0 + cell["bn"])
-    h = (1.0 - z) * n
-    logits = h @ model.head[0]["w"] + model.head[0]["b"]
-    assert np.allclose(probs, sigmoid(logits[:, 0]), atol=1e-12)
+
+def test_per_gate_names_are_views_of_stacked_weights():
+    model = nn.GruStack(d_in=2, hidden=(3,), head=(), n_classes=1, dropout=0.0)
+    stacked = model.stacked[0]
+    for g, gate in enumerate("rzn"):
+        cols = slice(3 * g, 3 * (g + 1))
+        for kind in ("wx", "wh", "b"):
+            view = model.cells[0][f"{kind}{gate}"]
+            assert np.shares_memory(view, stacked[kind])
+            assert np.array_equal(view, stacked[kind][..., cols])
+    model.parameters()["cell0.whz"][...] = 7.0
+    assert np.all(stacked["wh"][:, 3:6] == 7.0)
+
+
+def test_sigmoid_matches_two_branch_formula():
+    v = np.linspace(-800.0, 800.0, 400_001)
+    with np.errstate(all="raise"):
+        got = nn._sigmoid(v)
+    assert np.max(np.abs(got - reference_sigmoid(v))) <= 2.3e-16
+    assert nn._sigmoid(np.zeros(1))[0] == 0.5
+    assert np.all(np.diff(got) >= 0.0)
 
 
 def test_gru_backward_matches_fd():
@@ -152,6 +191,44 @@ def test_adam_first_step_is_signed_lr():
         assert abs(params["w"][1] - 1e-3) < 1e-12
 
 
+def test_optimizer_state_matches_out_of_place_updates():
+    # moments update in place, with the same rounding as the textbook form
+    rng = np.random.default_rng(29)
+    grads = [rng.normal(size=(3, 4)) for _ in range(4)]
+    for kind in ("adam", "rmsprop"):
+        cfg = nn.TrainConfig(base_lr=1e-2, optimizer=kind)
+        opt = nn.Optimizer(cfg)
+        w = rng.normal(size=(3, 4))
+        ref_w, m, v, sq = w.copy(), np.zeros_like(w), np.zeros_like(w), np.zeros_like(w)
+        for t, g in enumerate(grads, start=1):
+            opt.step({"w": w}, {"w": g}, {"w": "model"})
+            if kind == "adam":
+                m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
+                v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * g * g
+                m_hat = m / (1 - cfg.adam_beta1 ** t)
+                v_hat = v / (1 - cfg.adam_beta2 ** t)
+                ref_w -= cfg.base_lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+                assert np.array_equal(opt.state["w"]["m"], m)
+                assert np.array_equal(opt.state["w"]["v"], v)
+            else:
+                sq = cfg.rms_alpha * sq + (1 - cfg.rms_alpha) * g * g
+                ref_w -= cfg.base_lr * g / (np.sqrt(sq) + cfg.rms_eps)
+                assert np.array_equal(opt.state["w"]["sq"], sq)
+            assert np.array_equal(w, ref_w), (kind, t)
+
+
+def test_snapshot_is_a_copy_and_restore_writes_back():
+    model = nn.GruStack(d_in=2, hidden=(3,), head=(4,), n_classes=1, dropout=0.0)
+    before = {name: arr.copy() for name, arr in model.parameters().items()}
+    snap = model.snapshot()
+    for arr in model.parameters().values():
+        arr += 1.0
+    assert all(np.array_equal(snap[name], before[name]) for name in before)
+    model.restore(snap)
+    assert all(np.array_equal(arr, before[name]) for name, arr in model.parameters().items())
+    assert np.shares_memory(model.cells[0]["whr"], model.stacked[0]["wh"])
+
+
 def test_unknown_group_tag_rejected():
     opt = nn.Optimizer(nn.TrainConfig())
     with pytest.raises(ValueError, match="group tag"):
@@ -231,3 +308,25 @@ def test_model_checkpoint_roundtrip():
     pa, _ = nn.gru_forward(x, model)
     pb, _ = nn.gru_forward(x, back)
     assert np.array_equal(pa, pb)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p.__setitem__("cell0.whr", [0.5]), "'cell0.whr' has shape (1,), expected (3, 3)"),
+    (lambda p: p.pop("cell0.bz"), "missing parameter 'cell0.bz'"),
+    (lambda p: p.__setitem__("cell9.whr", [[0.0]]), "unknown parameter 'cell9.whr'"),
+    (lambda p: p.__setitem__("head0.b", [1.0, "x", 0.0, 0.0]), "'head0.b' is not numeric"),
+    (lambda p: p.__setitem__("head1.b", [float("nan")]), "'head1.b' is not finite"),
+])
+def test_model_checkpoint_rejects_bad_parameters(edit, message):
+    model = nn.GruStack(d_in=2, hidden=(3,), head=(4,), n_classes=1, dropout=0.0)
+    doc = model.to_json_dict()
+    edit(doc["params"])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        nn.GruStack.from_json_dict(doc)
+
+
+def test_model_checkpoint_missing_field_is_named():
+    doc = nn.GruStack(d_in=2, hidden=(3,), head=(4,)).to_json_dict()
+    del doc["hidden"]
+    with pytest.raises(ValueError, match="missing field 'hidden'"):
+        nn.GruStack.from_json_dict(doc)

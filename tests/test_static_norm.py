@@ -305,6 +305,43 @@ def test_pipeline_json_roundtrip():
         assert json.dumps(back.to_json_dict(), sort_keys=True) == text
 
 
+def _drop_std(doc):
+    del doc["stages"][0]["std"]
+
+
+def _retag(doc):
+    doc["stages"][1]["step"] = "zscore"
+
+
+def _drop_stage(doc):
+    doc["stages"].pop()
+
+
+def _short_field(doc):
+    doc["stages"][1]["lam"] = doc["stages"][1]["lam"][:1]
+
+
+def _scalar_field(doc):
+    doc["stages"][0]["mean"] = 0.0
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_std, "stage 0 (zscore) is missing field 'std'"),
+    (_retag, "stage 1 is tagged 'zscore' but step 1 is 'yeo_johnson'"),
+    (_drop_stage, "lists 2 steps but 1 stages"),
+    (_short_field, "stage 1 (yeo_johnson) field 'lam' has 1 features, expected 2"),
+    (_scalar_field, "stage 0 (zscore) field 'mean' is not a per-feature list"),
+])
+def test_pipeline_json_rejects_malformed_stages(corrupt, message):
+    train = TimeSeriesBatch(np.random.default_rng(43).normal(size=(10, 2, 5)))
+    doc = json.loads(json.dumps(sn.StaticPipeline(["zscore", "yeo_johnson"]).fit(train)
+                                .to_json_dict()))
+    corrupt(doc)
+    with pytest.raises(ValueError) as info:
+        sn.StaticPipeline.from_json_dict(doc)
+    assert message in str(info.value)
+
+
 def test_static_transforms_preserve_order():
     # strict order preservation inside each transform's strictly monotone domain
     rng = np.random.default_rng(42)

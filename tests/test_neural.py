@@ -42,6 +42,22 @@ def reference_sigmoid(v):
     return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def test_single_step_matches_hand_unrolled_cell():
+    rng = np.random.default_rng(3)
+    model = nn.GruStack(d_in=2, hidden=(4,), head=(), n_classes=1, dropout=0.0, rng=rng)
+    x = np.random.default_rng(4).normal(size=(3, 2, 1))
+    probs, _ = nn.gru_forward(TimeSeriesBatch(x), model)
+
+    cell = model.cells[0]
+    x0 = x[:, :, 0]
+    r = reference_sigmoid(x0 @ cell["wxr"] + cell["br"])          # h_prev = 0
+    z = reference_sigmoid(x0 @ cell["wxz"] + cell["bz"])
+    n = np.tanh(x0 @ cell["wxn"] + r * 0.0 + cell["bn"])
+    h = (1.0 - z) * n
+    logits = h @ model.head[0]["w"] + model.head[0]["b"]
+    assert np.allclose(probs, reference_sigmoid(logits[:, 0]), atol=1e-12)
+
+
 def test_forward_matches_hand_unrolled_cells():
     # two cells over several steps, one gate at a time through the per-gate
     # names: a mix-up of the stacked wx/wh/b columns changes the output

@@ -13,11 +13,16 @@ Two layers live here:
 Backward passes are exact chain-rule derivatives, checked against central
 finite differences in the test suite.  Each parameter carries a learning
 rate group tag so the optimizer can apply per-sublayer corrections.
+
+``EdainLayer`` and ``DainLayer`` subclass ``neural.IdentityPreproc``: their
+``parameters()`` is the one list of trained arrays, and the inherited
+snapshot/restore, ``to_json_dict`` and the ``neural.load_arrays`` loader all
+go through it (EDAIN adds only its running mean).  A checkpoint entry that is
+missing, non-numeric, misshapen or non-finite is a ``ValueError`` naming it.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +30,8 @@ import numpy as np
 
 from . import yeojohnson as yj
 from .data import TimeSeriesBatch
-from .neural import _sigmoid
+from .neural import IdentityPreproc, _sigmoid, load_arrays
+from .static_norm import fit_zscore
 
 GLOBAL_AWARE = "global_aware"
 LOCAL_AWARE = "local_aware"
@@ -398,7 +404,7 @@ def dain_backward(grad_out: np.ndarray, cache: dict) -> tuple[dict, np.ndarray]:
 # trainable-layer wrappers used by the training loop
 
 
-class EdainLayer:
+class EdainLayer(IdentityPreproc):
     """Owns EDAIN parameters, the running-mean state, and the sublayer flags."""
 
     def __init__(self, d: int, mode: str = GLOBAL_AWARE,
@@ -410,14 +416,12 @@ class EdainLayer:
         if warm_start is not None and mode == GLOBAL_AWARE:
             # start the shift/scale stage at the pooled statistics so the
             # layer begins as plain z-score normalization
-            pooled_mean = warm_start.values.mean(axis=(0, 2))
-            pooled_std = np.sqrt(((warm_start.values - pooled_mean[None, :, None]) ** 2).mean(axis=(0, 2)))
-            self.params.m = pooled_mean
-            self.params.s = np.maximum(pooled_std, SCALE_FLOOR)
+            pooled = fit_zscore(warm_start)
+            self.params.m = pooled.mean
+            self.params.s = np.maximum(pooled.std, SCALE_FLOOR)
 
     def parameters(self) -> dict[str, np.ndarray]:
-        return {"alpha": self.params.alpha, "beta": self.params.beta,
-                "m": self.params.m, "s": self.params.s, "lam": self.params.lam}
+        return {name: getattr(self.params, name) for name in EDAIN_GROUPS}
 
     def groups(self) -> dict[str, str]:
         return dict(EDAIN_GROUPS)
@@ -437,43 +441,28 @@ class EdainLayer:
         project_edain(self.params)
 
     def snapshot(self):
-        return (copy.deepcopy(self.params), self.state)
+        return super().snapshot(), self.state
 
     def restore(self, snap) -> None:
-        # write through the existing arrays so any optimizer holding views
-        # of the parameters keeps seeing the live storage
-        params, state = snap
-        for name in ("alpha", "beta", "m", "s", "lam"):
-            getattr(self.params, name)[...] = getattr(params, name)
-        self.state = state
+        arrays, self.state = snap
+        super().restore(arrays)
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": "edain",
-            "mode": self.params.mode,
-            "enabled": list(self.enabled),
-            "alpha": self.params.alpha.tolist(),
-            "beta": self.params.beta.tolist(),
-            "m": self.params.m.tolist(),
-            "s": self.params.s.tolist(),
-            "lam": self.params.lam.tolist(),
-            "mu_hat": self.state.mu_hat.tolist(),
-            "count": self.state.count,
-        }
+        arrays = {**self.parameters(), "mu_hat": self.state.mu_hat}
+        return {"kind": "edain", "mode": self.params.mode, "enabled": list(self.enabled),
+                **{name: arr.tolist() for name, arr in arrays.items()},
+                "count": self.state.count}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EdainLayer":
-        layer = cls(d=len(doc["alpha"]), mode=doc["mode"], enabled=tuple(doc["enabled"]))
-        layer.params.alpha = np.asarray(doc["alpha"], dtype=np.float64)
-        layer.params.beta = np.asarray(doc["beta"], dtype=np.float64)
-        layer.params.m = np.asarray(doc["m"], dtype=np.float64)
-        layer.params.s = np.asarray(doc["s"], dtype=np.float64)
-        layer.params.lam = np.asarray(doc["lam"], dtype=np.float64)
-        layer.state = RunningMean(np.asarray(doc["mu_hat"], dtype=np.float64), int(doc["count"]))
+        layer = cls(d=np.size(doc.get("alpha", ())), mode=doc["mode"],
+                    enabled=tuple(doc["enabled"]))
+        load_arrays({**layer.parameters(), "mu_hat": layer.state.mu_hat}, doc, "edain")
+        layer.state = RunningMean(layer.state.mu_hat, int(doc["count"]))
         return layer
 
 
-class DainLayer:
+class DainLayer(IdentityPreproc):
     """Trainable DAIN wrapper.
 
     The shift and scale matrices use their sublayer learning-rate groups;
@@ -486,8 +475,7 @@ class DainLayer:
         self.params = DainParams.init(d)
 
     def parameters(self) -> dict[str, np.ndarray]:
-        return {"w_a": self.params.w_a, "w_b": self.params.w_b,
-                "w_c": self.params.w_c, "bias": self.params.bias}
+        return {name: getattr(self.params, name) for name in self.GROUPS}
 
     def groups(self) -> dict[str, str]:
         return dict(self.GROUPS)
@@ -498,27 +486,11 @@ class DainLayer:
     def backward(self, grad_out: np.ndarray, cache: dict) -> tuple[dict, np.ndarray]:
         return dain_backward(grad_out, cache)
 
-    def projection(self) -> None:
-        return None
-
-    def snapshot(self):
-        return copy.deepcopy(self.params)
-
-    def restore(self, snap) -> None:
-        for name in ("w_a", "w_b", "w_c", "bias"):
-            getattr(self.params, name)[...] = getattr(snap, name)
-
     def to_json_dict(self) -> dict:
-        return {"kind": "dain", "w_a": self.params.w_a.tolist(), "w_b": self.params.w_b.tolist(),
-                "w_c": self.params.w_c.tolist(), "bias": self.params.bias.tolist()}
+        return {"kind": "dain", **{name: arr.tolist() for name, arr in self.parameters().items()}}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DainLayer":
-        layer = cls(d=len(doc["bias"]))
-        layer.params = DainParams(
-            w_a=np.asarray(doc["w_a"], dtype=np.float64),
-            w_b=np.asarray(doc["w_b"], dtype=np.float64),
-            w_c=np.asarray(doc["w_c"], dtype=np.float64),
-            bias=np.asarray(doc["bias"], dtype=np.float64),
-        )
+        layer = cls(d=np.size(doc.get("bias", ())))
+        load_arrays(layer.parameters(), doc, "dain")
         return layer

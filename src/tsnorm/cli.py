@@ -9,10 +9,12 @@ text table goes to stdout.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import ndtr
@@ -43,18 +45,49 @@ def _load_preproc(doc: dict):
     return _PREPROC_KINDS[kind].from_json_dict(doc)
 
 
+# the elementwise numpy functions an expression may call as np.<name>
+_PDF_NUMPY = ("abs", "arctan", "ceil", "clip", "cos", "cosh", "exp", "expm1", "floor", "log",
+              "log1p", "maximum", "minimum", "power", "sign", "sin", "sinh", "sqrt", "square",
+              "tan", "tanh", "where")
+_PDF_NAMES = {
+    "np": SimpleNamespace(**{name: getattr(np, name) for name in _PDF_NUMPY}),
+    "pi": math.pi,
+    "e": math.e,
+    "Phi": ndtr,
+    "phi": lambda v: np.exp(-0.5 * np.asarray(v) ** 2) / math.sqrt(2 * math.pi),
+    "ind": lambda lo, hi, v: ((np.asarray(v) > lo) & (np.asarray(v) < hi)).astype(float),
+}
+_PDF_SYNTAX = (ast.Expression, ast.BinOp, ast.Call, ast.Load, ast.operator, ast.unaryop,
+               ast.cmpop)
+
+
 def _pdf_from_expression(expr: str):
-    env = {
-        "np": np,
-        "pi": math.pi,
-        "e": math.e,
-        "Phi": ndtr,
-        "phi": lambda v: np.exp(-0.5 * np.asarray(v) ** 2) / math.sqrt(2 * math.pi),
-        "ind": lambda lo, hi, v: ((np.asarray(v) > lo) & (np.asarray(v) < hi)).astype(float),
-    }
+    """Compile a density expression of ``x``.
+
+    Only number constants, arithmetic and unary operators, single
+    comparisons, the elementwise boolean operators ``& | ~``, the names
+    ``x pi e phi Phi ind`` and ``np.<f>`` for the functions in ``_PDF_NUMPY``
+    are accepted; anything else is a ValueError that names the node.  ``np``
+    is bound to those functions alone, not to the module.
+    """
+    tree = ast.parse(expr, mode="eval")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            node.value = float(node.value)  # float powers overflow instead of growing unbounded
+        # and/or/not and chained comparisons are left out: they cannot act on arrays
+        elif not (isinstance(node, _PDF_SYNTAX)
+                  or isinstance(node, ast.UnaryOp) and not isinstance(node.op, ast.Not)
+                  or isinstance(node, ast.Compare) and len(node.ops) == 1
+                  or isinstance(node, ast.Name) and node.id in ("x", *_PDF_NAMES)
+                  or isinstance(node, ast.Attribute) and node.attr in _PDF_NUMPY
+                  and isinstance(node.value, ast.Name) and node.value.id == "np"):
+            raise ValueError(f"pdf expression may not contain {type(node).__name__} "
+                             f"{ast.unparse(node)!r}")
+    code = compile(tree, "<pdf>", "eval")
 
     def pdf(x):
-        return np.asarray(eval(expr, {"__builtins__": {}}, {**env, "x": x}), dtype=np.float64)
+        return np.asarray(eval(code, {"__builtins__": {}}, {**_PDF_NAMES, "x": x}),
+                          dtype=np.float64)
 
     return pdf
 

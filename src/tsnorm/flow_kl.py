@@ -21,7 +21,8 @@ import numpy as np
 from . import yeojohnson as yj
 from .adaptive import BETA_MIN, SCALE_FLOOR
 from .data import TimeSeriesBatch, minibatch_indices
-from .neural import Optimizer, TrainConfig
+from .neural import Optimizer, TrainConfig, load_arrays
+from .static_norm import fit_zscore
 
 LOG_2 = math.log(2.0)
 LOG_2PI = math.log(2.0 * math.pi)
@@ -56,13 +57,20 @@ class KlBijectorParams:
     def copy(self) -> "KlBijectorParams":
         return KlBijectorParams(self.beta, self.m, self.s, self.lam, self.mu_hat)
 
+    def parameters(self) -> dict[str, np.ndarray]:
+        """The trained arrays; ``mu_hat`` is fixed before training."""
+        return {name: getattr(self, name) for name in GROUPS}
+
     def to_json_dict(self) -> dict:
-        return {"kind": "edain_kl", "beta": self.beta.tolist(), "m": self.m.tolist(),
-                "s": self.s.tolist(), "lam": self.lam.tolist(), "mu_hat": self.mu_hat.tolist()}
+        arrays = {**self.parameters(), "mu_hat": self.mu_hat}
+        return {"kind": "edain_kl", **{name: arr.tolist() for name, arr in arrays.items()}}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "KlBijectorParams":
-        return cls(beta=doc["beta"], m=doc["m"], s=doc["s"], lam=doc["lam"], mu_hat=doc["mu_hat"])
+        """Checked load: a bad entry is a ValueError naming it (``load_arrays``)."""
+        params = init_kl_params(np.size(doc.get("beta", ())))
+        load_arrays({**params.parameters(), "mu_hat": params.mu_hat}, doc, "edain_kl")
+        return params
 
 
 def init_kl_params(d: int) -> KlBijectorParams:
@@ -199,38 +207,28 @@ def negative_log_likelihood(batch: TimeSeriesBatch, params: KlBijectorParams) ->
     return nll, grads
 
 
-def pooled_mean(train: TimeSeriesBatch) -> np.ndarray:
-    return train.values.mean(axis=(0, 2))
-
-
-def fit_kl(train: TimeSeriesBatch, config: Optional[TrainConfig] = None,
-           warm_start: bool = True) -> tuple[KlBijectorParams, list]:
+def fit_kl(train: TimeSeriesBatch,
+           config: Optional[TrainConfig] = None) -> tuple[KlBijectorParams, list]:
     """Fit the bijector by minibatch gradient descent on the NLL.
 
-    mu_hat is the pooled mean computed in one pass before training.  With
-    ``warm_start`` the shift/scale stage begins at the pooled statistics and
-    beta at three pooled standard deviations, so the initial map is roughly a
-    z-score with mild winsorization.  Returns the best-NLL parameters seen
-    (evaluated on the full data once per epoch) and the per-epoch history;
-    a NaN loss aborts and returns the last finite checkpoint.
+    Training starts from the pooled statistics of ``train`` (one pass, before
+    any step): mu_hat and the shift m at the pooled mean, the scale s at the
+    pooled standard deviation and beta at three of them, so the initial map is
+    a z-score with mild winsorization.  mu_hat stays fixed.  Returns the
+    best-NLL parameters seen (evaluated on the full data once per epoch) and
+    the per-epoch history; a NaN loss aborts and returns the last finite
+    checkpoint.
     """
-    if train.n * train.t == 0 or train.d == 0:
-        raise ValueError("cannot fit on an empty batch")
     if config is None:
         config = TrainConfig(base_lr=1e-2, optimizer="adam", batch_size=256, max_epochs=50,
                              milestones=(), patience=50,
                              corrections={"outlier": 1.0, "shift": 1.0, "scale": 1.0, "power": 1.0})
 
-    params = init_kl_params(train.d)
-    params.mu_hat = pooled_mean(train)
-    if warm_start:
-        std = np.sqrt(((train.values - params.mu_hat[None, :, None]) ** 2).mean(axis=(0, 2)))
-        std = np.maximum(std, SCALE_FLOOR)
-        params.m = np.zeros(train.d)
-        params.s = std.copy()
-        params.beta = np.maximum(3.0 * std, BETA_MIN)
-
-    param_dict = {"beta": params.beta, "m": params.m, "s": params.s, "lam": params.lam}
+    pooled = fit_zscore(train)
+    std = np.maximum(pooled.std, SCALE_FLOOR)
+    params = KlBijectorParams(beta=np.maximum(3.0 * std, BETA_MIN), m=pooled.mean, s=std,
+                              lam=np.ones(train.d), mu_hat=pooled.mean)
+    param_dict = params.parameters()
     optimizer = Optimizer(config, projection=lambda: project_kl(params))
     rng = np.random.Generator(np.random.PCG64(config.seed))
 

@@ -14,6 +14,13 @@ the optimizer and checkpoints use are views into those arrays, so an update
 through a name is an update of the stacked weights.  One step is then one
 ``h @ wh`` matmul, and BPTT carries the hidden-state gradient back with one
 ``d_gate @ wh.T``.
+
+State has one path.  ``parameters()`` is each trainable object's one list of
+its trained arrays: the model, and every preprocessing layer through the
+``IdentityPreproc`` base.  ``Trainable.snapshot``/``restore`` copy it out and
+write it back in place, ``to_json_dict`` writes it, and ``load_arrays`` reads
+it back into the freshly built arrays: a missing, non-numeric, misshapen or
+non-finite entry is a ``ValueError`` that names the parameter.
 """
 
 from __future__ import annotations
@@ -43,7 +50,45 @@ def _softmax(v):
     return e / e.sum(axis=1, keepdims=True)
 
 
-class GruStack:
+def load_arrays(arrays: dict[str, np.ndarray], doc: dict, what: str) -> None:
+    """Write ``doc[name]`` into each of ``arrays`` in place.
+
+    A missing, non-numeric, misshapen or non-finite entry is a ValueError
+    that names the parameter; ``what`` names the checkpoint in the message.
+    """
+    for name in arrays:
+        if name not in doc:
+            raise ValueError(f"{what} checkpoint is missing parameter {name!r}")
+    for name, arr in arrays.items():
+        try:
+            value = np.asarray(doc[name], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{what} parameter {name!r} is not numeric: {exc}") from None
+        if value.shape != arr.shape:
+            raise ValueError(f"{what} parameter {name!r} has shape {value.shape}, "
+                             f"expected {arr.shape}")
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{what} parameter {name!r} is not finite")
+        arr[...] = value
+
+
+class Trainable:
+    """Anything with trained arrays; ``parameters()`` names them all."""
+
+    def parameters(self) -> dict[str, np.ndarray]:
+        return {}
+
+    def snapshot(self) -> dict[str, np.ndarray]:
+        return {name: arr.copy() for name, arr in self.parameters().items()}
+
+    def restore(self, snap: dict[str, np.ndarray]) -> None:
+        # write through the live arrays: the optimizer and the per-gate views
+        # hold references to them
+        for name, arr in self.parameters().items():
+            arr[...] = snap[name]
+
+
+class GruStack(Trainable):
     """Stacked GRU cells, inter-cell dropout, and a ReLU classifier head.
 
     ``n_classes == 1`` produces sigmoid probabilities of shape (N,);
@@ -104,13 +149,6 @@ class GruStack:
     def groups(self) -> dict[str, str]:
         return {name: "model" for name in self.parameters()}
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: arr.copy() for name, arr in self.parameters().items()}
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for name, arr in self.parameters().items():
-            arr[...] = snap[name]
-
     def to_json_dict(self) -> dict:
         return {
             "d_in": self.d_in, "hidden": list(self.hidden), "head": list(self.head_sizes),
@@ -131,19 +169,7 @@ class GruStack:
         for name in doc["params"]:
             if name not in params:
                 raise ValueError(f"model checkpoint has unknown parameter {name!r}")
-        for name, arr in params.items():
-            if name not in doc["params"]:
-                raise ValueError(f"model checkpoint is missing parameter {name!r}")
-            try:
-                value = np.asarray(doc["params"][name], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"model parameter {name!r} is not numeric: {exc}") from None
-            if value.shape != arr.shape:
-                raise ValueError(f"model parameter {name!r} has shape {value.shape}, "
-                                 f"expected {arr.shape}")
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"model parameter {name!r} is not finite")
-            arr[...] = value
+        load_arrays(params, doc["params"], "model")
         return model
 
 
@@ -418,11 +444,10 @@ class Optimizer:
 # training loop
 
 
-class IdentityPreproc:
-    """No-op preprocessing layer satisfying the trainable-layer interface."""
-
-    def parameters(self):
-        return {}
+class IdentityPreproc(Trainable):
+    """No-op preprocessing layer and the base of every preprocessing layer:
+    the trainable ones override ``parameters()`` and inherit snapshot and
+    restore."""
 
     def groups(self):
         return {}
@@ -434,12 +459,6 @@ class IdentityPreproc:
         return {}, grad_out
 
     def projection(self):
-        return None
-
-    def snapshot(self):
-        return None
-
-    def restore(self, snap):
         return None
 
     def to_json_dict(self) -> dict:

@@ -369,6 +369,20 @@ def test_edain_layer_checkpoint_roundtrip():
     assert np.array_equal(a.values, b.values)
 
 
+def test_dain_layer_checkpoint_roundtrip():
+    rng = np.random.default_rng(19)
+    layer = ad.DainLayer(3)
+    for arr in layer.parameters().values():
+        arr += rng.normal(0.0, 0.1, arr.shape)
+    doc = layer.to_json_dict()
+    back = ad.DainLayer.from_json_dict(doc)
+    assert back.to_json_dict() == doc
+    x = TimeSeriesBatch(rng.normal(size=(4, 3, 5)))
+    a, _ = layer.forward(x, training=False)
+    b, _ = back.forward(x, training=False)
+    assert np.array_equal(a.values, b.values)
+
+
 def test_edain_layer_warm_start_is_zscore():
     rng = np.random.default_rng(18)
     train = TimeSeriesBatch(rng.normal(5.0, 2.0, size=(20, 2, 6)))

@@ -1,7 +1,9 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from tsnorm import cli, harness, neural
 from tsnorm.cli import main
@@ -227,3 +229,42 @@ def test_generate_with_pdf_expressions(tmp_path):
     feat = ds.batch.values[:, 1, :]
     assert feat.min() >= 0.0
     assert feat.mean() == pytest.approx(1.0, abs=0.2)
+
+
+ESCAPE = "x*0 + ().__class__.__base__.__subclasses__().__len__()"
+
+
+@pytest.mark.parametrize("expr, node", [
+    (ESCAPE, "Attribute '().__class__.__base__.__subclasses__().__len__'"),
+    ("np.load('pdf.npy')", "Attribute 'np.load'"),
+    ("__import__('os')", "Name '__import__'"),
+    ("np.exp(x=1)", "keyword 'x=1'"),
+    ("[x][0]", "Subscript '[x][0]'"),
+    ("(x > 0) and (x < 1)", "BoolOp 'x > 0 and x < 1'"),
+    ("not x", "UnaryOp 'not x'"),
+    ("0 < x < 1", "Compare '0 < x < 1'"),
+], ids=["escape", "np-load", "import", "keyword", "subscript", "and", "not", "chained"])
+def test_pdf_expression_outside_the_whitelist_is_rejected(expr, node):
+    with pytest.raises(ValueError, match=re.escape(f"may not contain {node}")):
+        cli._pdf_from_expression(expr)
+
+
+def test_generate_rejects_escaping_pdf_expression(tmp_path, capsys):
+    pdf_cfg = tmp_path / "pdfs.json"
+    pdf_cfg.write_text(json.dumps({"features": [{"pdf": ESCAPE, "bounds": [-6, 6]}]}))
+    out = tmp_path / "custom.csv"
+    assert main(["generate", "--pdf-config", str(pdf_cfg), "--n", "20", "--t", "4",
+                 "--out", str(out)]) == 2
+    assert "may not contain Attribute" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pdf_expression_whitelist_keeps_the_documented_forms():
+    x = np.linspace(-3.0, 3.0, 13)
+    pdf = cli._pdf_from_expression("phi(x - 2) + 0.5 * Phi(x) * ind(-1, 1, x)"
+                                   " + np.exp(-x) * (x > 0) + ((x >= 0) & ~(x >= 2))"
+                                   " + e ** -np.abs(x) / pi")
+    want = (np.exp(-0.5 * (x - 2) ** 2) / np.sqrt(2 * np.pi)
+            + 0.5 * ndtr(x) * ((x > -1) & (x < 1)) + np.exp(-x) * (x > 0)
+            + ((x >= 0) & (x < 2)) + np.e ** -np.abs(x) / np.pi)
+    assert np.allclose(pdf(x), want)

@@ -181,6 +181,15 @@ def test_fit_kl_on_gaussian_data_stays_near_neutral():
     assert abs(params.lam[0] - 1.0) < 0.15
 
 
+def test_fit_kl_starts_at_zscore_on_non_zero_mean_data():
+    rng = np.random.default_rng(11)
+    batch = TimeSeriesBatch(rng.normal(10.0, 2.0, size=(500, 2, 10)))
+    params, history = fk.fit_kl(batch, fit_config(epochs=0))  # the starting point
+    z, _ = fk.normalize_direction(batch, params)
+    assert abs(z.values.mean()) < 0.1
+    assert history[0]["nll"] < 3.0
+
+
 def test_fit_kl_rejects_empty():
     with pytest.raises(ValueError):
         fk.fit_kl(TimeSeriesBatch(np.zeros((0, 1, 1))), fit_config())

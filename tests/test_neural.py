@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradcheck import check_grads, numeric_grad, rel_err
-from tsnorm.adaptive import EdainLayer
+from tsnorm.adaptive import LOCAL_AWARE, DainLayer, EdainLayer, RunningMean
 from tsnorm.data import LabeledDataset, TimeSeriesBatch
 from tsnorm import neural as nn
 
@@ -233,15 +233,34 @@ def test_optimizer_state_matches_out_of_place_updates():
             assert np.array_equal(w, ref_w), (kind, t)
 
 
+SNAPSHOT_LAYERS = {
+    "gru": lambda: nn.GruStack(d_in=2, hidden=(3,), head=(4,), n_classes=1, dropout=0.0),
+    "identity": nn.IdentityPreproc,
+    "edain_global": lambda: EdainLayer(2),
+    "edain_local": lambda: EdainLayer(2, mode=LOCAL_AWARE),
+    "dain": lambda: DainLayer(2),
+}
+
+
 def test_snapshot_is_a_copy_and_restore_writes_back():
-    model = nn.GruStack(d_in=2, hidden=(3,), head=(4,), n_classes=1, dropout=0.0)
-    before = {name: arr.copy() for name, arr in model.parameters().items()}
-    snap = model.snapshot()
-    for arr in model.parameters().values():
-        arr += 1.0
-    assert all(np.array_equal(snap[name], before[name]) for name in before)
-    model.restore(snap)
-    assert all(np.array_equal(arr, before[name]) for name, arr in model.parameters().items())
+    for kind, make in SNAPSHOT_LAYERS.items():
+        layer = make()
+        live = layer.parameters()
+        before = {name: arr.copy() for name, arr in live.items()}
+        snap = layer.snapshot()
+        for arr in live.values():
+            arr += 1.0
+        state = getattr(layer, "state", None)
+        if state is not None:  # EDAIN also rolls back its running mean
+            layer.state = RunningMean(state.mu_hat + 1.0, state.count + 12)
+        layer.restore(snap)
+        assert all(np.array_equal(arr, before[name]) for name, arr in live.items()), kind
+        assert all(layer.parameters()[name] is arr for name, arr in live.items()), kind
+        if state is not None:
+            assert layer.state.count == state.count, kind
+            assert np.array_equal(layer.state.mu_hat, state.mu_hat), kind
+    model = SNAPSHOT_LAYERS["gru"]()
+    model.restore(model.snapshot())
     assert np.shares_memory(model.cells[0]["whr"], model.stacked[0]["wh"])
 
 

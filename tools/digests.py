@@ -1,0 +1,103 @@
+"""Byte-identity recipe: sha256 of every CLI artefact of one small, seeded run.
+
+Runs ``generate``, then ``train`` (report, checkpoint, history) followed by
+``evaluate`` and ``preprocess`` for five methods, then ``kl-fit`` and its
+``preprocess``, all with the ``tsnorm`` package found under ``--src``, in a
+fresh temporary directory with relative paths (reports echo the CSV path).
+Each checkpoint is also loaded and written back, which pins the loaders and
+the writers.  One ``name sha256`` line is printed per artefact, so two trees
+compare with a single diff:
+
+    python3 tools/digests.py --src . > new.txt
+    python3 tools/digests.py --src /path/to/other/checkout > old.txt
+    diff old.txt new.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+METHODS = ("edain_global", "edain_local", "dain", "edain_kl", "kdit")
+
+# loads a checkpoint's preprocessing and model and writes them back unchanged
+RESAVE = """
+import json, sys
+from tsnorm.cli import _load_preproc
+from tsnorm.harness import save_report
+from tsnorm.neural import GruStack
+doc = json.loads(open(sys.argv[1]).read())
+save_report({"preproc": _load_preproc(doc["preproc"]).to_json_dict(),
+             "model": GruStack.from_json_dict(doc["model"]).to_json_dict()}, sys.argv[2])
+"""
+
+
+def _config(method: str) -> dict:
+    cv = ({"kind": "kfold", "k": 3} if method == "edain_global"
+          else {"kind": "holdout", "valid_fraction": 0.2})
+    return {
+        "method": method, "seed": 3, "repetitions": 2, "dataset": {"csv": "data.csv"},
+        "model": {"hidden": [4], "head": [4], "dropout": 0.1},
+        "train": {"max_epochs": 3, "batch_size": 32, "milestones": [2], "patience": 5},
+        "cv": cv,
+    }
+
+
+def _package_root(src: Path) -> Path:
+    for root in (src / "src", src):
+        if (root / "tsnorm" / "cli.py").is_file():
+            return root.resolve()
+    raise SystemExit(f"no tsnorm package under {src}")
+
+
+def run_recipe(src: Path, work: Path) -> list[tuple[str, str]]:
+    env = dict(os.environ, PYTHONPATH=str(_package_root(src)), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+    def python(*args: str) -> None:
+        subprocess.run([sys.executable, *args], cwd=work, env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+
+    def tsnorm(*args: str) -> None:
+        python("-m", "tsnorm.cli", *args)
+
+    artefacts = ["data.csv"]
+    tsnorm("generate", "--n", "300", "--t", "6", "--seed", "11", "--out", "data.csv")
+    for method in METHODS:
+        names = {k: f"{method}.{k}" for k in
+                 ("report.json", "ckpt.json", "history.csv", "eval.json", "norm.csv",
+                  "resaved.json")}
+        (work / f"{method}.config.json").write_text(json.dumps(_config(method)))
+        tsnorm("train", "--config", f"{method}.config.json", "--out", names["report.json"],
+               "--checkpoint-out", names["ckpt.json"], "--history-out", names["history.csv"])
+        tsnorm("evaluate", "--data", "data.csv", "--checkpoint", names["ckpt.json"],
+               "--out", names["eval.json"])
+        tsnorm("preprocess", "--checkpoint", names["ckpt.json"], "--data", "data.csv",
+               "--out", names["norm.csv"])
+        python("-c", RESAVE, names["ckpt.json"], names["resaved.json"])
+        artefacts.extend(names.values())
+    tsnorm("kl-fit", "--data", "data.csv", "--out", "kl.json", "--epochs", "5", "--seed", "3")
+    tsnorm("preprocess", "--checkpoint", "kl.json", "--data", "data.csv", "--out", "klnorm.csv")
+    artefacts.extend(["kl.json", "klnorm.csv"])
+    return [(name, hashlib.sha256((work / name).read_bytes()).hexdigest()) for name in artefacts]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, type=Path,
+                        help="checkout (or its src/ directory) whose tsnorm to run")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="tsnorm-digests-") as tmp:
+        for name, digest in run_recipe(args.src, Path(tmp)):
+            print(f"{name} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -155,17 +155,27 @@ def outlier_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, np.
     x, mu, u, th = cache["x"], cache["mu"], cache["u"], cache["th"]
     alpha = cache["alpha"][None, :, None]
     beta = cache["beta"][None, :, None]
-    sech2 = 1.0 - th * th
+    sech2 = th * th
+    np.subtract(1.0, sech2, out=sech2)
+    g_alpha = grad_out * alpha  # shared by the mu path and d/dbeta
 
-    grad_x = grad_out * (alpha * sech2 + (1.0 - alpha))
+    grad_x = alpha * sech2
+    grad_x += 1.0 - alpha
+    grad_x *= grad_out
     if cache["local"]:
         # mu is the per-series time mean, so each timestep also receives the
         # averaged gradient routed through mu: dh1/dmu = alpha*(1 - sech2)
         t = x.shape[2]
-        via_mu = (grad_out * alpha * (1.0 - sech2)).sum(axis=2, keepdims=True) / t
-        grad_x = grad_x + via_mu
-    grad_alpha = (grad_out * (beta * th + mu - x)).sum(axis=(0, 2))
-    grad_beta = (grad_out * alpha * (th - u * sech2)).sum(axis=(0, 2))
+        grad_x += (g_alpha * (1.0 - sech2)).sum(axis=2, keepdims=True) / t
+    term = beta * th
+    term += mu
+    term -= x
+    term *= grad_out
+    grad_alpha = term.sum(axis=(0, 2))
+    np.multiply(u, sech2, out=term)
+    np.subtract(th, term, out=term)
+    term *= g_alpha
+    grad_beta = term.sum(axis=(0, 2))
     return grad_x, grad_alpha, grad_beta
 
 
@@ -211,33 +221,38 @@ def shift_scale_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray,
     m, s = cache["m"], cache["s"]
     out = cache["out"]
     use_shift, use_scale = cache["use_shift"], cache["use_scale"]
-    d = len(m)
-    if not cache["local"]:
+    local = cache["local"]
+    if local:
+        denom = cache["denom"][:, :, None]  # (N, d, 1)
+    else:
         denom = s[None, :, None] if use_scale else 1.0
-        grad_x = grad_out / denom
-        grad_m = -(grad_out / denom).sum(axis=(0, 2)) if use_shift else np.zeros(d)
-        grad_s = -(grad_out * out).sum(axis=(0, 2)) / s if use_scale else np.zeros(d)
+    grad_x = grad_out / denom  # also the gradient reaching the shift
+    grad_m, grad_s = np.zeros(len(m)), np.zeros(len(m))
+    if use_scale:
+        g_out = grad_out * out
+        grad_s = -g_out.sum(axis=(0, 2)) / s
+    if not local:
+        if use_shift:
+            grad_m = -grad_x.sum(axis=(0, 2))
         return grad_x, grad_m, grad_s
 
     mu_x, sig_raw, sig = cache["mu_x"], cache["sig_raw"], cache["sig"]
     x = cache["x"]
     t = x.shape[2]
-    denom = cache["denom"][:, :, None]  # (N, d, 1)
-
-    grad_m = (-(grad_out / denom).sum(axis=2) * mu_x).sum(axis=0) if use_shift else np.zeros(d)
-    grad_s = -(grad_out * out).sum(axis=(0, 2)) / s if use_scale else np.zeros(d)
-
-    grad_x = grad_out / denom
     if use_shift:
         # shift term m*mu_x pulls in the time-mean of x
-        sum_g = (grad_out / denom).sum(axis=2, keepdims=True)
-        grad_x = grad_x - (m[None, :, None] / t) * sum_g
+        sum_g = grad_x.sum(axis=2, keepdims=True)
+        grad_m = (-sum_g[:, :, 0] * mu_x).sum(axis=0)
+        grad_x -= (m[None, :, None] / t) * sum_g
     if use_scale:
         # sigma path: d sigma/dx_t = (x_t - mu_x)/(T sigma); frozen where floored
         mask = (sig_raw > SIGMA_FLOOR).astype(np.float64)
-        sum_gy = (grad_out * out).sum(axis=2)  # (N, d)
+        sum_gy = g_out.sum(axis=2)  # (N, d)
         coeff = -(mask * sum_gy / sig)[:, :, None] / t
-        grad_x = grad_x + coeff * (x - cache["mu_x"][:, :, None]) / sig[:, :, None]
+        term = x - mu_x[:, :, None]
+        term *= coeff
+        term /= sig[:, :, None]
+        grad_x += term
     return grad_x, grad_m, grad_s
 
 
@@ -246,15 +261,16 @@ def shift_scale_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray,
 
 
 def power_forward(x: TimeSeriesBatch, params: EdainParams) -> tuple[TimeSeriesBatch, dict]:
-    lam = params.lam[None, :, None]
-    out = yj.forward(x.values, lam)
-    return TimeSeriesBatch(out), {"x": x.values, "lam": params.lam}
+    """The cache keeps the prepared point, so the backward pass re-uses its
+    branch select, log1p|x| and exponent instead of rebuilding them."""
+    point = yj.PowerPoint(x.values, params.lam[None, :, None])
+    return TimeSeriesBatch(point.forward()), {"point": point}
 
 
 def power_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray]:
-    lam = cache["lam"][None, :, None]
-    grad_x = grad_out * yj.dx(cache["x"], lam)
-    grad_lam = (grad_out * yj.dlam(cache["x"], lam)).sum(axis=(0, 2))
+    point = cache["point"]
+    grad_x = grad_out * point.dx()
+    grad_lam = (grad_out * point.dlam()).sum(axis=(0, 2))
     return grad_x, grad_lam
 
 
@@ -455,10 +471,24 @@ class EdainLayer(IdentityPreproc):
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EdainLayer":
-        layer = cls(d=np.size(doc.get("alpha", ())), mode=doc["mode"],
-                    enabled=tuple(doc["enabled"]))
+        """Checked load: a bad header field or parameter is a ValueError naming it."""
+        for key in ("mode", "enabled", "count"):
+            if key not in doc:
+                raise ValueError(f"edain checkpoint is missing field {key!r}")
+        mode, enabled, count = doc["mode"], doc["enabled"], doc["count"]
+        if mode not in (GLOBAL_AWARE, LOCAL_AWARE):
+            raise ValueError(f"edain field 'mode' must be {GLOBAL_AWARE!r} or {LOCAL_AWARE!r}, "
+                             f"got {mode!r}")
+        if not isinstance(enabled, list):
+            raise ValueError(f"edain field 'enabled' must be a list of sublayers, got {enabled!r}")
+        for flag in enabled:
+            if flag not in ALL_SUBLAYERS:
+                raise ValueError(f"edain field 'enabled' has unknown sublayer {flag!r}")
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise ValueError(f"edain field 'count' must be a non-negative integer, got {count!r}")
+        layer = cls(d=np.size(doc.get("alpha", ())), mode=mode, enabled=tuple(enabled))
         load_arrays({**layer.parameters(), "mu_hat": layer.state.mu_hat}, doc, "edain")
-        layer.state = RunningMean(layer.state.mu_hat, int(doc["count"]))
+        layer.state = RunningMean(layer.state.mu_hat, count)
         return layer
 
 

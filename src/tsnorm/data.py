@@ -29,6 +29,10 @@ class CsvFormatError(ValueError):
     """A dataset file violates the expected CSV layout."""
 
 
+class NonFiniteBatchError(ValueError):
+    """A time series batch would hold NaN or Inf values."""
+
+
 @dataclass(frozen=True)
 class RngState:
     """Deterministic random-stream handle.
@@ -71,7 +75,7 @@ class TimeSeriesBatch:
                 f"expected a (series, feature, timestep) array, got shape {v.shape}"
             )
         if v.size and not np.all(np.isfinite(v)):
-            raise ValueError("time series batch contains NaN or Inf entries")
+            raise NonFiniteBatchError("time series batch contains NaN or Inf entries")
         # freeze a private copy; never flips the writeable flag on caller-owned storage
         if v.flags.writeable or not v.flags.c_contiguous:
             v = np.ascontiguousarray(v).copy()

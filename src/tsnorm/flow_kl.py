@@ -91,7 +91,8 @@ def _log_sech2(u: np.ndarray) -> np.ndarray:
 
 def _chain(x: np.ndarray, params: KlBijectorParams) -> dict:
     """Forward pass through winsorize -> shift -> scale -> power with the
-    per-coordinate forward log-derivatives of each stage."""
+    per-coordinate forward log-derivatives of each stage.  The power stage's
+    prepared point is returned too, for the derivatives of the NLL."""
     beta = params.beta[None, :, None]
     mu = params.mu_hat[None, :, None]
     m = params.m[None, :, None]
@@ -105,10 +106,11 @@ def _chain(x: np.ndarray, params: KlBijectorParams) -> dict:
     v2 = v1 - m
     v3 = v2 / s
     ld3 = -np.log(s)
-    z = yj.forward(v3, lam)
-    ld4 = yj.log_dx(v3, lam)
-    return {"x": x, "u": u, "th": th, "v1": v1, "v2": v2, "v3": v3, "z": z,
-            "ld1": ld1, "ld3": ld3, "ld4": ld4, "lam": lam, "s": s, "beta": beta}
+    power = yj.PowerPoint(v3, lam)
+    z = power.forward()
+    ld4 = power.log_dx()
+    return {"x": x, "u": u, "th": th, "v1": v1, "v2": v2, "v3": v3, "z": z, "power": power,
+            "ld1": ld1, "ld3": ld3, "ld4": ld4, "s": s, "beta": beta}
 
 
 def normalize_direction(x: TimeSeriesBatch, params: KlBijectorParams) -> tuple[TimeSeriesBatch, np.ndarray]:
@@ -179,7 +181,7 @@ def negative_log_likelihood(batch: TimeSeriesBatch, params: KlBijectorParams) ->
     non-finite loss reports the first offending series index.
     """
     c = _chain(batch.values, params)
-    z, v3, lam, s = c["z"], c["v3"], c["lam"], c["s"]
+    z, v3, power, s = c["z"], c["v3"], c["power"], c["s"]
     n, d, t = batch.values.shape
 
     per_series = (0.5 * LOG_2PI + 0.5 * z * z - c["ld1"] - c["ld3"] - c["ld4"]).sum(axis=(1, 2))
@@ -190,8 +192,8 @@ def negative_log_likelihood(batch: TimeSeriesBatch, params: KlBijectorParams) ->
 
     # reverse-mode through the four stages
     g_z = z
-    g_v3 = g_z * yj.dx(v3, lam) - yj.dx_log_dx(v3, lam)
-    g_lam = (g_z * yj.dlam(v3, lam) - yj.dlam_log_dx(v3, lam)).sum(axis=(0, 2))
+    g_v3 = g_z * power.dx() - power.dx_log_dx()
+    g_lam = (g_z * power.dlam() - power.dlam_log_dx()).sum(axis=(0, 2))
 
     g_v2 = g_v3 / s
     g_s = (g_v3 * (-v3 / s)).sum(axis=(0, 2)) + n * t / params.s

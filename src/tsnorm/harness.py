@@ -21,13 +21,19 @@ from typing import Optional
 import numpy as np
 
 from .adaptive import ALL_SUBLAYERS, DainLayer, EdainLayer, GLOBAL_AWARE, LOCAL_AWARE
-from .data import BINARY, LabeledDataset, RngState, TimeSeriesBatch, load_csv
-from .flow_kl import KlBijectorParams, fit_kl, normalize_direction
+from .data import BINARY, LabeledDataset, NonFiniteBatchError, RngState, TimeSeriesBatch, load_csv
+from .flow_kl import FlowDomainError, KlBijectorParams, fit_kl, normalize_direction
 from .metrics import (amex_metric, binary_accuracy, cohen_kappa, macro_f1, ternary_accuracy)
 from .neural import GruStack, IdentityPreproc, TrainConfig, TrainResult, bce_loss, \
     cross_entropy_loss, gru_forward, train_loop
 from .static_norm import StaticPipeline
 from .synthgen import default_config, generate_dataset
+from .yeojohnson import PowerDomainError
+
+# numeric failures that end one fold and are recorded as an incomplete row;
+# any other exception is a bug and propagates
+FOLD_FAILURES = (FloatingPointError, np.linalg.LinAlgError, PowerDomainError, FlowDomainError,
+                 NonFiniteBatchError)
 
 METHODS = (
     "none", "zscore", "minmax", "winsorize+zscore", "zscore+yj", "winsorize+zscore+yj",
@@ -470,7 +476,11 @@ def _run_fold(config: ExperimentConfig, dataset: LabeledDataset,
 
 
 def run_experiment(config: ExperimentConfig) -> MetricsReport:
-    """Train and evaluate one preprocessing method under the configured CV."""
+    """Train and evaluate one preprocessing method under the configured CV.
+
+    A fold that ends in a numeric failure (``FOLD_FAILURES``) is recorded as
+    an incomplete row and the run goes on; any other exception propagates.
+    """
     start = time.perf_counter()
     root = RngState(config.seed)
     rows, incomplete, first_fold = [], [], None
@@ -482,7 +492,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
             try:
                 row, result = _run_fold(config, dataset, tr_idx, va_idx, rep, f,
                                         rep_state.child(100 + f))
-            except Exception as exc:  # noqa: BLE001 - a fold failure is recorded, not fatal
+            except FOLD_FAILURES as exc:
                 incomplete.append({"rep": rep, "fold": f,
                                    "error": f"{type(exc).__name__}: {exc}"})
                 continue

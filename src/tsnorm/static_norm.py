@@ -143,13 +143,23 @@ def apply_winsorize(x: TimeSeriesBatch, stats: StaticStats) -> TimeSeriesBatch:
     return TimeSeriesBatch(out)
 
 
-def _yj_profile_loglik(pooled: np.ndarray, lam: float) -> float:
-    transformed = yj.forward(pooled, lam)
-    var = transformed.var()  # population convention
-    if not np.isfinite(var) or var <= 0.0:
-        return -np.inf
+def _yj_profile(pooled: np.ndarray):
+    """The profile log-likelihood of one pooled feature as a function of lam.
+
+    log1p|x|, the branch select and the Jacobian sum do not depend on lam, so
+    they are computed once for the whole search.
+    """
+    point = yj.PowerPoint(pooled, 1.0)
     n = pooled.size
-    return -0.5 * n * np.log(var) + (lam - 1.0) * np.sum(np.sign(pooled) * np.log1p(np.abs(pooled)))
+    log_jacobian = np.sum(np.sign(pooled) * point.lp)
+
+    def loglik(lam: float) -> float:
+        var = point.at(lam).forward().var()  # population convention
+        if not np.isfinite(var) or var <= 0.0:
+            return -np.inf
+        return -0.5 * n * np.log(var) + (lam - 1.0) * log_jacobian
+
+    return loglik
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
@@ -179,13 +189,11 @@ def fit_yeo_johnson_static(train: TimeSeriesBatch) -> StaticStats:
     _require_data(train)
     lam = np.empty(train.d)
     for k in range(train.d):
-        pooled = train.pooled(k)
-        if not np.isfinite(_yj_profile_loglik(pooled, 1.0)):
+        loglik = _yj_profile(train.pooled(k))
+        if not np.isfinite(loglik(1.0)):
             raise ValueError(f"feature {k}: power-transform objective is not finite "
                              "(constant or degenerate data)")
-        lam[k] = _golden_section_max(
-            lambda v: _yj_profile_loglik(pooled, v), LAMBDA_RANGE[0], LAMBDA_RANGE[1], GOLDEN_TOL
-        )
+        lam[k] = _golden_section_max(loglik, LAMBDA_RANGE[0], LAMBDA_RANGE[1], GOLDEN_TOL)
     return StaticStats(lam=lam)
 
 

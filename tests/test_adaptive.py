@@ -147,6 +147,71 @@ def test_shift_scale_backward_fd_and_floor():
     assert np.all(np.isfinite(gx)) and np.all(np.isfinite(gm)) and np.all(np.isfinite(gs))
 
 
+# --- backward passes against their unshared reference forms -------------------
+
+def ref_outlier_backward(grad_out, cache):
+    x, mu, u, th = cache["x"], cache["mu"], cache["u"], cache["th"]
+    alpha = cache["alpha"][None, :, None]
+    beta = cache["beta"][None, :, None]
+    sech2 = 1.0 - th * th
+    grad_x = grad_out * (alpha * sech2 + (1.0 - alpha))
+    if cache["local"]:
+        t = x.shape[2]
+        grad_x = grad_x + (grad_out * alpha * (1.0 - sech2)).sum(axis=2, keepdims=True) / t
+    grad_alpha = (grad_out * (beta * th + mu - x)).sum(axis=(0, 2))
+    grad_beta = (grad_out * alpha * (th - u * sech2)).sum(axis=(0, 2))
+    return grad_x, grad_alpha, grad_beta
+
+
+def ref_shift_scale_backward(grad_out, cache):
+    m, s, out = cache["m"], cache["s"], cache["out"]
+    use_shift, use_scale = cache["use_shift"], cache["use_scale"]
+    d = len(m)
+    if not cache["local"]:
+        denom = s[None, :, None] if use_scale else 1.0
+        grad_m = -(grad_out / denom).sum(axis=(0, 2)) if use_shift else np.zeros(d)
+        grad_s = -(grad_out * out).sum(axis=(0, 2)) / s if use_scale else np.zeros(d)
+        return grad_out / denom, grad_m, grad_s
+    mu_x, sig_raw, sig, x = cache["mu_x"], cache["sig_raw"], cache["sig"], cache["x"]
+    t = x.shape[2]
+    denom = cache["denom"][:, :, None]
+    grad_m = (-(grad_out / denom).sum(axis=2) * mu_x).sum(axis=0) if use_shift else np.zeros(d)
+    grad_s = -(grad_out * out).sum(axis=(0, 2)) / s if use_scale else np.zeros(d)
+    grad_x = grad_out / denom
+    if use_shift:
+        grad_x = grad_x - (m[None, :, None] / t) * (grad_out / denom).sum(axis=2, keepdims=True)
+    if use_scale:
+        mask = (sig_raw > ad.SIGMA_FLOOR).astype(np.float64)
+        coeff = -(mask * (grad_out * out).sum(axis=2) / sig)[:, :, None] / t
+        grad_x = grad_x + coeff * (x - mu_x[:, :, None]) / sig[:, :, None]
+    return grad_x, grad_m, grad_s
+
+
+@pytest.mark.parametrize("mode", [ad.GLOBAL_AWARE, ad.LOCAL_AWARE])
+@pytest.mark.parametrize("strided", [False, True])
+def test_outlier_and_shift_scale_backward_match_reference_bitwise(mode, strided):
+    rng = np.random.default_rng(17)
+    values = rng.normal(0.4, 2.0, size=(6, 4, 5))
+    values[0, 0, :] = 1.25  # one constant series: its sigma is floored in local mode
+    x = TimeSeriesBatch(values)
+    grad = rng.normal(size=(5, 6, 4))
+    # the GRU hands back a (T, N, d) array viewed as (N, d, T)
+    grad = np.moveaxis(grad, 0, 2) if strided else np.ascontiguousarray(np.moveaxis(grad, 0, 2))
+    params = random_params(rng, 4, mode=mode)
+    source = (ad.local_summary(x) if mode == ad.LOCAL_AWARE
+              else ad.update_running_mean(ad.RunningMean.zeros(4), x))
+    _, cache = ad.outlier_forward(x, params, source)
+    for got, want in zip(ad.outlier_backward(grad, cache), ref_outlier_backward(grad, cache)):
+        assert np.array_equal(got, want)
+    for use_shift, use_scale in ((True, True), (True, False), (False, True), (False, False)):
+        _, cache = ad.shift_scale_forward(x, params, None, use_shift, use_scale)
+        got = ad.shift_scale_backward(grad, cache)
+        want = ref_shift_scale_backward(grad, cache)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), (use_shift, use_scale)
+        assert got[1] is not got[2]
+
+
 # --- power sublayer ----------------------------------------------------------
 
 def test_power_identity_at_unit_lambda():

@@ -63,6 +63,12 @@ def _drop(field):
     return lambda doc: doc.pop(field)
 
 
+def _set(field, value):
+    def edit(doc):
+        doc[field] = value
+    return edit
+
+
 # (checkpoint, edit, message): a 2-long first parameter makes the layer 2 wide,
 # so the next 3-wide parameter is the misshapen one
 MALFORMED = {
@@ -73,6 +79,13 @@ MALFORMED = {
     "edain-missing": (_edain_doc, _drop("alpha"), "edain checkpoint is missing parameter 'alpha'"),
     "edain-missing-mu-hat": (_edain_doc, _drop("mu_hat"),
                              "edain checkpoint is missing parameter 'mu_hat'"),
+    "edain-missing-mode": (_edain_doc, _drop("mode"), "edain checkpoint is missing field 'mode'"),
+    "edain-count-text": (_edain_doc, _set("count", "many"),
+                         "edain field 'count' must be a non-negative integer, got 'many'"),
+    "edain-count-negative": (_edain_doc, _set("count", -1),
+                             "edain field 'count' must be a non-negative integer, got -1"),
+    "edain-enabled-bogus": (_edain_doc, _set("enabled", ["om", "bogus"]),
+                            "edain field 'enabled' has unknown sublayer 'bogus'"),
     "dain-shape": (_dain_doc, _truncate("bias"),
                    "dain parameter 'w_a' has shape (3, 3), expected (2, 2)"),
     "dain-nan": (_dain_doc, _set_first("bias", float("nan")),
@@ -99,7 +112,9 @@ def test_malformed_layer_checkpoint_names_the_parameter(case):
         _load_preproc(doc)
 
 
-@pytest.mark.parametrize("case", ["edain-shape", "dain-nan", "kl-text-string", "kl-missing"])
+@pytest.mark.parametrize("case", ["edain-shape", "dain-nan", "kl-text-string", "kl-missing",
+                                  "edain-missing-mode", "edain-count-text",
+                                  "edain-count-negative", "edain-enabled-bogus"])
 def test_cli_reports_malformed_layer_checkpoint(tmp_path, capsys, case):
     make, edit, message = MALFORMED[case]
     doc = make()

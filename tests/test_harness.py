@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import tsnorm.harness as hx
-from tsnorm.data import RngState
+from tsnorm.data import NonFiniteBatchError, RngState, TimeSeriesBatch
+from tsnorm.flow_kl import FlowDomainError
+from tsnorm.yeojohnson import PowerDomainError
 from tsnorm.neural import TrainConfig
 
 
@@ -168,10 +170,38 @@ def test_unknown_method_rejected():
 
 def test_failed_fold_is_recorded_not_fatal(monkeypatch):
     def boom(*args, **kwargs):
-        raise RuntimeError("synthetic failure")
+        raise FloatingPointError("synthetic failure")
 
     monkeypatch.setattr(hx, "_run_fold", boom)
     report = hx.run_experiment(tiny_config())
     assert report.rows == []
     assert len(report.incomplete) == 1
-    assert "synthetic failure" in report.incomplete[0]["error"]
+    assert report.incomplete[0]["error"] == "FloatingPointError: synthetic failure"
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, PowerDomainError, FlowDomainError,
+                                   NonFiniteBatchError])
+def test_every_numeric_fold_failure_is_recorded(monkeypatch, error):
+    def boom(*args, **kwargs):
+        raise error("synthetic failure")
+
+    monkeypatch.setattr(hx, "_run_fold", boom)
+    report = hx.run_experiment(tiny_config())
+    assert report.incomplete == [{"rep": 0, "fold": 0,
+                                  "error": f"{error.__name__}: synthetic failure"}]
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyError, ValueError])
+def test_fold_bug_propagates(monkeypatch, error):
+    def bug(*args, **kwargs):
+        raise error("not a numeric failure")
+
+    monkeypatch.setattr(hx, "_run_fold", bug)
+    with pytest.raises(error, match="not a numeric failure"):
+        hx.run_experiment(tiny_config())
+
+
+def test_non_finite_batch_error_is_a_value_error():
+    with pytest.raises(NonFiniteBatchError, match="NaN or Inf"):
+        TimeSeriesBatch(np.array([[[1.0, np.nan]]]))
+    assert issubclass(NonFiniteBatchError, ValueError)

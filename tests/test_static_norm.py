@@ -154,7 +154,8 @@ def test_yeo_johnson_branch_continuity():
 
 def grid_argmax_lambda(pooled):
     grid = np.linspace(-5, 5, 2001)
-    vals = [sn._yj_profile_loglik(pooled, lam) for lam in grid]
+    loglik = sn._yj_profile(pooled)
+    vals = [loglik(lam) for lam in grid]
     return grid[int(np.argmax(vals))]
 
 

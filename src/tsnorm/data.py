@@ -13,7 +13,9 @@ every minibatch) costs a pass and usually a copy.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -23,6 +25,9 @@ BINARY = "binary"
 TERNARY = "ternary"
 
 _CLASS_COUNT = {BINARY: 2, TERNARY: 3}
+
+LOAD_CHUNK = 4096  # data rows :func:`load_csv` parses at a time
+_INT64 = np.iinfo(np.int64)
 
 
 class CsvFormatError(ValueError):
@@ -176,17 +181,47 @@ def _parse_header(header: list[str]) -> int:
     return len(feats)
 
 
-def load_csv(path: str | Path) -> LabeledDataset:
-    """Read a dataset from the delimited format written by :func:`save_csv`.
+def _chunk_fault(rows: list[list[str]], row_nos: np.ndarray, d: int) -> None:
+    """Raise the CsvFormatError of the first malformed row of a chunk."""
+    for row_no, row in zip(row_nos.tolist(), rows):
+        if len(row) != d + 3:
+            raise CsvFormatError(f"row {row_no}: expected {d + 3} cells, got {len(row)}")
+        try:
+            ints = (int(row[0]), int(row[1]), int(row[-1]))
+        except ValueError as exc:
+            raise CsvFormatError(f"row {row_no}: {exc}") from None
+        try:
+            feats = [float(c) for c in row[2:-1]]
+        except ValueError:
+            raise CsvFormatError(f"row {row_no}: non-numeric feature value") from None
+        if not all(map(math.isfinite, feats)):
+            raise CsvFormatError(f"row {row_no}: non-finite feature value")
+        if not all(_INT64.min <= v <= _INT64.max for v in ints):
+            raise CsvFormatError(f"row {row_no}: integer cell outside the 64-bit range")
 
-    One row per (series, timestep) pair; series are sorted by id and
-    timesteps ascending in the returned batch.  Malformed input (missing
-    cells, non-numeric features, ragged series, duplicate pairs,
-    inconsistent labels) raises :class:`CsvFormatError` with the offending
-    row number.
-    """
-    path = Path(path)
-    per_series: dict[int, dict[int, tuple[np.ndarray, int]]] = {}
+
+def _parse_chunk(rows: list[list[str]], row_nos: np.ndarray, d: int):
+    """One chunk of data rows as an int64 (3, m) array of (series_id,
+    timestep, label) and a float64 (d, m) feature array, parsed column by
+    column with Python ``int`` and ``float``."""
+    m = len(rows)
+    if set(map(len, rows)) != {d + 3}:
+        _chunk_fault(rows, row_nos, d)
+    try:
+        cols = list(zip(*rows))
+        ints = np.stack([np.fromiter(map(int, cols[j]), np.int64, m) for j in (0, 1, -1)])
+        feats = np.stack([np.fromiter(map(float, c), np.float64, m) for c in cols[2:-1]])
+    except (ValueError, OverflowError):
+        _chunk_fault(rows, row_nos, d)
+        raise
+    if not np.isfinite(feats).all():
+        _chunk_fault(rows, row_nos, d)
+    return ints, feats
+
+
+def _read_rows(path: Path):
+    """Parse the file in chunks; returns d and the concatenated (3, N)
+    integer cells, (d, N) features and (N,) row numbers in file order."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -194,56 +229,73 @@ def load_csv(path: str | Path) -> LabeledDataset:
         except StopIteration:
             raise CsvFormatError("empty file") from None
         d = _parse_header([h.strip() for h in header])
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 3:
-                raise CsvFormatError(f"row {row_no}: expected {d + 3} cells, got {len(row)}")
-            try:
-                sid = int(row[0])
-                step = int(row[1])
-                label = int(row[-1])
-            except ValueError as exc:
-                raise CsvFormatError(f"row {row_no}: {exc}") from None
-            try:
-                feats = np.array([float(c) for c in row[2:-1]], dtype=np.float64)
-            except ValueError:
-                raise CsvFormatError(f"row {row_no}: non-numeric feature value") from None
-            if not np.all(np.isfinite(feats)):
-                raise CsvFormatError(f"row {row_no}: non-finite feature value")
-            steps = per_series.setdefault(sid, {})
-            if step in steps:
-                raise CsvFormatError(f"row {row_no}: duplicate (series, timestep) pair ({sid}, {step})")
-            steps[step] = (feats, label)
-
-    if not per_series:
+        ints, feats, row_nos = [], [], []
+        first = 2
+        while rows := list(islice(reader, LOAD_CHUNK)):
+            nos = np.arange(first, first + len(rows))
+            first += len(rows)
+            if not all(rows):  # blank lines are skipped but keep their row numbers
+                keep = [i for i, row in enumerate(rows) if row]
+                rows, nos = [rows[i] for i in keep], nos[keep]
+                if not rows:
+                    continue
+            chunk_ints, chunk_feats = _parse_chunk(rows, nos, d)
+            ints.append(chunk_ints)
+            feats.append(chunk_feats)
+            row_nos.append(nos)
+    if not ints:
         raise CsvFormatError("file contains a header but no data rows")
+    return d, np.concatenate(ints, axis=1), np.concatenate(feats, axis=1), np.concatenate(row_nos)
 
-    sids = sorted(per_series)
-    step_sets = {sid: tuple(sorted(per_series[sid])) for sid in sids}
-    ref_steps = step_sets[sids[0]]
-    for sid in sids:
-        if step_sets[sid] != ref_steps:
-            raise CsvFormatError(
-                f"ragged series: series {sid} has timesteps {step_sets[sid]}, "
-                f"series {sids[0]} has {ref_steps}"
-            )
-    t = len(ref_steps)
-    values = np.empty((len(sids), d, t), dtype=np.float64)
-    labels = np.empty(len(sids), dtype=np.int64)
-    for i, sid in enumerate(sids):
-        series_labels = set()
-        for j, step in enumerate(ref_steps):
-            feats, label = per_series[sid][step]
-            values[i, :, j] = feats
-            series_labels.add(label)
-        if len(series_labels) != 1:
-            raise CsvFormatError(f"series {sid}: label differs between rows")
-        labels[i] = series_labels.pop()
 
+def _ragged_fault(sids: np.ndarray, steps: np.ndarray, starts: np.ndarray) -> None:
+    """Raise the ragged-series error naming the first series (by id) whose
+    timestep set differs from the first series'."""
+    step_sets = [tuple(g.tolist()) for g in np.split(steps, starts[1:])]
+    ids = sids[starts].tolist()
+    for sid, step_set in zip(ids, step_sets):
+        if step_set != step_sets[0]:
+            raise CsvFormatError(f"ragged series: series {sid} has timesteps {step_set}, "
+                                 f"series {ids[0]} has {step_sets[0]}")
+
+
+def load_csv(path: str | Path) -> LabeledDataset:
+    """Read a dataset from the delimited format written by :func:`save_csv`.
+
+    One row per (series, timestep) pair, in any order; series are sorted by
+    id and timesteps ascending in the returned batch.  Malformed input
+    (missing cells, non-numeric or non-finite features, ragged series,
+    duplicate pairs, inconsistent labels) raises :class:`CsvFormatError`
+    naming an offending row or series.  Rows are parsed in chunks of
+    ``LOAD_CHUNK``, so a file with several faults reports one of them (a
+    malformed cell before a duplicate pair, for instance); a file with one
+    fault reports its kind and row.
+    """
+    d, ints, feats, row_nos = _read_rows(Path(path))
+    sids, steps, labels = ints
+    order = np.lexsort((steps, sids))
+    sids, steps, labels = sids[order], steps[order], labels[order]
+    same = (sids[1:] == sids[:-1]) & (steps[1:] == steps[:-1])
+    if same.any():
+        # the earliest row that repeats a pair seen before it
+        later = 1 + np.flatnonzero(same)
+        later_rows = row_nos[order][later]
+        i = later[np.argmin(later_rows)]
+        raise CsvFormatError(f"row {later_rows.min()}: duplicate (series, timestep) pair "
+                             f"({sids[i]}, {steps[i]})")
+    starts = np.flatnonzero(np.r_[True, sids[1:] != sids[:-1]])
+    n, t = starts.size, sids.size // starts.size
+    if sids.size != n * t or not (steps.reshape(n, t) == steps[:t]).all():
+        _ragged_fault(sids, steps, starts)
+    labels = labels.reshape(n, t)
+    mixed = (labels != labels[:, :1]).any(axis=1)
+    if mixed.any():
+        raise CsvFormatError(f"series {sids[starts[np.argmax(mixed)]]}: label differs between rows")
+    labels = labels[:, 0]
     if labels.min() < 0 or labels.max() > 2:
         raise CsvFormatError("labels must be in {0,1} or {0,1,2}")
     kind = TERNARY if labels.max() > 1 else BINARY
+    values = np.take(feats, order, axis=1).reshape(d, n, t).transpose(1, 0, 2)
     return LabeledDataset(TimeSeriesBatch(values), labels, kind)
 
 
@@ -251,20 +303,20 @@ def save_csv(dataset: LabeledDataset, path: str | Path) -> None:
     """Write a dataset in the exact format :func:`load_csv` accepts.
 
     Feature values use shortest round-trip decimal text, so saving and
-    reloading reproduces the 64-bit values bit for bit.
+    reloading reproduces the 64-bit values bit for bit.  The bytes are those
+    of ``csv.writer`` with its default dialect (no cell needs quoting, rows
+    end in CRLF); the file is written one series at a time.
     """
     if dataset.batch.d == 0:
         raise ValueError("refusing to write a dataset with zero feature columns")
     path = Path(path)
-    d, t = dataset.batch.d, dataset.batch.t
+    d = dataset.batch.d
+    header = ["series_id", "timestep"] + [f"f{k + 1}" for k in range(d)] + ["label"]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series_id", "timestep"] + [f"f{k + 1}" for k in range(d)] + ["label"])
-        for i in range(dataset.batch.n):
-            label = int(dataset.labels[i])
-            for step in range(t):
-                cells = [repr(float(v)) for v in dataset.batch.values[i, :, step]]
-                writer.writerow([i, step] + cells + [label])
+        fh.write(",".join(header) + "\r\n")
+        for i, label in enumerate(dataset.labels.tolist()):
+            fh.write("".join(f"{i},{step},{','.join(map(repr, cells))},{label}\r\n"
+                             for step, cells in enumerate(dataset.batch.values[i].T.tolist())))
 
 
 def minibatch_indices(

@@ -9,6 +9,7 @@ them offline.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -21,6 +22,11 @@ from .data import TimeSeriesBatch
 CDF_EPS = 1e-5
 GOLDEN_TOL = 1e-6
 LAMBDA_RANGE = (-5.0, 5.0)
+# z bounds beyond which ndtr(z) is exactly 1.0 (from 8.2924 up) and exactly 0.0
+# (from -37.6771 down), with a margin; the KDIT fit writes these constants
+NDTR_ONE_Z = 8.3
+NDTR_ZERO_Z = -37.7
+KDIT_BLOCK = 1 << 16  # elements of one (grid rows x centers) block of the KDIT fit
 
 yeo_johnson = yj.forward
 
@@ -120,7 +126,7 @@ def apply_minmax(x: TimeSeriesBatch, stats: StaticStats) -> TimeSeriesBatch:
     _check_dim(x, len(stats.minimum))
     span = np.where(stats.zero_variance, 1.0, stats.maximum - stats.minimum)
     out = (x.values - stats.minimum[None, :, None]) / span[None, :, None]
-    out = np.where(stats.zero_variance[None, :, None], 0.5, out)
+    out[:, stats.zero_variance, :] = 0.5
     return TimeSeriesBatch(out)
 
 
@@ -191,8 +197,8 @@ def fit_yeo_johnson_static(train: TimeSeriesBatch) -> StaticStats:
     for k in range(train.d):
         loglik = _yj_profile(train.pooled(k))
         if not np.isfinite(loglik(1.0)):
-            raise ValueError(f"feature {k}: power-transform objective is not finite "
-                             "(constant or degenerate data)")
+            raise yj.PowerDomainError(f"feature {k}: power-transform objective is not "
+                                      "finite (constant or degenerate data)")
         lam[k] = _golden_section_max(loglik, LAMBDA_RANGE[0], LAMBDA_RANGE[1], GOLDEN_TOL)
     return StaticStats(lam=lam)
 
@@ -252,11 +258,51 @@ class KditConfig:
             raise ValueError("grid_size must be at least 2")
 
 
+def _kernel_cdf(grid: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray:
+    """mean_j ndtr((grid_i - centers_j) / h) for every grid point, bit for bit.
+
+    SciPy's ``ndtr`` is exactly 1.0 for z >= 8.2924 and exactly 0.0 for
+    z <= -37.6771, so only the columns between those saturation bounds are
+    evaluated; the rest are written as the constants.  With the centers
+    sorted, z falls along a row and rises down the grid, so a block's first
+    row bounds its all-ones columns and its last row its all-zeros columns,
+    both found by bisection on the computed z.  Each row is then put back in
+    the original center order with ``np.take``, which keeps the block
+    C-ordered, so ``mean(axis=1)`` sums every row in the same pairwise order
+    as the full kernel matrix would (fancy indexing ``block[:, inv]`` returns
+    an F-ordered array and changes the summation order).
+    """
+    order = np.argsort(centers, kind="stable")
+    inv = np.empty_like(order)
+    inv[order] = np.arange(order.size)
+    ordered = centers[order]
+    keys = ordered.tolist()
+    n, h = ordered.size, float(h)
+    rows = max(1, KDIT_BLOCK // n)
+    block, back = np.empty((rows, n)), np.empty((rows, n))
+    cdf = np.empty_like(grid)
+    for start in range(0, grid.size, rows):
+        g = grid[start:start + rows]
+        first, last = float(g[0]), float(g[-1])
+        lo = bisect_left(keys, True, key=lambda c: (first - c) / h < NDTR_ONE_Z)
+        hi = bisect_left(keys, True, lo=lo, key=lambda c: (last - c) / h <= NDTR_ZERO_Z)
+        b = block[:g.size]
+        b[:, :lo] = 1.0
+        b[:, hi:] = 0.0
+        z = np.subtract.outer(g, ordered[lo:hi])
+        z /= h
+        ndtr(z, out=b[:, lo:hi])
+        cdf[start:start + g.size] = np.take(b, inv, axis=1, out=back[:g.size]).mean(axis=1)
+    return cdf
+
+
 def fit_kdit(train: TimeSeriesBatch, config: KditConfig) -> StaticStats:
     """Kernel-smoothed CDF per feature on a grid covering [min - 3h, max + 3h].
 
     The CDF is renormalized over the training range so both limits come out
-    on the [0, 1] scale; constant features are flagged and map to 0.5.
+    on the [0, 1] scale; constant features are flagged and map to 0.5.  The
+    kernel sum is exact: :func:`_kernel_cdf` skips only the kernel terms that
+    ``ndtr`` saturates to exactly 0 or 1.
     """
     _require_data(train)
     grids, cdfs = [], []
@@ -277,12 +323,7 @@ def fit_kdit(train: TimeSeriesBatch, config: KditConfig) -> StaticStats:
         h = config.alpha * sd * n ** (-0.2)
         bw[k] = h
         grid = np.linspace(centers.min() - 3.0 * h, centers.max() + 3.0 * h, config.grid_size)
-        cdf = np.empty_like(grid)
-        # chunk the grid so the (grid x centers) kernel matrix stays small
-        step = max(1, int(2_000_000 // max(n, 1)))
-        for start in range(0, grid.size, step):
-            block = grid[start:start + step]
-            cdf[start:start + step] = ndtr((block[:, None] - centers[None, :]) / h).mean(axis=1)
+        cdf = _kernel_cdf(grid, centers, h)
         grids.append(grid)
         cdfs.append(cdf)
         lo[k] = np.interp(centers.min(), grid, cdf)

@@ -46,7 +46,9 @@ SERIES_EPS = 1e-4
 
 
 class PowerDomainError(ValueError):
-    """Inverse transform evaluated outside its domain."""
+    """A power transform has no valid result: the inverse evaluated outside
+    its domain, or a static fit whose profile likelihood is not finite (a
+    constant feature)."""
 
 
 class PowerPoint:

@@ -1,6 +1,11 @@
+import csv
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tsnorm import data
 from tsnorm.data import (CsvFormatError, LabeledDataset, RngState, TimeSeriesBatch,
                          load_csv, minibatch_indices, save_csv)
 
@@ -123,6 +128,128 @@ def test_ternary_labels_roundtrip(tmp_path):
     back = load_csv(path)
     assert back.label_kind == "ternary"
     assert set(np.unique(back.labels)) <= {0, 1, 2}
+
+
+def reference_save_csv(dataset, path):
+    """The row-at-a-time csv.writer form of the file format."""
+    d, t = dataset.batch.d, dataset.batch.t
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["series_id", "timestep"] + [f"f{k + 1}" for k in range(d)] + ["label"])
+        for i in range(dataset.batch.n):
+            for step in range(t):
+                cells = [repr(float(v)) for v in dataset.batch.values[i, :, step]]
+                writer.writerow([i, step] + cells + [int(dataset.labels[i])])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e300, -1e300,
+           1.7976931348623157e308, 0.1, -1.5]
+
+finite = st.one_of(st.sampled_from(SPECIAL),
+                   st.floats(allow_nan=False, allow_infinity=False, width=64))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 5)),
+       ternary=st.booleans(), data_=st.data())
+def test_roundtrip_bit_exact_property(tmp_path_factory, shape, ternary, data_):
+    n, d, t = shape
+    cells = data_.draw(st.lists(finite, min_size=n * d * t, max_size=n * d * t))
+    labels = data_.draw(st.lists(st.integers(0, 2 if ternary else 1), min_size=n, max_size=n))
+    kind = "ternary" if max(labels) == 2 else "binary"
+    ds = LabeledDataset(TimeSeriesBatch(np.array(cells).reshape(n, d, t)), labels, kind)
+    path = tmp_path_factory.mktemp("rt") / "p.csv"
+    save_csv(ds, path)
+    back = load_csv(path)
+    assert same_bits(back.batch.values, ds.batch.values)
+    assert np.array_equal(back.labels, ds.labels) and back.label_kind == kind
+
+
+def test_save_bytes_equal_csv_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(9, 3, 4)) * 10.0 ** rng.integers(-300, 300, size=(9, 3, 4))
+    values[0, 0, :] = [0.0, -0.0, 5e-324, -1e300]
+    ds = LabeledDataset(TimeSeriesBatch(values), rng.integers(0, 3, 9), "ternary")
+    save_csv(ds, tmp_path / "new.csv")
+    reference_save_csv(ds, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def big_csv_lines(tmp_path, n=500, t=10):
+    """Lines (header first, no terminators) of a file longer than one loader chunk."""
+    assert n * t > data.LOAD_CHUNK + 100
+    ds = make_dataset(n=n, d=2, t=t, seed=6)
+    save_csv(ds, tmp_path / "big.csv")
+    return ds, (tmp_path / "big.csv").read_text().splitlines()
+
+
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_shuffled_rows_load_like_sorted(tmp_path):
+    ds, lines = big_csv_lines(tmp_path)
+    body = lines[1:]
+    random.Random(0).shuffle(body)
+    back = load_csv(write_lines(tmp_path / "shuffled.csv", [lines[0]] + body))
+    assert same_bits(back.batch.values, ds.batch.values)
+    assert np.array_equal(back.labels, ds.labels)
+
+
+# file row numbers: the header is row 1, so data line i (0-based) is row i + 2
+LATE = data.LOAD_CHUNK + 250
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda cells: cells[:2] + ["oops"] + cells[3:], "non-numeric feature value"),
+    (lambda cells: cells[:3] + ["nan"] + cells[4:], "non-finite feature value"),
+    (lambda cells: cells[:-1], "expected 5 cells, got 4"),
+    (lambda cells: ["x1"] + cells[1:], "invalid literal for int"),
+])
+def test_fault_after_first_chunk_names_its_row(tmp_path, fault, message):
+    _, lines = big_csv_lines(tmp_path)
+    lines[LATE - 1] = ",".join(fault(lines[LATE - 1].split(",")))
+    with pytest.raises(CsvFormatError, match=f"^row {LATE}: {message}"):
+        load_csv(write_lines(tmp_path / "bad.csv", lines))
+
+
+def test_duplicate_in_later_chunk_names_second_copy(tmp_path):
+    _, lines = big_csv_lines(tmp_path)
+    first = lines[10].split(",")  # series 0, timestep 9
+    lines[LATE - 1] = ",".join(first[:2] + lines[LATE - 1].split(",")[2:-1] + first[-1:])
+    with pytest.raises(CsvFormatError, match=rf"^row {LATE}: duplicate .* pair \(0, 9\)"):
+        load_csv(write_lines(tmp_path / "dup.csv", lines))
+
+
+def test_blank_lines_keep_row_numbers(tmp_path):
+    _, lines = big_csv_lines(tmp_path)
+    cells = lines[LATE - 1].split(",")
+    lines[LATE - 1] = ",".join(cells[:2] + ["oops"] + cells[3:])
+    # blank lines are skipped but counted, in the first chunk and in the faulty one
+    lines[LATE - 20:LATE - 20] = ["", ""]
+    lines[5:5] = ["", ""]
+    with pytest.raises(CsvFormatError, match=f"^row {LATE + 4}: non-numeric"):
+        load_csv(write_lines(tmp_path / "blank.csv", lines))
+
+
+def test_two_duplicate_pairs_report_the_earliest_repeat(tmp_path):
+    path = tmp_path / "dups.csv"
+    path.write_text("series_id,timestep,f1,label\n"
+                    "5,0,1.0,0\n5,0,2.0,0\n7,0,1.0,1\n0,0,1.0,0\n0,0,3.0,0\n7,0,4.0,1\n")
+    with pytest.raises(CsvFormatError, match=r"^row 3: duplicate .* pair \(5, 0\)"):
+        load_csv(path)
+
+
+def test_integer_cell_beyond_int64_names_its_row(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("series_id,timestep,f1,label\n0,0,1.0,0\n99999999999999999999,0,1.0,0\n")
+    with pytest.raises(CsvFormatError, match="^row 3: integer cell outside the 64-bit range"):
+        load_csv(path)
 
 
 def test_minibatch_sizes_and_partition():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import tsnorm.harness as hx
-from tsnorm.data import NonFiniteBatchError, RngState, TimeSeriesBatch
+from tsnorm.data import (LabeledDataset, NonFiniteBatchError, RngState, TimeSeriesBatch,
+                         save_csv)
 from tsnorm.flow_kl import FlowDomainError
 from tsnorm.yeojohnson import PowerDomainError
 from tsnorm.neural import TrainConfig
@@ -199,6 +200,21 @@ def test_fold_bug_propagates(monkeypatch, error):
     monkeypatch.setattr(hx, "_run_fold", bug)
     with pytest.raises(error, match="not a numeric failure"):
         hx.run_experiment(tiny_config())
+
+
+def test_constant_feature_under_power_transform_is_a_recorded_fold_failure(tmp_path):
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(60, 2, 5))
+    values[:, 1, :] = 3.25
+    path = tmp_path / "const.csv"
+    save_csv(LabeledDataset(TimeSeriesBatch(values), np.arange(60) % 2), path)
+    config = tiny_config("zscore+yj", synthetic=None, csv_path=str(path),
+                         cv=hx.CvConfig(kind="kfold", k=3))
+    report = hx.run_experiment(config)
+    assert report.rows == []
+    assert [(r["rep"], r["fold"]) for r in report.incomplete] == [(0, 0), (0, 1), (0, 2)]
+    for row in report.incomplete:
+        assert row["error"].startswith("PowerDomainError: feature 1: ")
 
 
 def test_non_finite_batch_error_is_a_value_error():

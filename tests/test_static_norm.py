@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from tsnorm.data import TimeSeriesBatch
 from tsnorm import static_norm as sn
@@ -72,6 +72,19 @@ def test_minmax_examples():
 
     beyond = sn.apply_minmax(batch_from([12.0]), sn.fit_minmax(train))
     assert beyond.values.ravel()[0] == pytest.approx(1.2)  # no clipping
+
+
+def test_minmax_constant_feature_matches_where_formula():
+    rng = np.random.default_rng(9)
+    values = rng.normal(size=(7, 3, 5))
+    values[:, 1, :] = -2.5
+    b = TimeSeriesBatch(values)
+    stats = sn.fit_minmax(b)
+    span = np.where(stats.zero_variance, 1.0, stats.maximum - stats.minimum)
+    want = (values - stats.minimum[None, :, None]) / span[None, :, None]
+    want = np.where(stats.zero_variance[None, :, None], 0.5, want)
+    assert stats.zero_variance.tolist() == [False, True, False]
+    assert np.array_equal(sn.apply_minmax(b, stats).values, want)
 
 
 # --- winsorize ---------------------------------------------------------------
@@ -194,6 +207,12 @@ def test_yj_mle_rejects_constant_feature():
         sn.fit_yeo_johnson_static(batch_from([2.0, 2.0, 2.0]))
 
 
+def test_yj_mle_constant_feature_is_a_power_domain_error():
+    b = TimeSeriesBatch(np.stack([np.arange(6.0), np.full(6, 2.0)]).reshape(1, 2, 6))
+    with pytest.raises(yj.PowerDomainError, match="feature 1"):
+        sn.fit_yeo_johnson_static(b)
+
+
 # --- CDF inversion -----------------------------------------------------------
 
 def test_cdf_inversion_self_apply_standardizes():
@@ -254,6 +273,69 @@ def test_kdit_zero_variance_feature_maps_to_half():
     fitted = sn.fit_kdit(train, sn.KditConfig(alpha=1.0))
     out = sn.apply_kdit(batch_from([-1.0, 4.0, 9.0]), fitted).values.ravel()
     assert np.allclose(out, 0.5)
+
+
+def kdit_reference(train, alpha, grid_size=1024):
+    """The dense fit: ndtr over the whole (grid x centers) matrix in blocks of
+    about 2e6 elements, each row averaged in the original center order."""
+    grids, cdfs, lo, hi = [], [], [], []
+    for k in range(train.d):
+        centers = train.pooled(k)
+        n = centers.size
+        h = alpha * centers.std() * n ** (-0.2)
+        g = np.linspace(centers.min() - 3.0 * h, centers.max() + 3.0 * h, grid_size)
+        cdf = np.empty_like(g)
+        step = max(1, int(2_000_000 // n))
+        for start in range(0, g.size, step):
+            block = g[start:start + step]
+            cdf[start:start + step] = ndtr((block[:, None] - centers[None, :]) / h).mean(axis=1)
+        grids.append(g)
+        cdfs.append(cdf)
+        lo.append(np.interp(centers.min(), g, cdf))
+        hi.append(np.interp(centers.max(), g, cdf))
+    return grids, cdfs, np.array(lo), np.array(hi)
+
+
+def kdit_cases():
+    rng = np.random.default_rng(31)
+    one = rng.normal(size=(1, 2, 40))
+    # 6,000 centers: blocks of 10 grid rows in the fit, 333 in the reference
+    many = rng.normal(size=(150, 1, 40))
+    heavy = rng.standard_t(1.2, size=(40, 1, 25))
+    heavy[3, 0, 4], heavy[17, 0, 9] = 1e6, -3e5
+    dup = np.repeat(np.round(rng.normal(size=(30, 1, 4)), 1), 5, axis=2)
+    return {"one": one, "many": many, "heavy": heavy, "duplicates": dup}
+
+
+@pytest.mark.parametrize("alpha", [0.01, 1.0, 1e4])
+@pytest.mark.parametrize("case", ["one", "many", "heavy", "duplicates"])
+def test_kdit_fit_equals_dense_reference(case, alpha):
+    train = TimeSeriesBatch(kdit_cases()[case])
+    fitted = sn.fit_kdit(train, sn.KditConfig(alpha=alpha))
+    grids, cdfs, lo, hi = kdit_reference(train, alpha)
+    for k in range(train.d):
+        assert np.array_equal(fitted.grid[k], grids[k])
+        assert np.array_equal(fitted.cdf[k], cdfs[k])
+    assert np.array_equal(fitted.cdf_lo, lo)
+    assert np.array_equal(fitted.cdf_hi, hi)
+
+
+def test_ndtr_saturation_constants():
+    # the KDIT fit writes 1.0 and 0.0 for kernel terms beyond these bounds
+    def sweep(z, direction, steps=2000):
+        out = [z]
+        for _ in range(steps):
+            out.append(np.nextafter(out[-1], direction))
+        return np.array(out)
+
+    one = np.concatenate([sweep(sn.NDTR_ONE_Z, np.inf),
+                          np.linspace(sn.NDTR_ONE_Z, 60.0, 100_001),
+                          np.geomspace(60.0, 1e300, 1000), [np.inf]])
+    zero = np.concatenate([sweep(sn.NDTR_ZERO_Z, -np.inf),
+                           np.linspace(-60.0, sn.NDTR_ZERO_Z, 100_001),
+                           -np.geomspace(60.0, 1e300, 1000), [-np.inf]])
+    assert np.all(ndtr(one) == 1.0)
+    assert np.all(ndtr(zero) == 0.0)
 
 
 def test_kdit_rejects_bad_alpha():

@@ -5,7 +5,9 @@ Runs ``generate``, then ``train`` (report, checkpoint, history) followed by
 ``preprocess``, all with the ``tsnorm`` package found under ``--src``, in a
 fresh temporary directory with relative paths (reports echo the CSV path).
 Each checkpoint is also loaded and written back, which pins the loaders and
-the writers.  One ``name sha256`` line is printed per artefact, so two trees
+the writers.  A larger ``generate`` CSV (20,000 rows, several loader chunks
+and KDIT blocks) is loaded and saved again, and a ``kdit`` static pipeline
+is fitted on it.  One ``name sha256`` line is printed per artefact, so two trees
 compare with a single diff:
 
     python3 tools/digests.py --src . > new.txt
@@ -35,6 +37,17 @@ from tsnorm.neural import GruStack
 doc = json.loads(open(sys.argv[1]).read())
 save_report({"preproc": _load_preproc(doc["preproc"]).to_json_dict(),
              "model": GruStack.from_json_dict(doc["model"]).to_json_dict()}, sys.argv[2])
+"""
+
+# loads a CSV, writes it back and writes the kdit static pipeline fitted on it
+RESAVE_CSV = """
+import sys
+from tsnorm.data import load_csv, save_csv
+from tsnorm.harness import save_report
+from tsnorm.static_norm import StaticPipeline
+dataset = load_csv(sys.argv[1])
+save_csv(dataset, sys.argv[2])
+save_report(StaticPipeline(["kdit"]).fit(dataset.batch).to_json_dict(), sys.argv[3])
 """
 
 
@@ -85,6 +98,9 @@ def run_recipe(src: Path, work: Path) -> list[tuple[str, str]]:
     tsnorm("kl-fit", "--data", "data.csv", "--out", "kl.json", "--epochs", "5", "--seed", "3")
     tsnorm("preprocess", "--checkpoint", "kl.json", "--data", "data.csv", "--out", "klnorm.csv")
     artefacts.extend(["kl.json", "klnorm.csv"])
+    tsnorm("generate", "--n", "2000", "--t", "10", "--seed", "12", "--out", "big.csv")
+    python("-c", RESAVE_CSV, "big.csv", "big.resaved.csv", "big.kdit.json")
+    artefacts.extend(["big.csv", "big.resaved.csv", "big.kdit.json"])
     return [(name, hashlib.sha256((work / name).read_bytes()).hexdigest()) for name in artefacts]
 
 

@@ -18,7 +18,7 @@ from .harness import ExperimentConfig, MetricsReport, anchored_folds, kfold_indi
     run_ablation, run_experiment
 from .metrics import amex_metric, cohen_kappa, default_rate_captured, macro_f1, weighted_gini
 from .neural import GruStack, TrainConfig, bce_loss, cross_entropy_loss, gru_backward, \
-    gru_forward, train_loop
+    gru_forward, predict, train_loop
 from .static_norm import KditConfig, StaticPipeline, StaticStats, apply_zscore, \
     fit_yeo_johnson_static, fit_zscore, yeo_johnson
 from .synthgen import InverseCdfTable, SynthConfig, build_inverse_cdf, builtin_pdfs, \

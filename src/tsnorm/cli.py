@@ -25,7 +25,7 @@ from .data import LabeledDataset, load_csv, save_csv
 from .harness import (CvConfig, ExperimentConfig, KlPreproc, PRESETS, StaticPreproc,
                       SyntheticSource, ablation_json, fold_metrics, run_ablation,
                       run_experiment, save_report)
-from .neural import GruStack, IdentityPreproc, TrainConfig, gru_forward, history_to_csv
+from .neural import GruStack, IdentityPreproc, TrainConfig, history_to_csv, predict
 from .synthgen import SynthConfig, default_config, generate_dataset
 
 
@@ -254,9 +254,7 @@ def _cmd_evaluate(args) -> int:
     preproc = _load_preproc(doc["preproc"])
     model = GruStack.from_json_dict(doc["model"])
     dataset = load_csv(args.data)
-    xn, _ = preproc.forward(dataset.batch, training=False)
-    probs, _ = gru_forward(xn, model, training=False)
-    metrics = fold_metrics(dataset, probs)
+    metrics = fold_metrics(dataset, predict(dataset.batch, preproc, model))
     for name in sorted(metrics):
         print(f"{name:<14}{metrics[name]:>12.4f}")
     if args.out:

@@ -83,7 +83,7 @@ class TimeSeriesBatch:
             raise NonFiniteBatchError("time series batch contains NaN or Inf entries")
         # freeze a private copy; never flips the writeable flag on caller-owned storage
         if v.flags.writeable or not v.flags.c_contiguous:
-            v = np.ascontiguousarray(v).copy()
+            v = np.array(v, order="C")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import yeojohnson as yj
 from .adaptive import BETA_MIN, SCALE_FLOOR
 from .data import TimeSeriesBatch, minibatch_indices
-from .neural import Optimizer, TrainConfig, load_arrays
+from .neural import PREDICT_ROWS, Optimizer, TrainConfig, load_arrays
 from .static_norm import fit_zscore
 
 LOG_2 = math.log(2.0)
@@ -174,20 +174,40 @@ def log_det_terms(value: np.ndarray, params: KlBijectorParams, sublayer: str) ->
     raise ValueError(f"unknown sublayer {sublayer!r}")
 
 
+def _series_nll(values: np.ndarray, params: KlBijectorParams,
+                first: int = 0) -> tuple[np.ndarray, dict]:
+    """Per-series NLL of a (n, d, T) array and its forward chain.  A non-finite
+    value raises FloatingPointError naming the series as ``first + i``."""
+    c = _chain(values, params)
+    z = c["z"]
+    per_series = (0.5 * LOG_2PI + 0.5 * z * z - c["ld1"] - c["ld3"] - c["ld4"]).sum(axis=(1, 2))
+    if not np.all(np.isfinite(per_series)):
+        bad = first + int(np.argwhere(~np.isfinite(per_series))[0][0])
+        raise FloatingPointError(f"non-finite likelihood for series {bad}")
+    return per_series, c
+
+
+def series_nll(batch: TimeSeriesBatch, params: KlBijectorParams) -> np.ndarray:
+    """The (N,) per-series NLL, computed ``PREDICT_ROWS`` series at a time
+    without gradients, so its memory does not depend on N.  The values are
+    those of :func:`negative_log_likelihood` bit for bit; a non-finite one
+    raises FloatingPointError naming the first such series."""
+    out = np.empty(batch.n)
+    for start in range(0, batch.n, PREDICT_ROWS):
+        rows = slice(start, start + PREDICT_ROWS)
+        out[rows], _ = _series_nll(batch.values[rows], params, start)
+    return out
+
+
 def negative_log_likelihood(batch: TimeSeriesBatch, params: KlBijectorParams) -> tuple[float, dict]:
     """Total NLL under the standard normal base, with analytic parameter grads.
 
     Returns (nll, grads) where grads holds d(nll)/d{beta, m, s, lam}.  A
     non-finite loss reports the first offending series index.
     """
-    c = _chain(batch.values, params)
+    per_series, c = _series_nll(batch.values, params)
     z, v3, power, s = c["z"], c["v3"], c["power"], c["s"]
     n, d, t = batch.values.shape
-
-    per_series = (0.5 * LOG_2PI + 0.5 * z * z - c["ld1"] - c["ld3"] - c["ld4"]).sum(axis=(1, 2))
-    if not np.all(np.isfinite(per_series)):
-        bad = int(np.argwhere(~np.isfinite(per_series))[0][0])
-        raise FloatingPointError(f"non-finite likelihood for series {bad}")
     nll = float(per_series.sum())
 
     # reverse-mode through the four stages
@@ -235,8 +255,8 @@ def fit_kl(train: TimeSeriesBatch,
     rng = np.random.Generator(np.random.PCG64(config.seed))
 
     def full_nll() -> float:
-        val, _ = negative_log_likelihood(train, params)
-        return val / (train.n * train.d * train.t)
+        # one sum of the (N,) values keeps the order of negative_log_likelihood
+        return float(series_nll(train, params).sum()) / (train.n * train.d * train.t)
 
     best = full_nll()
     best_params = params.copy()

@@ -25,7 +25,7 @@ from .data import BINARY, LabeledDataset, NonFiniteBatchError, RngState, TimeSer
 from .flow_kl import FlowDomainError, KlBijectorParams, fit_kl, normalize_direction
 from .metrics import (amex_metric, binary_accuracy, cohen_kappa, macro_f1, ternary_accuracy)
 from .neural import GruStack, IdentityPreproc, TrainConfig, TrainResult, bce_loss, \
-    cross_entropy_loss, gru_forward, train_loop
+    cross_entropy_loss, predict, train_loop
 from .static_norm import StaticPipeline
 from .synthgen import default_config, generate_dataset
 from .yeojohnson import PowerDomainError
@@ -461,9 +461,7 @@ def _run_fold(config: ExperimentConfig, dataset: LabeledDataset,
                         corrections=config.resolved_corrections())
     result = train_loop(train_ds, valid_ds, preproc, model, train_cfg)
 
-    xn, _ = result.preproc.forward(valid_ds.batch, training=False)
-    probs, _ = gru_forward(xn, result.model, training=False)
-    metrics = fold_metrics(valid_ds, probs)
+    metrics = fold_metrics(valid_ds, predict(valid_ds.batch, result.preproc, result.model))
     return {
         "rep": rep,
         "fold": fold,

@@ -34,6 +34,7 @@ from .data import BINARY, LabeledDataset, TimeSeriesBatch, minibatch_indices
 
 PROB_CLIP = 1e-12
 GROUP_TAGS = ("outlier", "shift", "scale", "power", "model")
+PREDICT_ROWS = 128  # series per block of the eval-mode passes (:func:`predict`)
 
 
 def _sigmoid(v):
@@ -491,10 +492,34 @@ def _lr_at(config: TrainConfig, epoch: int) -> float:
     return config.base_lr * (config.gamma ** decays)
 
 
+def _row_blocks(n: int) -> list[slice]:
+    # A trailing block shorter than half a block joins the one before it:
+    # numpy hands a one-row product to BLAS gemv, and OpenBLAS computes
+    # products of a few rows with small-matrix kernels, both of which round
+    # differently from the gemm of a full pass.
+    bounds = [*range(0, max(n - PREDICT_ROWS // 2 + 1, 1), PREDICT_ROWS), n] if n else []
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
+def predict(batch: TimeSeriesBatch, preproc, model: GruStack) -> np.ndarray:
+    """Eval-mode probabilities of every series: (N,) sigmoid or (N, C) softmax rows.
+
+    Runs ``preproc.forward(training=False)`` and ``gru_forward`` over blocks
+    of ``PREDICT_ROWS`` consecutive series, so the caches they build do not
+    grow with N.  In eval mode every series is independent of the others and
+    each block starts at a multiple of ``PREDICT_ROWS``, so the result equals
+    one full-batch pass bit for bit.
+    """
+    out = np.empty((batch.n,) if model.n_classes == 1 else (batch.n, model.n_classes))
+    for rows in _row_blocks(batch.n):
+        xn, _ = preproc.forward(TimeSeriesBatch(batch.values[rows]), training=False)
+        out[rows] = gru_forward(xn, model, training=False)[0]
+    return out
+
+
 def evaluate_loss(dataset: LabeledDataset, preproc, model: GruStack) -> tuple[float, np.ndarray]:
     """Validation loss and probabilities with frozen preprocessing state."""
-    xn, _ = preproc.forward(dataset.batch, training=False)
-    probs, _ = gru_forward(xn, model, training=False)
+    probs = predict(dataset.batch, preproc, model)
     if dataset.label_kind == BINARY:
         loss, _ = bce_loss(probs, dataset.labels)
     else:

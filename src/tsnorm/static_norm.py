@@ -314,7 +314,7 @@ def fit_kdit(train: TimeSeriesBatch, config: KditConfig) -> StaticStats:
         centers = train.pooled(k)
         n = centers.size
         sd = centers.std()
-        if sd == 0.0:
+        if sd == 0.0 or centers.min() == centers.max():  # equal values can give sd > 0
             zero[k] = True
             grids.append(np.array([centers[0] - 1.0, centers[0] + 1.0]))
             cdfs.append(np.array([0.0, 1.0]))

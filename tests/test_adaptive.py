@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradcheck import check_grads
 from tsnorm.data import TimeSeriesBatch
@@ -264,6 +265,41 @@ def test_edain_global_preserves_order():
     batch = TimeSeriesBatch(xs.reshape(-1, 1, 1))
     out, _, _ = ad.edain_forward(batch, params, state, training=False)
     assert np.all(np.diff(out.values[:, 0, 0]) > 0)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _global_edain_map(alpha, beta, m, s, lam, mu, xs):
+    params = ad.EdainParams(alpha=[alpha], beta=[beta], m=[m], s=[s], lam=[lam])
+    batch = TimeSeriesBatch(np.asarray(xs, dtype=np.float64).reshape(-1, 1, 1))
+    out, _, _ = ad.edain_forward(batch, params, ad.RunningMean(np.array([mu]), 1),
+                                 training=False)
+    return out.values[:, 0, 0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(alpha=_floats(0.0, 1.0), beta=_floats(ad.BETA_MIN, 100.0), s=_floats(ad.SCALE_FLOOR, 100.0),
+       lam=_floats(0.0, 2.0), m=_floats(-5.0, 5.0), mu=_floats(-5.0, 5.0),
+       grid=st.lists(st.integers(-500, 500), min_size=2, max_size=50, unique=True))
+def test_global_edain_strictly_increasing_property(alpha, beta, s, lam, m, mu, grid):
+    # Distinct inputs 0.01 apart in [-5, 5] map to strictly increasing outputs
+    # over the feasible alpha, beta and s.  For lam in [0, 2] the power stage
+    # is unbounded on both sides; outside it the map still rises, but toward
+    # a finite limit that float64 reaches for large |value| (s at its floor).
+    out = _global_edain_map(alpha, beta, m, s, lam, mu, np.sort(grid) * 0.01)
+    assert np.all(np.diff(out) > 0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(alpha=_floats(0.0, 1.0), beta=_floats(ad.BETA_MIN, 1e6), s=_floats(ad.SCALE_FLOOR, 1e6),
+       lam=_floats(-20.0, 20.0), m=_floats(-1e3, 1e3), mu=_floats(-1e3, 1e3),
+       xs=st.lists(_floats(-1e3, 1e3), min_size=2, max_size=50))
+def test_global_edain_never_reverses_order_property(alpha, beta, s, lam, m, mu, xs):
+    # any lam, any finite inputs: sorted inputs give sorted outputs
+    out = _global_edain_map(alpha, beta, m, s, lam, mu, np.sort(xs))
+    assert np.all(np.diff(out) >= 0)
 
 
 def test_edain_local_standardizes_each_series():

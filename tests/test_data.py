@@ -1,5 +1,6 @@
 import csv
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,19 @@ def test_batch_is_frozen_and_does_not_freeze_caller():
     assert b.values[0, 0, 0] == 1.0
     with pytest.raises(ValueError):
         b.values[0, 0, 0] = 2.0
+
+
+def test_batch_copies_a_transposed_input_once():
+    view = np.random.default_rng(0).normal(size=(10, 3, 5000)).transpose(2, 1, 0)
+    assert view.flags.writeable and not view.flags.c_contiguous
+    tracemalloc.start()
+    try:
+        batch = TimeSeriesBatch(view)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.values.flags.c_contiguous and np.array_equal(batch.values, view)
+    assert peak <= 1.1 * view.nbytes, (peak, view.nbytes)
 
 
 def test_labels_validated():

@@ -150,6 +150,27 @@ def test_nll_invariant_to_series_permutation():
     assert a == pytest.approx(b, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+def test_series_nll_blocks_match_the_full_pass(n):
+    rng = np.random.default_rng(12)
+    x = TimeSeriesBatch(rng.normal(0.3, 1.5, size=(n, 2, 4)))
+    params = random_params(rng, 2)
+    per_series = fk.series_nll(x, params)
+    full, _ = fk._series_nll(x.values, params)
+    assert np.array_equal(per_series, full)
+    assert float(per_series.sum()) == fk.negative_log_likelihood(x, params)[0]
+
+
+def test_series_nll_names_a_non_finite_series_in_a_later_block():
+    # lam = 600 overflows the power stage at 3.0 but not at 0.1
+    params = fk.KlBijectorParams(beta=[1e3], m=[0.0], s=[1.0], lam=[600.0], mu_hat=[0.0])
+    values = np.full((300, 1, 4), 0.1)
+    values[200, 0, 2] = 3.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=r"series 200$"):
+            fk.series_nll(TimeSeriesBatch(values), params)
+
+
 def fit_config(seed=0, epochs=25):
     return TrainConfig(base_lr=1e-2, optimizer="adam", batch_size=256, max_epochs=epochs,
                        milestones=(), patience=epochs, seed=seed,
@@ -188,6 +209,18 @@ def test_fit_kl_starts_at_zscore_on_non_zero_mean_data():
     z, _ = fk.normalize_direction(batch, params)
     assert abs(z.values.mean()) < 0.1
     assert history[0]["nll"] < 3.0
+
+
+def test_fit_kl_history_is_the_full_batch_nll():
+    # one sum over all per-series values, in the order of one full pass (a
+    # sum of block sums differs in the last bits for some of these datasets)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        scale = rng.uniform(0.1, 10.0, size=(1000, 1, 1))
+        batch = TimeSeriesBatch(rng.normal(1.0, 2.0, size=(1000, 2, 5)) * scale)
+        params, history = fk.fit_kl(batch, fit_config(epochs=0))
+        nll, _ = fk.negative_log_likelihood(batch, params)
+        assert history == [{"epoch": 0, "nll": nll / batch.values.size}], seed
 
 
 def test_fit_kl_rejects_empty():

@@ -1,11 +1,15 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gradcheck import check_grads, numeric_grad, rel_err
-from tsnorm.adaptive import LOCAL_AWARE, DainLayer, EdainLayer, RunningMean
+from tsnorm.adaptive import GLOBAL_AWARE, LOCAL_AWARE, DainLayer, EdainLayer, RunningMean
 from tsnorm.data import LabeledDataset, TimeSeriesBatch
+from tsnorm.flow_kl import KlBijectorParams
+from tsnorm.harness import KlPreproc, StaticPreproc
+from tsnorm.static_norm import StaticPipeline
 from tsnorm import neural as nn
 
 
@@ -365,3 +369,92 @@ def test_model_checkpoint_missing_field_is_named():
     del doc["hidden"]
     with pytest.raises(ValueError, match="missing field 'hidden'"):
         nn.GruStack.from_json_dict(doc)
+
+
+# --- blocked evaluation -------------------------------------------------------
+
+def frozen_layer(kind: str, train: TimeSeriesBatch, rng):
+    """A preprocessing layer of ``kind``, moved off its neutral start."""
+    d = train.d
+    if kind == "identity":
+        return nn.IdentityPreproc()
+    if kind in ("zscore", "kdit"):
+        return StaticPreproc(StaticPipeline([kind]).fit(train))
+    if kind == "edain_kl":
+        return KlPreproc(KlBijectorParams(beta=rng.uniform(2, 5, d), m=rng.normal(0, 0.5, d),
+                                          s=rng.uniform(0.5, 2, d), lam=rng.uniform(0.4, 1.6, d),
+                                          mu_hat=rng.normal(0, 0.5, d)))
+    if kind == "dain":
+        layer = DainLayer(d)
+        layer.params.w_a[...] = np.eye(d) + rng.normal(0, 0.3, (d, d))
+        layer.params.w_b[...] = np.eye(d) + rng.normal(0, 0.1, (d, d))
+        layer.params.w_c[...] = rng.normal(0, 0.3, (d, d))
+        return layer
+    mode = LOCAL_AWARE if kind == "edain_local" else GLOBAL_AWARE
+    layer = EdainLayer(d, mode, warm_start=train)
+    layer.params.alpha[...] = rng.uniform(0.2, 0.9, d)
+    layer.params.beta[...] = rng.uniform(1.0, 3.0, d)
+    layer.params.lam[...] = rng.uniform(0.5, 1.5, d)
+    layer.state = RunningMean(rng.normal(0, 0.5, d), 100)
+    return layer
+
+
+@pytest.mark.parametrize("n_classes", [1, 3])
+@pytest.mark.parametrize("kind", ["identity", "zscore", "kdit", "edain_global", "edain_local",
+                                  "dain", "edain_kl"])
+def test_predict_matches_one_full_pass(kind, n_classes):
+    rng = np.random.default_rng(40)
+    values = rng.normal(0.5, 2.0, size=(1000, 3, 10))
+    layer = frozen_layer(kind, TimeSeriesBatch(values[:300]), rng)
+    model = nn.GruStack(d_in=3, n_classes=n_classes, rng=np.random.default_rng(41))
+    for n in (0, 1, 127, 128, 129, 1000):
+        batch = TimeSeriesBatch(values[:n])
+        got = nn.predict(batch, layer, model)
+        if n == 0:
+            assert got.shape == ((0,) if n_classes == 1 else (0, 3))
+            continue
+        xn, _ = layer.forward(batch, training=False)
+        want, _ = nn.gru_forward(xn, model, training=False)
+        assert got.shape == want.shape and np.array_equal(got, want), n
+
+
+def test_row_blocks_cover_every_series_once():
+    assert nn.PREDICT_ROWS == 128
+    for n in (0, 1, 63, 128, 129, 191, 192, 1000, 1153):
+        blocks = nn._row_blocks(n)
+        assert [i for rows in blocks for i in range(rows.start, rows.stop)] == list(range(n))
+        assert all(rows.start % 128 == 0 for rows in blocks)
+        # no block shorter than half a block unless the whole batch is
+        assert all(rows.stop - rows.start >= min(n, 64) for rows in blocks)
+
+
+@pytest.mark.parametrize("k, cols, transposed", [
+    (3, 96, False), (32, 96, False), (128, 96, False),   # GRU input and recurrent products
+    (32, 64, False), (64, 32, False), (32, 1, False), (32, 3, False),  # head layers
+    (3, 3, True), (128, 128, True),                       # DAIN mixing, a @ w.T
+])
+def test_blas_product_rows_do_not_depend_on_the_row_blocks(k, cols, transposed):
+    # predict's bit identity rests on this property of the BLAS numpy uses
+    rng = np.random.default_rng(42)
+    b = rng.normal(size=(cols, k)).T if transposed else rng.normal(size=(k, cols))
+    for n in (1000, 1100, 1153, 1312):  # trailing blocks of 104, 76, 129 and 160 rows
+        a = rng.normal(size=(n, k))
+        blocked = np.concatenate([a[rows] @ b for rows in nn._row_blocks(n)])
+        assert np.array_equal(blocked, a @ b), n
+
+
+def test_evaluate_loss_memory_does_not_grow_with_n():
+    rng = np.random.default_rng(43)
+    layer = frozen_layer("edain_global", TimeSeriesBatch(rng.normal(size=(200, 3, 10))), rng)
+    model = nn.GruStack(d_in=3, rng=np.random.default_rng(44))
+    peaks = {}
+    for n in (500, 4000):
+        valid = LabeledDataset(TimeSeriesBatch(rng.normal(size=(n, 3, 10))),
+                               rng.integers(0, 2, n), "binary")
+        tracemalloc.start()
+        try:
+            nn.evaluate_loss(valid, layer, model)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4000] <= 1.5 * peaks[500], peaks

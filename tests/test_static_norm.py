@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
 from tsnorm.data import TimeSeriesBatch
+from tsnorm.harness import _STATIC_STEPS
 from tsnorm import static_norm as sn
 from tsnorm import yeojohnson as yj
 
@@ -275,6 +277,15 @@ def test_kdit_zero_variance_feature_maps_to_half():
     assert np.allclose(out, 0.5)
 
 
+def test_kdit_constant_feature_with_nonzero_computed_std_maps_to_half():
+    train = batch_from([1.858603571952818] * 12)
+    assert train.values.std() > 0.0  # the mean of twelve copies rounds off the value
+    fitted = sn.fit_kdit(train, sn.KditConfig(alpha=1.0))
+    assert fitted.zero_variance[0]
+    out = sn.apply_kdit(batch_from([-1.0, 1.858603571952818, 9.0]), fitted).values.ravel()
+    assert np.array_equal(out, [0.5, 0.5, 0.5])
+
+
 def kdit_reference(train, alpha, grid_size=1024):
     """The dense fit: ndtr over the whole (grid x centers) matrix in blocks of
     about 2e6 elements, each row averaged in the original center order."""
@@ -437,3 +448,31 @@ def test_static_transforms_preserve_order():
         pipe = sn.StaticPipeline(list(steps)).fit(train)
         out = pipe.apply(probe).values.ravel()
         assert np.all(np.diff(out) > 0), steps
+
+
+_cell = st.one_of(st.floats(-10.0, 10.0, allow_nan=False), st.sampled_from([-1e6, 1e6]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 3), st.integers(1, 5)),
+       data_=st.data())
+def test_static_pipeline_json_roundtrip_property(shape, data_):
+    # every static method; d = 1, T = 1, constant features and +-1e6 outliers
+    n, d, t = shape
+    values = np.array(data_.draw(st.lists(_cell, min_size=n * d * t, max_size=n * d * t)))
+    values = values.reshape(n, d, t)
+    for k in data_.draw(st.sets(st.integers(0, d - 1))):
+        values[:, k, :] = values[0, k, 0]  # a constant feature
+    train = TimeSeriesBatch(values)
+    probe = TimeSeriesBatch(np.concatenate([values, 2.0 * values + 1.0]))  # beyond the fit range
+    # all values equal, or so close that their computed spread is 0
+    degenerate = any(np.ptp(f) == 0 or f.std() == 0 for f in values.transpose(1, 0, 2))
+    for method, steps in _STATIC_STEPS.items():
+        pipe = sn.StaticPipeline(list(steps))
+        if degenerate and "yeo_johnson" in steps:
+            with pytest.raises(yj.PowerDomainError):
+                pipe.fit(train)
+            continue
+        pipe.fit(train)
+        back = sn.StaticPipeline.from_json_dict(json.loads(json.dumps(pipe.to_json_dict())))
+        assert np.array_equal(back.apply(probe).values, pipe.apply(probe).values), method

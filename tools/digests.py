@@ -7,7 +7,10 @@ fresh temporary directory with relative paths (reports echo the CSV path).
 Each checkpoint is also loaded and written back, which pins the loaders and
 the writers.  A larger ``generate`` CSV (20,000 rows, several loader chunks
 and KDIT blocks) is loaded and saved again, and a ``kdit`` static pipeline
-is fitted on it.  One ``name sha256`` line is printed per artefact, so two trees
+is fitted on it.  On that CSV a two-cell ``edain_global`` model with dropout
+0.2 between the cells is trained (report, checkpoint, history) and evaluated;
+its 400 validation and 2,000 evaluated series span several evaluation
+blocks.  One ``name sha256`` line is printed per artefact, so two trees
 compare with a single diff:
 
     python3 tools/digests.py --src . > new.txt
@@ -62,6 +65,15 @@ def _config(method: str) -> dict:
     }
 
 
+# two GRU cells, so the inter-cell dropout mask is exercised
+DEEP_CONFIG = {
+    "method": "edain_global", "seed": 5, "repetitions": 1, "dataset": {"csv": "big.csv"},
+    "model": {"hidden": [4, 4], "head": [4], "dropout": 0.2},
+    "train": {"max_epochs": 2, "batch_size": 64, "milestones": [1], "patience": 5},
+    "cv": {"kind": "holdout", "valid_fraction": 0.2},
+}
+
+
 def _package_root(src: Path) -> Path:
     for root in (src / "src", src):
         if (root / "tsnorm" / "cli.py").is_file():
@@ -101,6 +113,12 @@ def run_recipe(src: Path, work: Path) -> list[tuple[str, str]]:
     tsnorm("generate", "--n", "2000", "--t", "10", "--seed", "12", "--out", "big.csv")
     python("-c", RESAVE_CSV, "big.csv", "big.resaved.csv", "big.kdit.json")
     artefacts.extend(["big.csv", "big.resaved.csv", "big.kdit.json"])
+    (work / "deep.config.json").write_text(json.dumps(DEEP_CONFIG))
+    tsnorm("train", "--config", "deep.config.json", "--out", "deep.report.json",
+           "--checkpoint-out", "deep.ckpt.json", "--history-out", "deep.history.csv")
+    tsnorm("evaluate", "--data", "big.csv", "--checkpoint", "deep.ckpt.json",
+           "--out", "deep.eval.json")
+    artefacts.extend(["deep.report.json", "deep.ckpt.json", "deep.history.csv", "deep.eval.json"])
     return [(name, hashlib.sha256((work / name).read_bytes()).hexdigest()) for name in artefacts]
 
 

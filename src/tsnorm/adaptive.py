@@ -14,6 +14,10 @@ Backward passes are exact chain-rule derivatives, checked against central
 finite differences in the test suite.  Each parameter carries a learning
 rate group tag so the optimizer can apply per-sublayer corrections.
 
+The stage arithmetic exists once, on ndarrays: ``winsorize``, ``shift_scale``
+and ``power`` and their ``*_grads`` (per-element gradients, which EDAIN sums
+and ``flow_kl``, EDAIN-KL, first offsets by its log-det gradients).
+
 ``EdainLayer`` and ``DainLayer`` subclass ``neural.IdentityPreproc``: their
 ``parameters()`` is the one list of trained arrays, and the inherited
 snapshot/restore, ``to_json_dict`` and the ``neural.load_arrays`` loader all
@@ -128,6 +132,23 @@ def local_summary(x: TimeSeriesBatch) -> LocalSummary:
 # outlier mitigation sublayer: h1 = alpha*(beta*tanh((x-mu)/beta)+mu) + (1-alpha)*x
 
 
+def winsorize(x: np.ndarray, mu, beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """w = beta*tanh(u) + mu with u = (x - mu)/beta; returns (w, u, tanh(u))."""
+    u = (x - mu) / beta
+    th = np.tanh(u)
+    return beta * th + mu, u, th
+
+
+def winsorize_grads(g: np.ndarray, u: np.ndarray, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dw/dx, g*dw/dbeta) per element: sech^2(u) and g*(tanh(u) - u*sech^2(u))."""
+    sech2 = th * th
+    np.subtract(1.0, sech2, out=sech2)
+    g_beta = u * sech2
+    np.subtract(th, g_beta, out=g_beta)
+    g_beta *= g
+    return sech2, g_beta
+
+
 def outlier_forward(x: TimeSeriesBatch, params: EdainParams, mean_source) -> tuple[TimeSeriesBatch, dict]:
     """Smoothed winsorization blended with the identity by ratio alpha.
 
@@ -142,9 +163,9 @@ def outlier_forward(x: TimeSeriesBatch, params: EdainParams, mean_source) -> tup
         mu = mean_source.mu_hat[None, :, None]
     beta = params.beta[None, :, None]
     alpha = params.alpha[None, :, None]
-    u = (x.values - mu) / beta
-    th = np.tanh(u)
-    out = alpha * (beta * th + mu) + (1.0 - alpha) * x.values
+    out, u, th = winsorize(x.values, mu, beta)
+    out *= alpha  # blended in place; the backward pass recomputes w
+    out += (1.0 - alpha) * x.values
     cache = {"x": x.values, "mu": mu, "u": u, "th": th,
              "alpha": params.alpha, "beta": params.beta, "local": local}
     return TimeSeriesBatch(out), cache
@@ -155,9 +176,9 @@ def outlier_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, np.
     x, mu, u, th = cache["x"], cache["mu"], cache["u"], cache["th"]
     alpha = cache["alpha"][None, :, None]
     beta = cache["beta"][None, :, None]
-    sech2 = th * th
-    np.subtract(1.0, sech2, out=sech2)
     g_alpha = grad_out * alpha  # shared by the mu path and d/dbeta
+    sech2, term = winsorize_grads(g_alpha, u, th)
+    grad_beta = term.sum(axis=(0, 2))
 
     grad_x = alpha * sech2
     grad_x += 1.0 - alpha
@@ -167,20 +188,26 @@ def outlier_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, np.
         # averaged gradient routed through mu: dh1/dmu = alpha*(1 - sech2)
         t = x.shape[2]
         grad_x += (g_alpha * (1.0 - sech2)).sum(axis=2, keepdims=True) / t
-    term = beta * th
+    np.multiply(beta, th, out=term)  # w - x
     term += mu
     term -= x
     term *= grad_out
     grad_alpha = term.sum(axis=(0, 2))
-    np.multiply(u, sech2, out=term)
-    np.subtract(th, term, out=term)
-    term *= g_alpha
-    grad_beta = term.sum(axis=(0, 2))
     return grad_x, grad_alpha, grad_beta
 
 
 # ---------------------------------------------------------------------------
 # shift and scale sublayers (handled jointly; either half can be disabled)
+
+
+def shift_scale(x: np.ndarray, shift, denom) -> np.ndarray:
+    return (x - shift) / denom
+
+
+def shift_scale_grads(g: np.ndarray, out: np.ndarray, denom) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dx, g*out) per element.  d/ds is -(sum of g*out)/s, and with a
+    per-feature shift m, d/dm is -(sum of d/dx)."""
+    return g / denom, g * out
 
 
 def shift_scale_forward(
@@ -196,40 +223,31 @@ def shift_scale_forward(
     itself, which is the input the sublayer actually sees in the full stack.
     """
     local = params.mode == LOCAL_AWARE
+    cache = {"x": x.values, "local": local, "m": params.m, "s": params.s,
+             "use_shift": use_shift, "use_scale": use_scale}
     if local:
         if summary is None:
             summary = local_summary(x)
-        sig_raw = summary.sigma_x
-        sig = np.maximum(sig_raw, SIGMA_FLOOR)
+        sig = np.maximum(summary.sigma_x, SIGMA_FLOOR)
         shift = params.m[None, :] * summary.mu_x if use_shift else np.zeros_like(summary.mu_x)
         denom = params.s[None, :] * sig if use_scale else np.ones_like(sig)
-        out = (x.values - shift[:, :, None]) / denom[:, :, None]
-        cache = {"x": x.values, "local": True, "mu_x": summary.mu_x, "sig_raw": sig_raw,
-                 "sig": sig, "m": params.m, "s": params.s, "denom": denom, "out": out,
-                 "use_shift": use_shift, "use_scale": use_scale}
+        cache.update(mu_x=summary.mu_x, sig_raw=summary.sigma_x, sig=sig, denom=denom)
+        shift, denom = shift[:, :, None], denom[:, :, None]
     else:
         shift = params.m[None, :, None] if use_shift else 0.0
-        denom = params.s[None, :, None] if use_scale else 1.0
-        out = (x.values - shift) / denom
-        cache = {"x": x.values, "local": False, "m": params.m, "s": params.s, "out": out,
-                 "use_shift": use_shift, "use_scale": use_scale}
+        cache["denom"] = denom = params.s[None, :, None] if use_scale else 1.0
+    cache["out"] = out = shift_scale(x.values, shift, denom)
     return TimeSeriesBatch(out), cache
 
 
 def shift_scale_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (d/dx, d/dm, d/ds)."""
-    m, s = cache["m"], cache["s"]
-    out = cache["out"]
+    m, s, local = cache["m"], cache["s"], cache["local"]
     use_shift, use_scale = cache["use_shift"], cache["use_scale"]
-    local = cache["local"]
-    if local:
-        denom = cache["denom"][:, :, None]  # (N, d, 1)
-    else:
-        denom = s[None, :, None] if use_scale else 1.0
-    grad_x = grad_out / denom  # also the gradient reaching the shift
+    denom = cache["denom"][:, :, None] if local else cache["denom"]
+    grad_x, g_out = shift_scale_grads(grad_out, cache["out"], denom)  # grad_x also reaches the shift
     grad_m, grad_s = np.zeros(len(m)), np.zeros(len(m))
     if use_scale:
-        g_out = grad_out * out
         grad_s = -g_out.sum(axis=(0, 2)) / s
     if not local:
         if use_shift:
@@ -260,18 +278,26 @@ def shift_scale_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray,
 # power transform sublayer
 
 
+def power(x: np.ndarray, lam) -> tuple[np.ndarray, yj.PowerPoint]:
+    """(z, point): the prepared point lets the backward pass re-use its branch
+    select, log1p|x| and exponent instead of rebuilding them."""
+    point = yj.PowerPoint(x, lam)
+    return point.forward(), point
+
+
+def power_grads(g: np.ndarray, point: yj.PowerPoint) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dx, g*dz/dlam) per element at the forward pass's point."""
+    return g * point.dx(), g * point.dlam()
+
+
 def power_forward(x: TimeSeriesBatch, params: EdainParams) -> tuple[TimeSeriesBatch, dict]:
-    """The cache keeps the prepared point, so the backward pass re-uses its
-    branch select, log1p|x| and exponent instead of rebuilding them."""
-    point = yj.PowerPoint(x.values, params.lam[None, :, None])
-    return TimeSeriesBatch(point.forward()), {"point": point}
+    z, point = power(x.values, params.lam[None, :, None])
+    return TimeSeriesBatch(z), {"point": point}
 
 
 def power_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray]:
-    point = cache["point"]
-    grad_x = grad_out * point.dx()
-    grad_lam = (grad_out * point.dlam()).sum(axis=(0, 2))
-    return grad_x, grad_lam
+    grad_x, g_lam = power_grads(grad_out, cache["point"])
+    return grad_x, g_lam.sum(axis=(0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +360,9 @@ def edain_backward(grad_out: np.ndarray, cache: dict) -> tuple[dict, np.ndarray]
         if name == "power":
             g, grads["lam"] = power_backward(g, c)
         elif name == "shift_scale":
-            g, gm, gs = shift_scale_backward(g, c)
-            grads["m"] = gm
-            grads["s"] = gs
+            g, grads["m"], grads["s"] = shift_scale_backward(g, c)
         else:
-            g, ga, gb = outlier_backward(g, c)
-            grads["alpha"] = ga
-            grads["beta"] = gb
+            g, grads["alpha"], grads["beta"] = outlier_backward(g, c)
     return grads, g
 
 

@@ -1,13 +1,13 @@
-"""Invertible preprocessing stack trained by maximum likelihood.
+"""EDAIN-KL: an invertible preprocessing stack trained by maximum likelihood.
 
-The layer composes four elementwise bijections per feature: tanh
-winsorization (no residual blend, which would break invertibility), shift,
-scale, and the power transform.  Normalizing a batch means mapping data
-toward a standard normal base distribution while accumulating the log-det
-Jacobian; generating runs the chain in reverse.  Training minimizes the
-negative data log-likelihood under the N(0, I) base (equivalently the KL
-divergence from the data to the transformed base), using the shared
-optimizer stack with per-sublayer learning-rate corrections.
+It runs EDAIN's global-aware stage functions from ``adaptive`` (tanh
+winsorization, shift and scale, the power transform) without the residual
+blend, which would break invertibility, plus each stage's log-det Jacobian
+term.  Normalizing maps data toward a standard normal base; generating runs
+the chain in reverse.  Training minimizes the negative log-likelihood under
+the N(0, I) base (the KL divergence from the data to the transformed base)
+with the shared optimizer and per-sublayer learning-rate corrections; the
+gradient is EDAIN's stage gradients minus the log-det gradients.
 """
 
 from __future__ import annotations
@@ -19,15 +19,14 @@ from typing import Optional
 import numpy as np
 
 from . import yeojohnson as yj
-from .adaptive import BETA_MIN, SCALE_FLOOR
+from .adaptive import (BETA_MIN, SCALE_FLOOR, power, power_grads, shift_scale, shift_scale_grads,
+                       winsorize, winsorize_grads)
 from .data import TimeSeriesBatch, minibatch_indices
 from .neural import PREDICT_ROWS, Optimizer, TrainConfig, load_arrays
 from .static_norm import fit_zscore
 
 LOG_2 = math.log(2.0)
 LOG_2PI = math.log(2.0 * math.pi)
-
-SUBLAYERS = ("outlier", "shift", "scale", "power")
 
 GROUPS = {"beta": "outlier", "m": "shift", "s": "scale", "lam": "power"}
 
@@ -90,27 +89,14 @@ def _log_sech2(u: np.ndarray) -> np.ndarray:
 
 
 def _chain(x: np.ndarray, params: KlBijectorParams) -> dict:
-    """Forward pass through winsorize -> shift -> scale -> power with the
-    per-coordinate forward log-derivatives of each stage.  The power stage's
-    prepared point is returned too, for the derivatives of the NLL."""
-    beta = params.beta[None, :, None]
-    mu = params.mu_hat[None, :, None]
-    m = params.m[None, :, None]
-    s = params.s[None, :, None]
-    lam = params.lam[None, :, None]
-
-    u = (x - mu) / beta
-    th = np.tanh(u)
-    v1 = beta * th + mu
-    ld1 = _log_sech2(u)
-    v2 = v1 - m
-    v3 = v2 / s
-    ld3 = -np.log(s)
-    power = yj.PowerPoint(v3, lam)
-    z = power.forward()
-    ld4 = power.log_dx()
-    return {"x": x, "u": u, "th": th, "v1": v1, "v2": v2, "v3": v3, "z": z, "power": power,
-            "ld1": ld1, "ld3": ld3, "ld4": ld4, "s": s, "beta": beta}
+    """EDAIN's global stages without the blend, with the per-coordinate forward
+    log-derivatives ld1 (winsorize), ld3 (scale) and ld4 (power)."""
+    beta, s = params.beta[None, :, None], params.s[None, :, None]
+    w, u, th = winsorize(x, params.mu_hat[None, :, None], beta)
+    v3 = shift_scale(w, params.m[None, :, None], s)
+    z, point = power(v3, params.lam[None, :, None])
+    return {"u": u, "th": th, "v3": v3, "z": z, "point": point, "beta": beta,
+            "ld1": _log_sech2(u), "ld3": -np.log(s), "ld4": point.log_dx()}
 
 
 def normalize_direction(x: TimeSeriesBatch, params: KlBijectorParams) -> tuple[TimeSeriesBatch, np.ndarray]:
@@ -137,10 +123,8 @@ def generate_direction(z: TimeSeriesBatch, params: KlBijectorParams) -> TimeSeri
     """
     if z.d != params.d:
         raise ValueError("feature dimension mismatch")
-    lam = params.lam[None, :, None]
-    v3 = yj.inverse(z.values, lam)
-    v2 = v3 * params.s[None, :, None]
-    v1 = v2 + params.m[None, :, None]
+    v3 = yj.inverse(z.values, params.lam[None, :, None])
+    v1 = v3 * params.s[None, :, None] + params.m[None, :, None]
     arg = (v1 - params.mu_hat[None, :, None]) / params.beta[None, :, None]
     bad = np.abs(arg) >= 1.0
     if np.any(bad):
@@ -151,27 +135,6 @@ def generate_direction(z: TimeSeriesBatch, params: KlBijectorParams) -> TimeSeri
         )
     x = params.beta[None, :, None] * np.arctanh(arg) + params.mu_hat[None, :, None]
     return TimeSeriesBatch(x)
-
-
-def log_det_terms(value: np.ndarray, params: KlBijectorParams, sublayer: str) -> np.ndarray:
-    """Per-coordinate log-derivative of one sublayer's *inverse* map.
-
-    Shift contributes log 1 = 0; scale contributes log|s|; winsorization
-    contributes -log|1 - ((v - mu_hat)/beta)^2|; the power transform uses its
-    inverse branch table.  ``value`` is the point in the sublayer's output
-    space (the input of the inverse map).
-    """
-    value = np.asarray(value, dtype=np.float64)
-    if sublayer == "shift":
-        return np.zeros_like(value)
-    if sublayer == "scale":
-        return np.broadcast_to(np.log(np.abs(params.s))[None, :, None], value.shape).copy()
-    if sublayer == "outlier":
-        arg = (value - params.mu_hat[None, :, None]) / params.beta[None, :, None]
-        return -np.log(np.abs(1.0 - arg * arg))
-    if sublayer == "power":
-        return yj.inverse_log_dz(value, params.lam[None, :, None])
-    raise ValueError(f"unknown sublayer {sublayer!r}")
 
 
 def _series_nll(values: np.ndarray, params: KlBijectorParams,
@@ -206,27 +169,20 @@ def negative_log_likelihood(batch: TimeSeriesBatch, params: KlBijectorParams) ->
     non-finite loss reports the first offending series index.
     """
     per_series, c = _series_nll(batch.values, params)
-    z, v3, power, s = c["z"], c["v3"], c["power"], c["s"]
-    n, d, t = batch.values.shape
-    nll = float(per_series.sum())
-
-    # reverse-mode through the four stages
-    g_z = z
-    g_v3 = g_z * power.dx() - power.dx_log_dx()
-    g_lam = (g_z * power.dlam() - power.dlam_log_dx()).sum(axis=(0, 2))
-
-    g_v2 = g_v3 / s
-    g_s = (g_v3 * (-v3 / s)).sum(axis=(0, 2)) + n * t / params.s
-
-    g_v1 = g_v2
-    g_m = (-g_v2).sum(axis=(0, 2))
-
-    u, th, beta = c["u"], c["th"], c["beta"]
-    dv1_dbeta = th - u * (1.0 - th * th)
-    g_beta = (g_v1 * dv1_dbeta - 2.0 * u * th / beta).sum(axis=(0, 2))
-
-    grads = {"beta": g_beta, "m": g_m, "s": g_s, "lam": g_lam}
-    return nll, grads
+    n, _, t = batch.values.shape
+    u, th, point = c["u"], c["th"], c["point"]
+    # EDAIN's stage gradients; each log-det gradient is subtracted per element,
+    # before the sum over series and time
+    g_v3, g_lam = power_grads(c["z"], point)
+    g_v3 -= point.dx_log_dx()
+    g_lam -= point.dlam_log_dx()
+    g_v1, g_out = shift_scale_grads(g_v3, c["v3"], params.s[None, :, None])
+    _, g_beta = winsorize_grads(g_v1, u, th)
+    g_beta -= 2.0 * u * th / c["beta"]
+    grads = {"beta": g_beta.sum(axis=(0, 2)), "m": -g_v1.sum(axis=(0, 2)),
+             "s": -g_out.sum(axis=(0, 2)) / params.s + n * t / params.s,
+             "lam": g_lam.sum(axis=(0, 2))}
+    return float(per_series.sum()), grads
 
 
 def fit_kl(train: TimeSeriesBatch,

@@ -103,7 +103,8 @@ def fit_zscore(train: TimeSeriesBatch) -> StaticStats:
     pooled = train.values.reshape(train.n, train.d, train.t)
     mean = pooled.mean(axis=(0, 2))
     std = np.sqrt(((pooled - mean[None, :, None]) ** 2).mean(axis=(0, 2)))
-    return StaticStats(mean=mean, std=std, zero_variance=std == 0.0)
+    constant = pooled.min(axis=(0, 2)) == pooled.max(axis=(0, 2))  # equal values can give std > 0
+    return StaticStats(mean=mean, std=std, zero_variance=(std == 0.0) | constant)
 
 
 def apply_zscore(x: TimeSeriesBatch, stats: StaticStats) -> TimeSeriesBatch:

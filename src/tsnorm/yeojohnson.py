@@ -19,7 +19,7 @@ branches take one form:
 * ``dlam = (exp(e*lp)*(e*lp - 1) + 1)/e^2``, evaluated once;
 * ``log_dx``, ``dx = exp(log_dx)``, ``dx_log_dx`` and ``dlam_log_dx`` need
   only the sign and ``lp`` (or |x|), never ``e``;
-* ``inverse`` and ``inverse_log_dz`` use the point of ``(z, lam)``.
+* ``inverse`` uses the point of ``(z, lam)``.
 
 Multiplying or dividing by the sign selects a branch exactly, and costs far
 less than ``np.where`` or a masked ufunc.  Elements whose exponent lies
@@ -27,12 +27,13 @@ inside a window get their limit or series value by masked assignment; the
 window is tested on lam itself, which is per feature, so an element mask is
 built only when some lam is close.
 
-``adaptive.power_forward`` keeps its point for ``power_backward``;
-``flow_kl`` builds one point for the power stage and takes the value, the
-log-Jacobian and all four derivatives from it; ``static_norm`` shares one
-point's ``lp`` across the exponents of its golden-section search
-(:meth:`PowerPoint.at`).  The module functions ``forward``, ``dx``, ``dlam``
-and the rest are one-call wrappers with unchanged signatures.
+``adaptive.power`` builds the one point of the power stage, which EDAIN's
+backward pass re-uses; ``flow_kl`` also takes the log-Jacobian ``log_dx``
+and its two derivatives from that point.  ``static_norm`` shares one point's
+``lp`` across the exponents of its golden-section search
+(:meth:`PowerPoint.at`).  The module functions ``forward``, ``dx`` and
+``dlam`` are one-call wrappers over a point; ``inverse`` is the generate
+direction.
 """
 
 from __future__ import annotations
@@ -180,20 +181,8 @@ def dx(x, lam):
     return PowerPoint(x, lam).dx()
 
 
-def log_dx(x, lam):
-    return PowerPoint(x, lam).log_dx()
-
-
 def dlam(x, lam):
     return PowerPoint(x, lam).dlam()
-
-
-def dlam_log_dx(x, lam):
-    return PowerPoint(x, lam).dlam_log_dx()
-
-
-def dx_log_dx(x, lam):
-    return PowerPoint(x, lam).dx_log_dx()
 
 
 def inverse(z, lam):
@@ -222,21 +211,3 @@ def inverse(z, lam):
     out *= point.sign
     return out
 
-
-def inverse_log_dz(z, lam):
-    """log |d(inverse)/dz| evaluated at a point of the transformed space.
-
-    Branches: ((1-lam)/lam) log(1 + z lam) for z >= 0 (limit z at lam = 0)
-    and ((lam-1)/(2-lam)) log(1 - z (2-lam)) for z < 0 (limit -z at lam = 2).
-    """
-    point = PowerPoint(z, lam)
-    lam = point.lam
-    safe_lam = np.where(np.abs(lam) < BRANCH_EPS, 1.0, lam)
-    safe_w = np.where(np.abs(lam - 2.0) < BRANCH_EPS, 1.0, 2.0 - lam)
-    out = np.multiply(point.x, point.es, out=np.empty(point.shape))  # = a*e with a = |z|
-    np.log1p(out, out=out)
-    out *= np.where(point.neg, (lam - 1.0) / safe_w, (1.0 - lam) / safe_lam)
-    win = point._branch
-    if win is not None:
-        out[win] = point.x[win] * point.sign[win]
-    return out

@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradcheck import check_grads, rel_err
 from tsnorm.data import TimeSeriesBatch
 from tsnorm import flow_kl as fk
+from tsnorm import yeojohnson as yj
 from tsnorm.neural import TrainConfig
+
+
+BE, SE = yj.BRANCH_EPS, yj.SERIES_EPS
+# exponents inside the BRANCH_EPS and SERIES_EPS windows around 0 and 2
+WINDOW_LAMBDAS = (0.0, BE / 2, -BE / 2, 2 * BE, SE / 2, -SE / 2,
+                  2.0, 2.0 - BE / 2, 2.0 + BE / 2, 2.0 - 2 * BE, 2.0 - SE / 2, 2.0 + SE / 2)
 
 
 def random_params(rng, d):
@@ -56,6 +64,23 @@ def test_roundtrip_bijectivity():
         assert np.max(np.abs(back.values - x.values)) < 1e-9
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(beta=st.floats(fk.BETA_MIN, 10.0), m=st.floats(-3.0, 3.0), s=st.floats(0.5, 10.0),
+       lam=st.sampled_from(WINDOW_LAMBDAS) | st.floats(-3.0, 5.0), mu_hat=st.floats(-3.0, 3.0),
+       u=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20))
+def test_normalize_generate_roundtrip_property(beta, m, s, lam, mu_hat, u):
+    # x = mu_hat + beta*u with |u| <= 3 keeps the winsorized value inside the
+    # atanh domain of its inverse; a NaN or a RuntimeWarning fails the test
+    params = fk.KlBijectorParams(beta=[beta], m=[m], s=[s], lam=[lam], mu_hat=[mu_hat])
+    x = mu_hat + beta * np.array(u).reshape(1, 1, -1)
+    try:
+        z, _ = fk.normalize_direction(TimeSeriesBatch(x), params)
+        back = fk.generate_direction(z, params).values
+    except (fk.FlowDomainError, yj.PowerDomainError):
+        return
+    assert np.all(np.abs(back - x) <= 1e-9 * np.maximum(1.0, np.abs(x)))
+
+
 def test_inverse_power_exp_branch():
     params = fk.KlBijectorParams(beta=np.array([1e8]), m=np.zeros(1), s=np.ones(1),
                                  lam=np.zeros(1), mu_hat=np.zeros(1))
@@ -70,35 +95,6 @@ def test_generate_domain_error_names_coordinate():
     z = TimeSeriesBatch(np.array([[[0.0, 2.0]]]))  # |2.0| >= beta
     with pytest.raises(fk.FlowDomainError, match="timestep 1"):
         fk.generate_direction(z, params)
-
-
-def test_log_det_terms_sublayer_values():
-    params = fk.KlBijectorParams(beta=np.array([2.0]), m=np.array([0.3]), s=np.array([4.0]),
-                                 lam=np.array([0.0]), mu_hat=np.array([0.1]))
-    value = np.full((2, 1, 3), 0.7)
-    assert np.allclose(fk.log_det_terms(value, params, "shift"), 0.0)
-    assert np.allclose(fk.log_det_terms(value, params, "scale"), math.log(4.0))
-    assert np.allclose(fk.log_det_terms(value, params, "power"), 0.7)
-    arg = (0.7 - 0.1) / 2.0
-    assert np.allclose(fk.log_det_terms(value, params, "outlier"),
-                       -math.log(abs(1.0 - arg * arg)))
-    with pytest.raises(ValueError):
-        fk.log_det_terms(value, params, "gate")
-
-
-def test_total_log_det_consistent_with_sublayer_terms():
-    rng = np.random.default_rng(3)
-    params = random_params(rng, 2)
-    x = rng.normal(0, 1.5, size=(4, 2, 3))
-    z, log_det = fk.normalize_direction(TimeSeriesBatch(x), params)
-    c = fk._chain(x, params)
-    inverse_total = sum(
-        fk.log_det_terms(point, params, name)
-        for point, name in ((c["v1"], "outlier"), (c["v2"], "shift"),
-                            (c["v3"], "scale"), (c["z"], "power"))
-    ).sum(axis=(1, 2))
-    # forward log-det is the negated sum of the inverse-direction terms
-    assert np.max(np.abs(log_det + inverse_total)) < 1e-10
 
 
 def test_log_det_matches_numeric_derivative():
@@ -129,16 +125,83 @@ def test_nll_neutral_on_standard_normal():
 def test_nll_gradients_match_fd():
     rng = np.random.default_rng(6)
     x = rng.normal(0.5, 2.0, size=(5, 2, 3))
-    params = random_params(rng, 2)
-    nll, grads = fk.negative_log_likelihood(TimeSeriesBatch(x), params)
+    # an ordinary exponent, then exponents inside the branch and series windows
+    for lam0 in (None, *WINDOW_LAMBDAS):
+        params = random_params(rng, 2)
+        if lam0 is not None:
+            params.lam[0] = lam0
+        nll, grads = fk.negative_log_likelihood(TimeSeriesBatch(x), params)
 
-    def loss():
-        v, _ = fk.negative_log_likelihood(TimeSeriesBatch(x), params)
-        return v
+        def loss():
+            v, _ = fk.negative_log_likelihood(TimeSeriesBatch(x), params)
+            return v
 
-    worst = check_grads(loss, grads, {"beta": params.beta, "m": params.m,
-                                      "s": params.s, "lam": params.lam})
-    assert max(worst.values()) < 1e-5, worst
+        worst = check_grads(loss, grads, {"beta": params.beta, "m": params.m,
+                                          "s": params.s, "lam": params.lam})
+        assert max(worst.values()) < 1e-5, (lam0, worst)
+
+
+def reference_nll_grads(batch, params):
+    """An independent forward chain and reverse pass, in the operation order
+    of a stand-alone bijector: d/dbeta, d/dm and d/dlam must match
+    ``negative_log_likelihood`` bit for bit; d/ds sums g*(-v3/s) per element,
+    where the stage functions divide the sum of g*v3 by s."""
+    beta = params.beta[None, :, None]
+    mu = params.mu_hat[None, :, None]
+    m = params.m[None, :, None]
+    s = params.s[None, :, None]
+    lam = params.lam[None, :, None]
+
+    x = batch.values
+    u = (x - mu) / beta
+    th = np.tanh(u)
+    v1 = beta * th + mu
+    ld1 = fk._log_sech2(u)
+    v2 = v1 - m
+    v3 = v2 / s
+    ld3 = -np.log(s)
+    power = yj.PowerPoint(v3, lam)
+    z = power.forward()
+    ld4 = power.log_dx()
+    per_series = (0.5 * fk.LOG_2PI + 0.5 * z * z - ld1 - ld3 - ld4).sum(axis=(1, 2))
+    n, d, t = x.shape
+    nll = float(per_series.sum())
+
+    # reverse-mode through the four stages
+    g_z = z
+    g_v3 = g_z * power.dx() - power.dx_log_dx()
+    g_lam = (g_z * power.dlam() - power.dlam_log_dx()).sum(axis=(0, 2))
+
+    g_v2 = g_v3 / s
+    g_s = (g_v3 * (-v3 / s)).sum(axis=(0, 2)) + n * t / params.s
+
+    g_v1 = g_v2
+    g_m = (-g_v2).sum(axis=(0, 2))
+
+    dv1_dbeta = th - u * (1.0 - th * th)
+    g_beta = (g_v1 * dv1_dbeta - 2.0 * u * th / beta).sum(axis=(0, 2))
+
+    grads = {"beta": g_beta, "m": g_m, "s": g_s, "lam": g_lam}
+    return nll, grads, (g_v3 * v3).sum(axis=(0, 2)) / params.s
+
+
+def test_nll_gradient_pinned_to_an_independent_reverse_pass():
+    rng = np.random.default_rng(13)
+    d = 3
+    for trial in range(40):
+        params = random_params(rng, d)
+        params.lam = rng.choice([*WINDOW_LAMBDAS, *rng.uniform(-1.0, 3.0, 4)], d)
+        params.mu_hat = rng.normal(0.0, 2.0, d)  # mu_hat != 0
+        x = TimeSeriesBatch(rng.normal(0.5, 2.0, size=(int(rng.integers(1, 300)), d, 10)))
+        nll, grads = fk.negative_log_likelihood(x, params)
+        ref_nll, ref, scale_sum = reference_nll_grads(x, params)
+        assert nll == ref_nll, trial
+        for name in ("beta", "m", "lam"):
+            assert np.array_equal(grads[name], ref[name]), (trial, name)
+        # relative to the larger of the two terms d/ds adds, so that their
+        # cancellation cannot inflate the tolerance's reference
+        size = np.maximum(np.abs(scale_sum), x.n * x.t / params.s)
+        assert np.all(np.abs(grads["s"] - ref["s"]) <= 1e-13 * size), trial
 
 
 def test_nll_invariant_to_series_permutation():

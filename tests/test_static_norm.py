@@ -39,6 +39,20 @@ def test_zscore_constant_feature_passthrough():
     assert np.allclose(out, 0.0)  # shifted only
 
 
+def test_zscore_constant_feature_with_nonzero_computed_std():
+    train = batch_from([1.858603571952818] * 12)
+    stats = sn.fit_zscore(train)
+    assert stats.std[0] > 0.0  # the mean of twelve copies rounds off the value
+    assert stats.zero_variance[0]
+    out = sn.apply_zscore(train, stats).values.ravel()
+    assert np.all(np.abs(out) <= 1e-15)
+    pipe = sn.StaticPipeline(["zscore"]).fit(train)
+    text = json.dumps(pipe.to_json_dict(), sort_keys=True)
+    back = sn.StaticPipeline.from_json_dict(json.loads(text))
+    assert np.array_equal(back.apply(train).values, pipe.apply(train).values)
+    assert json.dumps(back.to_json_dict(), sort_keys=True) == text
+
+
 def test_zscore_refit_is_standard():
     rng = np.random.default_rng(0)
     b = TimeSeriesBatch(rng.normal(3.0, 2.5, size=(20, 3, 10)))

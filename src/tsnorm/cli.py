@@ -22,9 +22,8 @@ from scipy.special import ndtr
 from .adaptive import DainLayer, EdainLayer
 from .flow_kl import fit_kl
 from .data import LabeledDataset, load_csv, save_csv
-from .harness import (CvConfig, ExperimentConfig, KlPreproc, PRESETS, StaticPreproc,
-                      SyntheticSource, ablation_json, fold_metrics, run_ablation,
-                      run_experiment, save_report)
+from .harness import (ExperimentConfig, KlPreproc, PRESETS, StaticPreproc, ablation_json,
+                      check_keys, fold_metrics, run_ablation, run_experiment, save_report)
 from .neural import GruStack, IdentityPreproc, TrainConfig, history_to_csv, predict
 from .synthgen import SynthConfig, default_config, generate_dataset
 
@@ -93,13 +92,16 @@ def _pdf_from_expression(expr: str):
 
 
 def _synth_from_pdf_config(doc: dict, n: int, t: int, seed: int) -> SynthConfig:
+    check_keys(doc, "pdf config", ("features", "sigma_cor", "sigma_zeta", "sigma_beta",
+                                   "response_threshold"))
     feats = doc["features"]
+    for j, f in enumerate(feats):
+        check_keys(f, f"pdf config feature {j}", ("pdf", "bounds", "theta", "sigma_eps", "delta"))
     pdfs = [_pdf_from_expression(f["pdf"]) for f in feats]
     bounds = [tuple(f["bounds"]) for f in feats]
-    q_max = max(len(f.get("theta", [-1.0])) for f in feats)
-    theta = np.zeros((len(feats), q_max))
-    for j, f in enumerate(feats):
-        row = f.get("theta", [-1.0])
+    rows = [f.get("theta", [-1.0]) for f in feats]
+    theta = np.zeros((len(feats), max(map(len, rows))))
+    for j, row in enumerate(rows):
         theta[j, :len(row)] = row
     sigma_eps = np.array([f.get("sigma_eps", 1.0) for f in feats])
     delta = [f.get("delta", 1e-3 * (b - a)) for f, (a, b) in zip(feats, bounds)]
@@ -112,37 +114,27 @@ def _synth_from_pdf_config(doc: dict, n: int, t: int, seed: int) -> SynthConfig:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        doc = json.loads(Path(args.config).read_text())
-        cfg = ExperimentConfig.from_json_dict(doc)
-    else:
-        cfg = ExperimentConfig()
-    if getattr(args, "data", None):
-        cfg.csv_path = str(args.data)
-        cfg.synthetic = None
-    elif getattr(args, "synth_n", None):
-        cfg.synthetic = SyntheticSource(n=args.synth_n, t=args.synth_t)
-        cfg.csv_path = None
-    if getattr(args, "method", None):
-        cfg.method = args.method
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "preset", None):
-        cfg.preset = args.preset
-    if getattr(args, "repetitions", None):
-        cfg.repetitions = args.repetitions
-    if getattr(args, "cv", None):
-        if args.cv == "holdout":
-            cfg.cv = CvConfig(kind="holdout", valid_fraction=args.valid_fraction)
-        else:
-            cfg.cv = CvConfig(kind="kfold", k=args.k)
-    if getattr(args, "epochs", None):
-        cfg.train.max_epochs = args.epochs
-    if getattr(args, "batch_size", None):
-        cfg.train.batch_size = args.batch_size
-    # re-validate after the overrides
-    cfg.__post_init__()
-    return cfg
+    """The ``--config`` document, or ``{}``, with each given flag written over
+    the field it names, loaded once by ``ExperimentConfig.from_json_dict``."""
+    doc = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(doc, dict):
+        raise ValueError(f"config must be a JSON object, not {type(doc).__name__}")
+
+    def given(**flags):
+        return {key: value for key, value in flags.items() if value is not None}
+
+    doc.update(given(method=getattr(args, "method", None), seed=args.seed, preset=args.preset,
+                     repetitions=args.repetitions))
+    if args.data is not None or args.synth_n is not None:
+        synthetic = None if args.synth_n is None else {"n": args.synth_n, "t": args.synth_t}
+        doc["dataset"] = given(csv=args.data, synthetic=synthetic)
+    if args.cv is not None:
+        doc["cv"] = ({"kind": "holdout", "valid_fraction": args.valid_fraction}
+                     if args.cv == "holdout" else {"kind": "kfold", "k": args.k})
+    train = given(max_epochs=args.epochs, batch_size=args.batch_size)
+    if train:
+        doc["train"] = {**doc.get("train", {}), **train}
+    return ExperimentConfig.from_json_dict(doc)
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
@@ -226,8 +218,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _experiment_config(args)
-    report = run_experiment(cfg)
+    report = run_experiment(_experiment_config(args))
     print(report.text_table())
     if args.out:
         save_report(report.to_json_dict(), args.out)
@@ -263,8 +254,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg = _experiment_config(args)
-    rows = run_ablation(cfg)
+    rows = run_ablation(_experiment_config(args))
     width = max(len(label) for label, _ in rows)
     key = "bce" if "bce" in rows[0][1].aggregate else "ce"
     print(f"{'configuration':<{width + 2}}{key:>10}{'+/-':>10}")
@@ -281,8 +271,7 @@ def _cmd_kl_fit(args) -> int:
     dataset = load_csv(args.data)
     cfg = TrainConfig(base_lr=args.lr, optimizer="adam", batch_size=args.batch_size,
                       max_epochs=args.epochs, milestones=(), patience=args.epochs,
-                      seed=args.seed,
-                      corrections=dict(PRESETS["desk-kl"]))
+                      seed=args.seed, corrections=dict(PRESETS["desk-kl"]))
     params, history = fit_kl(dataset.batch, cfg)
     save_report({"preproc": params.to_json_dict(), "history": history}, args.out)
     print(f"fitted invertible normalizer on {dataset.n} series; "

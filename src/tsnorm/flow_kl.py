@@ -199,8 +199,7 @@ def fit_kl(train: TimeSeriesBatch,
     """
     if config is None:
         config = TrainConfig(base_lr=1e-2, optimizer="adam", batch_size=256, max_epochs=50,
-                             milestones=(), patience=50,
-                             corrections={"outlier": 1.0, "shift": 1.0, "scale": 1.0, "power": 1.0})
+                             milestones=(), patience=50)
 
     pooled = fit_zscore(train)
     std = np.maximum(pooled.std, SCALE_FLOOR)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -24,8 +24,8 @@ from .adaptive import ALL_SUBLAYERS, DainLayer, EdainLayer, GLOBAL_AWARE, LOCAL_
 from .data import BINARY, LabeledDataset, NonFiniteBatchError, RngState, TimeSeriesBatch, load_csv
 from .flow_kl import FlowDomainError, KlBijectorParams, fit_kl, normalize_direction
 from .metrics import (amex_metric, binary_accuracy, cohen_kappa, macro_f1, ternary_accuracy)
-from .neural import GruStack, IdentityPreproc, TrainConfig, TrainResult, bce_loss, \
-    cross_entropy_loss, predict, train_loop
+from .neural import UNIT_CORRECTIONS, GruStack, IdentityPreproc, TrainConfig, TrainResult, \
+    bce_loss, cross_entropy_loss, train_loop
 from .static_norm import StaticPipeline
 from .synthgen import default_config, generate_dataset
 from .yeojohnson import PowerDomainError
@@ -126,6 +126,11 @@ class SyntheticSource:
     n: int = 5000
     t: int = 10
 
+    def __post_init__(self):
+        for name in ("n", "t"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"synthetic {name} must be positive, got {getattr(self, name)}")
+
     def to_json_dict(self):
         return {"n": self.n, "t": self.t}
 
@@ -156,15 +161,24 @@ class ExperimentConfig:
             raise ValueError("sublayer flags are only valid with EDAIN methods")
         if self.preset is not None and self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
+        for name, value in (("repetitions", self.repetitions),
+                            ("train.max_epochs", self.train.max_epochs)):
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
 
     def resolved_corrections(self) -> dict:
-        name = self.preset or DEFAULT_PRESET.get(self.method)
-        if name is not None:
-            return dict(PRESETS[name])
-        return dict(self.train.corrections)
+        """The named preset, else the corrections the train config sets, else
+        the method's default preset, else every group at the base rate."""
+        if self.preset is not None:
+            return dict(PRESETS[self.preset])
+        if self.train.corrections is not None:
+            return dict(self.train.corrections)
+        return dict(PRESETS.get(DEFAULT_PRESET.get(self.method), UNIT_CORRECTIONS))
 
     def to_json_dict(self):
-        doc = {
+        train = {key: getattr(self.train, key) for key in
+                 ("base_lr", "optimizer", "batch_size", "max_epochs", "gamma", "patience")}
+        return {
             "method": self.method,
             "seed": self.seed,
             "repetitions": self.repetitions,
@@ -175,55 +189,47 @@ class ExperimentConfig:
             "kdit_alpha": self.kdit_alpha,
             "winsorize_quantiles": list(self.winsorize_quantiles),
             "warm_start": self.warm_start,
-            "train": {
-                "base_lr": self.train.base_lr,
-                "optimizer": self.train.optimizer,
-                "batch_size": self.train.batch_size,
-                "max_epochs": self.train.max_epochs,
-                "milestones": list(self.train.milestones),
-                "gamma": self.train.gamma,
-                "patience": self.train.patience,
-                "corrections": self.resolved_corrections(),
-            },
+            "train": {**train, "milestones": list(self.train.milestones),
+                      "corrections": self.resolved_corrections()},
+            "dataset": ({"csv": self.csv_path} if self.synthetic is None
+                        else {"synthetic": self.synthetic.to_json_dict()}),
         }
-        if self.synthetic is not None:
-            doc["dataset"] = {"synthetic": self.synthetic.to_json_dict()}
-        else:
-            doc["dataset"] = {"csv": self.csv_path}
-        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        kwargs = {}
-        for key in ("method", "seed", "repetitions", "preset", "kdit_alpha", "warm_start"):
+        """The config a JSON document describes.  An unknown key in any section
+        is a ValueError that names the section and the key."""
+        names = {f.name for f in fields(cls)} - {"synthetic", "csv_path"} | {"dataset"}
+        doc = dict(check_keys(doc, "config", names))
+        dataset = check_keys(doc.pop("dataset", {}), "config dataset", ("csv", "synthetic"))
+        if dataset:
+            # both or neither of the two sources is refused by __post_init__
+            doc["csv_path"], doc["synthetic"] = dataset.get("csv"), dataset.get("synthetic")
+            if doc["synthetic"] is not None:
+                doc["synthetic"] = _from_fields(SyntheticSource, doc["synthetic"],
+                                                "config dataset.synthetic")
+        for key, section in (("model", ModelConfig), ("cv", CvConfig), ("train", TrainConfig)):
             if key in doc:
-                kwargs[key] = doc[key]
-        if "sublayers" in doc:
-            kwargs["sublayers"] = tuple(doc["sublayers"])
-        if "winsorize_quantiles" in doc:
-            kwargs["winsorize_quantiles"] = tuple(doc["winsorize_quantiles"])
-        dataset = doc.get("dataset", {})
-        if "csv" in dataset:
-            kwargs["csv_path"] = dataset["csv"]
-            kwargs["synthetic"] = None
-        elif "synthetic" in dataset:
-            kwargs["synthetic"] = SyntheticSource(**dataset["synthetic"])
-        if "model" in doc:
-            m = doc["model"]
-            kwargs["model"] = ModelConfig(hidden=tuple(m.get("hidden", (32, 32))),
-                                          head=tuple(m.get("head", (64, 32))),
-                                          dropout=m.get("dropout", 0.2))
-        if "cv" in doc:
-            c = dict(doc["cv"])
-            if "boundaries" in c:
-                c["boundaries"] = tuple(c["boundaries"])
-            kwargs["cv"] = CvConfig(**c)
-        if "train" in doc:
-            t = dict(doc["train"])
-            if "milestones" in t:
-                t["milestones"] = tuple(t["milestones"])
-            kwargs["train"] = TrainConfig(**t)
-        return cls(**kwargs)
+                doc[key] = _from_fields(section, doc[key], f"config {key}")
+        return _from_fields(cls, doc, "config")
+
+
+def check_keys(doc, section: str, names) -> dict:
+    """``doc`` itself, once it is a JSON object whose keys are all in ``names``;
+    anything else is a ValueError that names ``section`` and the key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{section} must be a JSON object, not {type(doc).__name__}")
+    for key in doc:
+        if key not in names:
+            raise ValueError(f"{section} has unknown field {key!r}")
+    return doc
+
+
+def _from_fields(cls, doc, section: str):
+    """The dataclass ``cls`` built from the JSON object ``doc``, its lists as tuples."""
+    check_keys(doc, section, {f.name for f in fields(cls)})
+    return cls(**{key: tuple(value) if isinstance(value, list) else value
+                  for key, value in doc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +467,7 @@ def _run_fold(config: ExperimentConfig, dataset: LabeledDataset,
                         corrections=config.resolved_corrections())
     result = train_loop(train_ds, valid_ds, preproc, model, train_cfg)
 
-    metrics = fold_metrics(valid_ds, predict(valid_ds.batch, result.preproc, result.model))
+    metrics = fold_metrics(valid_ds, result.valid_probs)
     return {
         "rep": rep,
         "fold": fold,
@@ -497,7 +503,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
             rows.append(row)
             if rep == 0 and f == 0:
                 first_fold = result
-    report = MetricsReport(
+    return MetricsReport(
         method=config.method,
         rows=rows,
         aggregate=_aggregate(rows),
@@ -507,7 +513,6 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
         runtime_seconds=time.perf_counter() - start,
         first_fold=first_fold,
     )
-    return report
 
 
 def run_ablation(config: ExperimentConfig) -> list[tuple[str, MetricsReport]]:

@@ -25,7 +25,7 @@ non-finite entry is a ``ValueError`` that names the parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,6 +34,7 @@ from .data import BINARY, LabeledDataset, TimeSeriesBatch, minibatch_indices
 
 PROB_CLIP = 1e-12
 GROUP_TAGS = ("outlier", "shift", "scale", "power", "model")
+UNIT_CORRECTIONS = {"outlier": 1.0, "shift": 1.0, "scale": 1.0, "power": 1.0}  # all at base rate
 PREDICT_ROWS = 128  # series per block of the eval-mode passes (:func:`predict`)
 
 
@@ -353,8 +354,7 @@ def cross_entropy_loss(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]
 @dataclass
 class TrainConfig:
     base_lr: float = 1e-3
-    corrections: dict = field(default_factory=lambda: {"outlier": 1.0, "shift": 1.0,
-                                                       "scale": 1.0, "power": 1.0})
+    corrections: Optional[dict] = None  # None: UNIT_CORRECTIONS, or a method's default preset
     optimizer: str = "adam"
     batch_size: int = 128
     max_epochs: int = 30
@@ -367,13 +367,19 @@ class TrainConfig:
     adam_eps: float = 1e-8
     rms_alpha: float = 0.99
     rms_eps: float = 1e-8
-    grad_clip: Optional[float] = None
 
     def __post_init__(self):
         if self.base_lr <= 0:
             raise ValueError("base_lr must be positive")
-        if any(v < 0 for v in self.corrections.values()):
-            raise ValueError("learning-rate corrections must be nonnegative")
+        if self.max_epochs < 0:  # 0 epochs leaves the starting point (fit_kl)
+            raise ValueError(f"max_epochs must be nonnegative, got {self.max_epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        for tag, rate in (self.corrections or {}).items():
+            if tag not in UNIT_CORRECTIONS:
+                raise ValueError(f"corrections has unknown group {tag!r}")
+            if rate < 0:
+                raise ValueError(f"learning-rate correction {tag!r} must be nonnegative")
         if list(self.milestones) != sorted(self.milestones):
             raise ValueError("lr milestones must be increasing")
 
@@ -402,17 +408,12 @@ class Optimizer:
             return self.lr
         if tag not in GROUP_TAGS:
             raise ValueError(f"unknown parameter group tag {tag!r}")
-        return self.lr * self.config.corrections.get(tag, 1.0)
+        return self.lr * (self.config.corrections or UNIT_CORRECTIONS).get(tag, 1.0)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              groups: dict[str, str]) -> None:
         cfg = self.config
         self.t += 1
-        if cfg.grad_clip is not None:
-            total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-            if total > cfg.grad_clip:
-                scale = cfg.grad_clip / total
-                grads = {k: g * scale for k, g in grads.items()}
         for name, g in grads.items():
             p = params[name]
             rate = self._rate(groups[name])
@@ -476,7 +477,8 @@ class TrainResult:
     preproc: object
     history: list
     best_epoch: int
-    best_valid_loss: float
+    # eval-mode validation probabilities of the restored (best) epoch
+    valid_probs: np.ndarray
 
 
 def history_to_csv(history: list) -> str:
@@ -575,7 +577,7 @@ def train_loop(train: LabeledDataset, valid: LabeledDataset, preproc, model: Gru
             total_loss += loss * len(idx)
             total_count += len(idx)
 
-        valid_loss, _ = evaluate_loss(valid, preproc, model)
+        valid_loss, valid_probs = evaluate_loss(valid, preproc, model)
         history.append({
             "epoch": epoch,
             "train_loss": total_loss / total_count,
@@ -585,6 +587,7 @@ def train_loop(train: LabeledDataset, valid: LabeledDataset, preproc, model: Gru
         if valid_loss < best_valid:
             best_valid = valid_loss
             best_epoch = epoch
+            best_probs = valid_probs
             best_snap = (model.snapshot(), preproc.snapshot())
             stale = 0
         else:
@@ -592,8 +595,10 @@ def train_loop(train: LabeledDataset, valid: LabeledDataset, preproc, model: Gru
             if stale > config.patience:
                 break
 
-    if best_snap is not None:
+    if best_snap is None:  # no epoch with a finite validation loss: the last state stays
+        best_probs = predict(valid.batch, preproc, model)
+    else:
         model.restore(best_snap[0])
         preproc.restore(best_snap[1])
     return TrainResult(model=model, preproc=preproc, history=history,
-                       best_epoch=best_epoch, best_valid_loss=best_valid)
+                       best_epoch=best_epoch, valid_probs=best_probs)

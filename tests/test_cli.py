@@ -268,3 +268,96 @@ def test_pdf_expression_whitelist_keeps_the_documented_forms():
             + 0.5 * ndtr(x) * ((x > -1) & (x < 1)) + np.exp(-x) * (x > 0)
             + ((x >= 0) & (x < 2)) + np.e ** -np.abs(x) / np.pi)
     assert np.allclose(pdf(x), want)
+
+
+@pytest.mark.parametrize("section, key, message", [
+    (None, "methd", "config has unknown field 'methd'"),
+    ("model", "hiden", "config model has unknown field 'hiden'"),
+    ("cv", "kk", "config cv has unknown field 'kk'"),
+    ("train", "max_epoch", "config train has unknown field 'max_epoch'"),
+    ("dataset", "cvs", "config dataset has unknown field 'cvs'"),
+], ids=["top", "model", "cv", "train", "dataset"])
+def test_train_refuses_an_unknown_config_key(tmp_path, dataset_csv, capsys, section, key,
+                                             message):
+    cfg = small_experiment_config(tmp_path, dataset_csv)
+    doc = json.loads(cfg.read_text())
+    (doc if section is None else doc[section])[key] = 1
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"error: ValueError: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ablate_refuses_an_unknown_synthetic_key(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"dataset": {"synthetic": {"n": 100, "T": 5}}}))
+    assert main(["ablate", "--config", str(cfg)]) == 2
+    assert "config dataset.synthetic has unknown field 'T'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epochs", "0"], "train.max_epochs must be positive, got 0"),
+    (["--epochs", "-3"], "max_epochs must be nonnegative, got -3"),
+    (["--repetitions", "0"], "repetitions must be positive, got 0"),
+    (["--batch-size", "0"], "batch_size must be positive, got 0"),
+    (["--synth-n", "0"], "synthetic n must be positive, got 0"),
+    (["--synth-n", "50", "--synth-t", "0"], "synthetic t must be positive, got 0"),
+], ids=["epochs-0", "epochs-neg", "repetitions", "batch-size", "synth-n", "synth-t"])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_non_positive_flag_exits_two_and_names_the_field(capsys, command, flags, message):
+    assert main([command, *flags]) == 2
+    assert f"error: ValueError: {message}" in capsys.readouterr().err
+
+
+def test_data_and_synth_n_together_are_refused(dataset_csv, capsys):
+    assert main(["train", "--data", str(dataset_csv), "--synth-n", "50"]) == 2
+    assert "exactly one of synthetic/csv_path must be set" in capsys.readouterr().err
+
+
+def test_flags_write_the_fields_of_the_config_they_override(tmp_path, dataset_csv):
+    # a config plus flags and one config holding the same values give one report
+    base = small_experiment_config(tmp_path, tmp_path / "elsewhere.csv", method="zscore")
+    by_flags, by_config = tmp_path / "flags.json", tmp_path / "config.json"
+    assert main(["train", "--config", str(base), "--data", str(dataset_csv),
+                 "--method", "edain_local", "--seed", "7", "--repetitions", "2",
+                 "--preset", "lob-local", "--cv", "kfold", "--k", "3", "--epochs", "1",
+                 "--batch-size", "64", "--out", str(by_flags)]) == 0
+    doc = json.loads(base.read_text())
+    doc.update(method="edain_local", seed=7, repetitions=2, preset="lob-local",
+               dataset={"csv": str(dataset_csv)}, cv={"kind": "kfold", "k": 3})
+    doc["train"].update(max_epochs=1, batch_size=64)
+    base.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(base), "--out", str(by_config)]) == 0
+    assert by_flags.read_bytes() == by_config.read_bytes()
+    echo = json.loads(by_flags.read_text())["config"]
+    assert echo["cv"] == {"kind": "kfold", "k": 3} and echo["train"]["max_epochs"] == 1
+    assert echo["model"]["hidden"] == [4] and echo["train"]["milestones"] == []
+
+
+@pytest.mark.parametrize("name", sorted(harness.PRESETS))
+def test_preset_flag_reaches_the_report_echo(tmp_path, dataset_csv, name):
+    cfg = small_experiment_config(tmp_path, dataset_csv, method="edain_global")
+    out = tmp_path / "report.json"
+    assert main(["train", "--config", str(cfg), "--preset", name, "--epochs", "1",
+                 "--out", str(out)]) == 0
+    echo = json.loads(out.read_text())["config"]
+    assert echo["preset"] == name
+    assert echo["train"]["corrections"] == harness.PRESETS[name]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"features": [{"pdf": "phi(x)", "bounds": [-6, 6]}], "sigma_corr": 1.0},
+     "pdf config has unknown field 'sigma_corr'"),
+    ({"features": [{"pdf": "phi(x)", "bounds": [-6, 6]},
+                   {"pdf": "phi(x)", "bounds": [-6, 6], "sigma_esp": 2.0}]},
+     "pdf config feature 1 has unknown field 'sigma_esp'"),
+    ({"features": ["phi(x)"]}, "pdf config feature 0 must be a JSON object, not str"),
+], ids=["top", "feature", "not-an-object"])
+def test_generate_refuses_unknown_pdf_config_keys(tmp_path, capsys, doc, message):
+    pdf_cfg, out = tmp_path / "pdfs.json", tmp_path / "custom.csv"
+    pdf_cfg.write_text(json.dumps(doc))
+    assert main(["generate", "--pdf-config", str(pdf_cfg), "--n", "20", "--t", "4",
+                 "--out", str(out)]) == 2
+    assert f"error: ValueError: {message}" in capsys.readouterr().err
+    assert not out.exists()

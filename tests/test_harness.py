@@ -1,3 +1,8 @@
+import importlib.util
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -221,3 +226,125 @@ def test_non_finite_batch_error_is_a_value_error():
     with pytest.raises(NonFiniteBatchError, match="NaN or Inf"):
         TimeSeriesBatch(np.array([[[1.0, np.nan]]]))
     assert issubclass(NonFiniteBatchError, ValueError)
+
+
+def small_doc(**extra):
+    doc = {
+        "method": "edain_global", "seed": 1, "repetitions": 1,
+        "dataset": {"synthetic": {"n": 120, "t": 4}},
+        "model": {"hidden": [4], "head": [4], "dropout": 0.0},
+        "train": {"max_epochs": 2, "batch_size": 32, "milestones": [], "patience": 5},
+        "cv": {"kind": "holdout", "valid_fraction": 0.2},
+    }
+    doc.update(extra)
+    return doc
+
+
+@pytest.mark.parametrize("path, key, section", [
+    ((), "methd", "config"),
+    (("model",), "hiden", "config model"),
+    (("cv",), "folds", "config cv"),
+    (("train",), "max_epoch", "config train"),
+    (("train",), "grad_clip", "config train"),
+    (("dataset",), "cvs", "config dataset"),
+    (("dataset", "synthetic"), "N", "config dataset.synthetic"),
+    ((), "csv_path", "config"),
+])
+def test_unknown_config_key_is_refused_by_name(path, key, section):
+    doc = small_doc()
+    target = doc
+    for part in path:
+        target = target[part]
+    target[key] = 1
+    with pytest.raises(ValueError, match=f"^{section} has unknown field '{key}'$"):
+        hx.ExperimentConfig.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "config must be a JSON object, not list"),
+    ({"train": [1]}, "config train must be a JSON object, not list"),
+    ({"dataset": {"csv": "a.csv", "synthetic": {"n": 10}}}, "exactly one of synthetic/csv_path"),
+    ({"repetitions": 0}, "repetitions must be positive, got 0"),
+    ({"train": {"max_epochs": 0}}, "train.max_epochs must be positive, got 0"),
+    ({"train": {"batch_size": -1}}, "batch_size must be positive, got -1"),
+    ({"dataset": {"synthetic": {"n": 0}}}, "synthetic n must be positive, got 0"),
+    ({"dataset": {"synthetic": {"t": -2}}}, "synthetic t must be positive, got -2"),
+])
+def test_malformed_config_values_are_refused(doc, message):
+    with pytest.raises(ValueError, match=message):
+        hx.ExperimentConfig.from_json_dict(doc)
+
+
+def test_config_loader_turns_lists_into_tuples():
+    cfg = hx.ExperimentConfig.from_json_dict(small_doc(
+        sublayers=["shift", "scale"], winsorize_quantiles=[0.05, 0.95],
+        cv={"kind": "anchored", "boundaries": [0, 40, 80, 120]}))
+    assert cfg == hx.ExperimentConfig(
+        method="edain_global", seed=1, synthetic=hx.SyntheticSource(n=120, t=4),
+        sublayers=("shift", "scale"), winsorize_quantiles=(0.05, 0.95),
+        model=hx.ModelConfig(hidden=(4,), head=(4,), dropout=0.0),
+        train=TrainConfig(max_epochs=2, batch_size=32, milestones=(), patience=5),
+        cv=hx.CvConfig(kind="anchored", boundaries=(0, 40, 80, 120)))
+
+
+def test_readme_example_config_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"### Experiment config \(JSON\).*?```json\n(.*?)```", readme, re.S)
+    cfg = hx.ExperimentConfig.from_json_dict(json.loads(block.group(1)))
+    assert cfg.method == "edain_global" and cfg.repetitions == 5
+    assert cfg.resolved_corrections() == hx.PRESETS["desk-global"]
+
+
+def test_digest_configs_load():
+    path = Path(__file__).resolve().parents[1] / "tools" / "digests.py"
+    spec = importlib.util.spec_from_file_location("digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    for doc in [digests.DEEP_CONFIG, *map(digests._config, digests.METHODS)]:
+        cfg = hx.ExperimentConfig.from_json_dict(doc)
+        assert cfg.csv_path == doc["dataset"]["csv"] and cfg.synthetic is None
+        assert cfg.model.hidden == tuple(doc["model"]["hidden"])
+
+
+@pytest.mark.parametrize("name", sorted(hx.PRESETS))
+def test_every_preset_reaches_the_corrections_and_the_echo(name):
+    for method in ("zscore", "dain", "edain_global", "edain_local", "edain_kl"):
+        for cfg in (tiny_config(method=method, preset=name),
+                    hx.ExperimentConfig.from_json_dict(small_doc(method=method, preset=name))):
+            assert cfg.resolved_corrections() == hx.PRESETS[name]
+            echo = json.loads(json.dumps(cfg.to_json_dict()))
+            assert echo["preset"] == name
+            assert echo["train"]["corrections"] == hx.PRESETS[name]
+
+
+def test_corrections_precedence_preset_then_config_then_method_default():
+    mine = {"outlier": 2.0, "shift": 3.0, "scale": 4.0, "power": 5.0}
+    with_mine = TrainConfig(max_epochs=2, corrections=mine)
+    assert tiny_config("edain_global", preset="lob-local", train=with_mine) \
+        .resolved_corrections() == hx.PRESETS["lob-local"]
+    for method in ("zscore", "dain", "edain_global", "edain_local", "edain_kl"):
+        assert tiny_config(method, train=with_mine).resolved_corrections() == mine
+    for method, preset in hx.DEFAULT_PRESET.items():
+        assert tiny_config(method).resolved_corrections() == hx.PRESETS[preset]
+    assert tiny_config("zscore").resolved_corrections() == dict.fromkeys(mine, 1.0)
+
+
+def test_zero_corrections_freeze_edain_global(monkeypatch):
+    zero = dict.fromkeys(("outlier", "shift", "scale", "power"), 0.0)
+    real = hx.make_preproc
+    starts = []
+
+    def spy(config, train_batch):
+        layer = real(config, train_batch)
+        starts.append({k: v.copy() for k, v in layer.parameters().items()})
+        return layer
+
+    monkeypatch.setattr(hx, "make_preproc", spy)
+    report = hx.run_experiment(hx.ExperimentConfig.from_json_dict(
+        small_doc(train={"max_epochs": 3, "batch_size": 32, "milestones": [], "corrections": zero})))
+    assert report.rows and not report.incomplete
+    learned = report.first_fold.preproc.parameters()
+    assert sorted(learned) == ["alpha", "beta", "lam", "m", "s"]
+    for name, start in starts[0].items():
+        assert np.array_equal(learned[name], start), name
+    assert report.to_json_dict()["config"]["train"]["corrections"] == zero

@@ -316,6 +316,35 @@ def test_train_loop_bit_reproducible():
     assert a == b  # bit-identical floats
 
 
+@pytest.mark.parametrize("patience", [1, 5])
+def test_train_result_keeps_the_best_epochs_validation_probabilities(patience):
+    # the restored parameters and running mean predict exactly what the best
+    # epoch's validation pass saw, so no extra pass is needed after training
+    train = toy_dataset(n=96, seed=40)
+    valid = toy_dataset(n=200, seed=41, separation=0.5)
+    model = nn.GruStack(d_in=2, hidden=(4,), head=(4,), n_classes=1, dropout=0.2,
+                        rng=np.random.default_rng(42))
+    cfg = nn.TrainConfig(base_lr=5e-2, max_epochs=8, batch_size=16, milestones=(),
+                         patience=patience, seed=43,
+                         corrections={"outlier": 10.0, "shift": 1.0, "scale": 1.0, "power": 10.0})
+    result = nn.train_loop(train, valid, EdainLayer(d=2, warm_start=train.batch), model, cfg)
+    assert result.best_epoch < len(result.history)  # a later epoch was rolled back
+    again = nn.predict(valid.batch, result.preproc, result.model)
+    assert result.valid_probs.tobytes() == again.tobytes()
+
+
+def test_train_config_refuses_non_positive_counts_by_name():
+    with pytest.raises(ValueError, match="batch_size must be positive, got 0"):
+        nn.TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="max_epochs must be nonnegative, got -3"):
+        nn.TrainConfig(max_epochs=-3)
+    with pytest.raises(ValueError, match="corrections has unknown group 'outlir'"):
+        nn.TrainConfig(corrections={"outlir": 1.0})
+    with pytest.raises(ValueError, match="correction 'scale' must be nonnegative"):
+        nn.TrainConfig(corrections={"scale": -1.0})
+    assert nn.TrainConfig(max_epochs=0).max_epochs == 0  # fit_kl's starting point
+
+
 def test_frozen_neutral_edain_matches_no_preprocessing():
     train = toy_dataset(n=64, seed=23)
     valid = toy_dataset(n=32, seed=24)

@@ -10,8 +10,10 @@ and KDIT blocks) is loaded and saved again, and a ``kdit`` static pipeline
 is fitted on it.  On that CSV a two-cell ``edain_global`` model with dropout
 0.2 between the cells is trained (report, checkpoint, history) and evaluated;
 its 400 validation and 2,000 evaluated series span several evaluation
-blocks.  One ``name sha256`` line is printed per artefact, so two trees
-compare with a single diff:
+blocks.  A last ``train`` is driven by flags alone, with no ``--config``,
+on a generated synthetic set, which pins the flag-to-config path.  One
+``name sha256`` line is printed per artefact, so two trees compare with a
+single diff:
 
     python3 tools/digests.py --src . > new.txt
     python3 tools/digests.py --src /path/to/other/checkout > old.txt
@@ -64,6 +66,11 @@ def _config(method: str) -> dict:
         "cv": cv,
     }
 
+
+# a train run set by experiment flags alone, with no --config
+FLAG_RUN = ("--synth-n", "200", "--synth-t", "6", "--method", "edain_local", "--seed", "4",
+            "--epochs", "2", "--batch-size", "32", "--cv", "kfold", "--k", "3",
+            "--repetitions", "2")
 
 # two GRU cells, so the inter-cell dropout mask is exercised
 DEEP_CONFIG = {
@@ -119,6 +126,9 @@ def run_recipe(src: Path, work: Path) -> list[tuple[str, str]]:
     tsnorm("evaluate", "--data", "big.csv", "--checkpoint", "deep.ckpt.json",
            "--out", "deep.eval.json")
     artefacts.extend(["deep.report.json", "deep.ckpt.json", "deep.history.csv", "deep.eval.json"])
+    tsnorm("train", *FLAG_RUN, "--out", "flags.report.json", "--checkpoint-out", "flags.ckpt.json",
+           "--history-out", "flags.history.csv")
+    artefacts.extend(["flags.report.json", "flags.ckpt.json", "flags.history.csv"])
     return [(name, hashlib.sha256((work / name).read_bytes()).hexdigest()) for name in artefacts]
 
 

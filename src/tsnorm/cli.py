@@ -126,11 +126,11 @@ def _experiment_config(args) -> ExperimentConfig:
     doc.update(given(method=getattr(args, "method", None), seed=args.seed, preset=args.preset,
                      repetitions=args.repetitions))
     if args.data is not None or args.synth_n is not None:
-        synthetic = None if args.synth_n is None else {"n": args.synth_n, "t": args.synth_t}
+        synthetic = None if args.synth_n is None else given(n=args.synth_n, t=args.synth_t)
         doc["dataset"] = given(csv=args.data, synthetic=synthetic)
     if args.cv is not None:
-        doc["cv"] = ({"kind": "holdout", "valid_fraction": args.valid_fraction}
-                     if args.cv == "holdout" else {"kind": "kfold", "k": args.k})
+        doc["cv"] = (given(kind="holdout", valid_fraction=args.valid_fraction)
+                     if args.cv == "holdout" else given(kind="kfold", k=args.k))
     train = given(max_epochs=args.epochs, batch_size=args.batch_size)
     if train:
         doc["train"] = {**doc.get("train", {}), **train}
@@ -141,7 +141,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", help="CSV dataset path (mutually exclusive with --synth-n)")
     p.add_argument("--synth-n", type=int, dest="synth_n",
                    help="generate a built-in synthetic dataset with this many series")
-    p.add_argument("--synth-t", type=int, dest="synth_t", default=10,
+    p.add_argument("--synth-t", type=int, dest="synth_t",
                    help="timesteps for --synth-n (default 10)")
     p.add_argument("--config", help="JSON experiment config (flags override it)")
     p.add_argument("--seed", type=int, default=None)
@@ -149,11 +149,24 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
                    help="named per-sublayer learning-rate preset")
     p.add_argument("--repetitions", type=int)
     p.add_argument("--cv", choices=["holdout", "kfold"])
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--valid-fraction", type=float, default=0.2, dest="valid_fraction")
+    p.add_argument("--k", type=int, help="folds for --cv kfold (default 5)")
+    p.add_argument("--valid-fraction", type=float, dest="valid_fraction",
+                   help="validation share for --cv holdout (default 0.2)")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--out", help="report JSON output path")
+
+
+def _check_flag_partners(parser: argparse.ArgumentParser, args) -> None:
+    """Refuse a flag that only refines another one when that one is not given,
+    rather than drop it."""
+    cv, synth_n = getattr(args, "cv", None), getattr(args, "synth_n", None)
+    for name, flag, ok, needs in (
+            ("k", "--k", cv == "kfold", "--cv kfold"),
+            ("valid_fraction", "--valid-fraction", cv == "holdout", "--cv holdout"),
+            ("synth_t", "--synth-t", synth_n is not None, "--synth-n")):
+        if getattr(args, name, None) is not None and not ok:
+            parser.error(f"{flag} needs {needs}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,6 +317,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_flag_partners(parser, args)
     except SystemExit as exc:
         # argparse uses status 2 for usage errors; this tool reserves 2 for
         # runtime failures and reports usage problems as 1

@@ -281,6 +281,9 @@ def _make_folds(n: int, cv: CvConfig, rng: RngState):
         return kfold_indices(n, cv.k, rng)
     if cv.kind == "holdout":
         return holdout_split(n, cv.valid_fraction, rng)
+    if min(cv.boundaries) < 0 or max(cv.boundaries) > n:
+        raise ValueError(f"cv.boundaries {list(cv.boundaries)} must lie in [0, N] "
+                         f"for N = {n} series")
     return anchored_folds(cv.boundaries)
 
 

@@ -165,6 +165,23 @@ class GruStack(Trainable):
         for key in ("d_in", "hidden", "head", "n_classes", "dropout", "params"):
             if key not in doc:
                 raise ValueError(f"model checkpoint is missing field {key!r}")
+
+        def count(v):
+            return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+        hidden, head, dropout = doc["hidden"], doc["head"], doc["dropout"]
+        for name, ok, want in (
+                ("d_in", count(doc["d_in"]), "a positive integer"),
+                ("hidden", isinstance(hidden, list) and hidden and all(map(count, hidden)),
+                 "a non-empty list of positive integers"),
+                ("head", isinstance(head, list) and all(map(count, head)),
+                 "a list of positive integers"),
+                ("n_classes", count(doc["n_classes"]) and doc["n_classes"] in (1, 3), "1 or 3"),
+                ("dropout", isinstance(dropout, (int, float)) and not isinstance(dropout, bool)
+                 and 0.0 <= dropout < 1.0, "a number in [0, 1)")):
+            if not ok:
+                raise ValueError(f"model checkpoint field {name!r} must be {want}, "
+                                 f"got {doc[name]!r}")
         model = cls(d_in=doc["d_in"], hidden=tuple(doc["hidden"]), head=tuple(doc["head"]),
                     n_classes=doc["n_classes"], dropout=doc["dropout"])
         params = model.parameters()

@@ -9,7 +9,6 @@ them offline.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -22,11 +21,9 @@ from .data import TimeSeriesBatch
 CDF_EPS = 1e-5
 GOLDEN_TOL = 1e-6
 LAMBDA_RANGE = (-5.0, 5.0)
-# z bounds beyond which ndtr(z) is exactly 1.0 (from 8.2924 up) and exactly 0.0
-# (from -37.6771 down), with a margin; the KDIT fit writes these constants
+# ndtr(z) is exactly 1.0 from z = 8.2924 up and below 5.2e-17 from -8.3 down:
+# the KDIT fit counts the first kernel terms as 1.0 and drops the second
 NDTR_ONE_Z = 8.3
-NDTR_ZERO_Z = -37.7
-KDIT_BLOCK = 1 << 16  # elements of one (grid rows x centers) block of the KDIT fit
 
 yeo_johnson = yj.forward
 
@@ -253,57 +250,51 @@ class KditConfig:
     grid_size: int = 1024
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.grid_size < 2:
-            raise ValueError("grid_size must be at least 2")
+        _check_alpha(self.alpha, "kdit field 'alpha'")
+        if isinstance(self.grid_size, bool) or not isinstance(self.grid_size, int) \
+                or self.grid_size < 2:
+            raise ValueError(f"kdit field 'grid_size' must be an integer >= 2, "
+                             f"got {self.grid_size!r}")
+
+
+def _check_alpha(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < np.inf:
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 def _kernel_cdf(grid: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray:
-    """mean_j ndtr((grid_i - centers_j) / h) for every grid point, bit for bit.
+    """mean_j ndtr((grid_i - centers_j) / h) for every grid point, to within
+    ndtr(-8.3) = 5.2e-17 per value plus summation rounding.
 
-    SciPy's ``ndtr`` is exactly 1.0 for z >= 8.2924 and exactly 0.0 for
-    z <= -37.6771, so only the columns between those saturation bounds are
-    evaluated; the rest are written as the constants.  With the centers
-    sorted, z falls along a row and rises down the grid, so a block's first
-    row bounds its all-ones columns and its last row its all-zeros columns,
-    both found by bisection on the computed z.  Each row is then put back in
-    the original center order with ``np.take``, which keeps the block
-    C-ordered, so ``mean(axis=1)`` sums every row in the same pairwise order
-    as the full kernel matrix would (fancy indexing ``block[:, inv]`` returns
-    an F-ordered array and changes the summation order).
+    With the centers sorted once, each grid point g needs only the window of
+    centers within NDTR_ONE_Z bandwidths of it.  The ``lo`` centers below the
+    window each contribute exactly 1.0, since SciPy's ``ndtr`` is 1.0 from
+    z = 8.2924 up; the centers above it each contribute less than
+    ndtr(-8.3) and are dropped.  The window reaches one more ulp of g on both
+    sides, so rounding of g -/+ 8.3h never moves a term across either
+    bound, even when h is below the spacing of the data.  Each row is summed
+    in sorted-center order, in one reused buffer.
     """
-    order = np.argsort(centers, kind="stable")
-    inv = np.empty_like(order)
-    inv[order] = np.arange(order.size)
-    ordered = centers[order]
-    keys = ordered.tolist()
-    n, h = ordered.size, float(h)
-    rows = max(1, KDIT_BLOCK // n)
-    block, back = np.empty((rows, n)), np.empty((rows, n))
-    cdf = np.empty_like(grid)
-    for start in range(0, grid.size, rows):
-        g = grid[start:start + rows]
-        first, last = float(g[0]), float(g[-1])
-        lo = bisect_left(keys, True, key=lambda c: (first - c) / h < NDTR_ONE_Z)
-        hi = bisect_left(keys, True, lo=lo, key=lambda c: (last - c) / h <= NDTR_ZERO_Z)
-        b = block[:g.size]
-        b[:, :lo] = 1.0
-        b[:, hi:] = 0.0
-        z = np.subtract.outer(g, ordered[lo:hi])
-        z /= h
-        ndtr(z, out=b[:, lo:hi])
-        cdf[start:start + g.size] = np.take(b, inv, axis=1, out=back[:g.size]).mean(axis=1)
-    return cdf
+    ordered = np.sort(centers)
+    h = float(h)
+    reach = NDTR_ONE_Z * h + np.spacing(np.abs(grid))
+    lo = np.searchsorted(ordered, grid - reach, side="right")
+    hi = np.searchsorted(ordered, grid + reach, side="left")
+    z, cdf = np.empty_like(ordered), np.empty_like(grid)
+    for i, (g, a, b) in enumerate(zip(grid.tolist(), lo.tolist(), hi.tolist())):
+        w = np.subtract(g, ordered[a:b], out=z[:b - a])
+        w /= h
+        cdf[i] = a + ndtr(w, out=w).sum()
+    return cdf / ordered.size
 
 
 def fit_kdit(train: TimeSeriesBatch, config: KditConfig) -> StaticStats:
     """Kernel-smoothed CDF per feature on a grid covering [min - 3h, max + 3h].
 
     The CDF is renormalized over the training range so both limits come out
-    on the [0, 1] scale; constant features are flagged and map to 0.5.  The
-    kernel sum is exact: :func:`_kernel_cdf` skips only the kernel terms that
-    ``ndtr`` saturates to exactly 0 or 1.
+    on the [0, 1] scale; constant features are flagged and map to 0.5.
+    :func:`_kernel_cdf` drops the kernel terms below ndtr(-8.3) = 5.2e-17, so
+    each CDF value is within that of the dense kernel sum, plus rounding.
     """
     _require_data(train)
     grids, cdfs = [], []
@@ -389,9 +380,20 @@ class StaticPipeline:
     fitted: list[StaticStats] = field(default_factory=list)
 
     def __post_init__(self):
+        if not isinstance(self.steps, list):
+            raise ValueError(f"static pipeline field 'steps' must be a list of step names, "
+                             f"got {self.steps!r}")
         for s in self.steps:
-            if s not in _STEPS:
-                raise ValueError(f"unknown pipeline step {s!r}")
+            if not isinstance(s, str) or s not in _STEPS:
+                raise ValueError(f"static pipeline field 'steps' has unknown step {s!r}")
+        q = self.winsorize_quantiles
+        if not (isinstance(q, (list, tuple)) and len(q) == 2
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in q)
+                and 0.0 <= q[0] < q[1] <= 1.0):
+            raise ValueError(f"static pipeline field 'winsorize_quantiles' must be two "
+                             f"quantiles 0 <= lower < upper <= 1, got {q!r}")
+        self.winsorize_quantiles = tuple(q)
+        _check_alpha(self.kdit_alpha, "static pipeline field 'kdit_alpha'")
 
     def fit(self, train: TimeSeriesBatch) -> "StaticPipeline":
         self.fitted = []
@@ -428,13 +430,15 @@ class StaticPipeline:
         for key in ("steps", "stages"):
             if key not in doc:
                 raise ValueError(f"static pipeline is missing field {key!r}")
-        steps, stages = list(doc["steps"]), doc["stages"]
+        steps, stages = doc["steps"], doc["stages"]
+        pipeline = cls(steps=steps,
+                       winsorize_quantiles=doc.get("winsorize_quantiles", (0.01, 0.99)),
+                       kdit_alpha=doc.get("kdit_alpha", 1.0))
+        if not isinstance(stages, list):
+            raise ValueError("static pipeline field 'stages' must be a list of stages")
         if len(stages) != len(steps):
             raise ValueError(f"static pipeline lists {len(steps)} steps "
                              f"but {len(stages)} stages")
-        pipeline = cls(steps=steps,
-                       winsorize_quantiles=tuple(doc.get("winsorize_quantiles", (0.01, 0.99))),
-                       kdit_alpha=doc.get("kdit_alpha", 1.0))
         n_features = None
         for i, (step, stage) in enumerate(zip(steps, stages)):
             if stage.get("step") != step:

@@ -315,6 +315,44 @@ def test_data_and_synth_n_together_are_refused(dataset_csv, capsys):
     assert "exactly one of synthetic/csv_path must be set" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--k", "7"], "--k needs --cv kfold"),
+    (["--cv", "holdout", "--k", "7"], "--k needs --cv kfold"),
+    (["--valid-fraction", "0.5"], "--valid-fraction needs --cv holdout"),
+    (["--cv", "kfold", "--valid-fraction", "0.5"], "--valid-fraction needs --cv holdout"),
+    (["--synth-t", "3"], "--synth-t needs --synth-n"),
+], ids=["k", "k-holdout", "valid-fraction", "valid-fraction-kfold", "synth-t"])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_refining_flag_without_its_partner_is_a_usage_error(capsys, command, flags, message):
+    # before, argparse defaults made these flags indistinguishable from not given,
+    # and they were dropped without a word
+    assert main([command, *flags]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_partner_flag_alone_keeps_the_defaults(tmp_path):
+    alone, spelled = tmp_path / "alone.json", tmp_path / "spelled.json"
+    common = ["train", "--method", "zscore", "--epochs", "1", "--batch-size", "32"]
+    assert main([*common, "--synth-n", "60", "--cv", "kfold", "--out", str(alone)]) == 0
+    assert main([*common, "--synth-n", "60", "--synth-t", "10", "--cv", "kfold", "--k", "5",
+                 "--out", str(spelled)]) == 0
+    assert alone.read_bytes() == spelled.read_bytes()
+    echo = json.loads(alone.read_text())["config"]
+    assert echo["cv"] == {"kind": "kfold", "k": 5}
+    assert echo["dataset"] == {"synthetic": {"n": 60, "t": 10}}
+    assert main([*common, "--synth-n", "60", "--cv", "holdout", "--out", str(alone)]) == 0
+    assert json.loads(alone.read_text())["config"]["cv"] == {"kind": "holdout",
+                                                             "valid_fraction": 0.2}
+
+
+def test_anchored_boundaries_past_the_dataset_exit_two(tmp_path, dataset_csv, capsys):
+    config = small_experiment_config(tmp_path, dataset_csv,
+                                     cv={"kind": "anchored", "boundaries": [0, 40, 80, 500]})
+    assert main(["train", "--config", str(config)]) == 2
+    assert ("error: ValueError: cv.boundaries [0, 40, 80, 500] must lie in [0, N] "
+            "for N = 200 series") in capsys.readouterr().err
+
+
 def test_flags_write_the_fields_of_the_config_they_override(tmp_path, dataset_csv):
     # a config plus flags and one config holding the same values give one report
     base = small_experiment_config(tmp_path, tmp_path / "elsewhere.csv", method="zscore")

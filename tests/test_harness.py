@@ -287,6 +287,18 @@ def test_config_loader_turns_lists_into_tuples():
         cv=hx.CvConfig(kind="anchored", boundaries=(0, 40, 80, 120)))
 
 
+def test_anchored_boundaries_past_the_dataset_are_refused(monkeypatch):
+    calls = []
+    monkeypatch.setattr(hx, "_run_fold", lambda *args: calls.append(args))
+    for boundaries in ([0, 40, 80, 500], [-40, 40, 80]):
+        config = hx.ExperimentConfig.from_json_dict(small_doc(
+            cv={"kind": "anchored", "boundaries": boundaries}))
+        with pytest.raises(ValueError, match=re.escape(
+                f"cv.boundaries {boundaries} must lie in [0, N] for N = 120 series")):
+            hx.run_experiment(config)
+    assert calls == []  # refused before any fold ran
+
+
 def test_readme_example_config_loads():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"### Experiment config \(JSON\).*?```json\n(.*?)```", readme, re.S)

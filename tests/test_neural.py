@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -398,6 +399,23 @@ def test_model_checkpoint_missing_field_is_named():
     del doc["hidden"]
     with pytest.raises(ValueError, match="missing field 'hidden'"):
         nn.GruStack.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("name, values", [
+    ("d_in", [0, -1, 2.0, "2", True, None]),
+    ("hidden", [[], [0], [3.0], ["3"], [True], 3, "3", None]),
+    ("head", [[0], [4.5], ["4"], 4, "4", None]),
+    ("n_classes", [0, 2, 1.0, "1", True, None]),
+    ("dropout", [-0.1, 1.0, "0.2", True, None, [0.2]]),
+])
+def test_model_checkpoint_rejects_bad_header(name, values):
+    for value in values:
+        doc = nn.GruStack(d_in=2, hidden=(3,), head=(4,)).to_json_dict()
+        doc[name] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"model checkpoint field '{name}'"):
+                nn.GruStack.from_json_dict(doc)
 
 
 # --- blocked evaluation -------------------------------------------------------

@@ -332,21 +332,92 @@ def kdit_cases():
     return {"one": one, "many": many, "heavy": heavy, "duplicates": dup}
 
 
-@pytest.mark.parametrize("alpha", [0.01, 1.0, 1e4])
-@pytest.mark.parametrize("case", ["one", "many", "heavy", "duplicates"])
-def test_kdit_fit_equals_dense_reference(case, alpha):
-    train = TimeSeriesBatch(kdit_cases()[case])
+# How far a fitted KDIT CDF value may lie from the dense kernel mean.  The fit
+# drops kernel terms below ndtr(-8.3) = 5.2e-17, whose mean is below that, and
+# sums each row in sorted-center order, which rounds differently from the
+# dense row: a few ulps of a value in [0, 1].  The worst seen over kdit_cases
+# x alpha is 4.4e-16.
+KDIT_CDF_ABS_TOL = 1e-14
+
+
+def assert_kdit_matches_reference(train, alpha):
     fitted = sn.fit_kdit(train, sn.KditConfig(alpha=alpha))
     grids, cdfs, lo, hi = kdit_reference(train, alpha)
     for k in range(train.d):
         assert np.array_equal(fitted.grid[k], grids[k])
-        assert np.array_equal(fitted.cdf[k], cdfs[k])
-    assert np.array_equal(fitted.cdf_lo, lo)
-    assert np.array_equal(fitted.cdf_hi, hi)
+        assert np.max(np.abs(fitted.cdf[k] - cdfs[k])) <= KDIT_CDF_ABS_TOL
+        assert np.all(np.diff(fitted.cdf[k]) >= 0)
+    assert np.max(np.abs(fitted.cdf_lo - lo)) <= KDIT_CDF_ABS_TOL
+    assert np.max(np.abs(fitted.cdf_hi - hi)) <= KDIT_CDF_ABS_TOL
+
+
+@pytest.mark.parametrize("alpha", [0.01, 1.0, 1e4])
+@pytest.mark.parametrize("case", ["one", "many", "heavy", "duplicates"])
+def test_kdit_fit_equals_dense_reference(case, alpha):
+    assert_kdit_matches_reference(TimeSeriesBatch(kdit_cases()[case]), alpha)
+
+
+def test_kdit_fit_with_bandwidth_below_data_spacing():
+    # two values one ulp apart: h is below the spacing of 1.0, so g -/+ 8.3h
+    # rounds back to g, and a center at g must still be evaluated (0.5), not
+    # counted as 1.0
+    train = batch_from([1.0] * 11 + [np.nextafter(1.0, 2.0)])
+    for alpha in (0.01, 1.0, 1e4):
+        assert_kdit_matches_reference(train, alpha)
+
+
+def _centers_at_z(g, h, z):
+    """A center c whose computed (g - c) / h is exactly z, found within 256
+    ulps of g - z * h, with the float on each side of it."""
+    c = below = above = g - z * h
+    for _ in range(256):
+        if (g - c) / h == z:
+            break
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        c = below if (g - below) / h == z else above
+    assert (g - c) / h == z
+    return [np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf)]
+
+
+@pytest.mark.parametrize("g, h", [(0.0, 1.0), (3.7, 0.5), (2.0, 0.3), (-5.0, 0.7)])
+def test_kernel_cdf_at_saturation_edges(g, h):
+    # centers whose z lands exactly on +-8.3 and one ulp to either side
+    rng = np.random.default_rng(32)
+    centers = np.concatenate([_centers_at_z(g, h, sn.NDTR_ONE_Z),
+                              _centers_at_z(g, h, -sn.NDTR_ONE_Z),
+                              g + h * rng.uniform(-12.0, 12.0, 40)])
+    grid = np.array([g - h, g, g + h])
+    dense = ndtr((grid[:, None] - centers[None, :]) / h).mean(axis=1)
+    cdf = sn._kernel_cdf(grid, centers, h)
+    assert np.max(np.abs(cdf - dense)) <= KDIT_CDF_ABS_TOL
+
+
+_kdit_cell = st.one_of(st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False),
+                       st.sampled_from([-3e5, 1e6, 0.5, 0.5000000000000001]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shape=st.tuples(st.integers(1, 12), st.integers(1, 2), st.integers(1, 8)),
+       alpha=st.floats(1e-2, 1e4), heavy=st.booleans(), data_=st.data())
+def test_kdit_fit_matches_dense_reference_property(shape, alpha, heavy, data_):
+    # random sizes and bandwidths; duplicates from a small pool of values and,
+    # with ``heavy``, Student-t(1.2) tails
+    n, d, t = shape
+    if heavy:
+        seed = data_.draw(st.integers(0, 2**32 - 1))
+        values = np.random.default_rng(seed).standard_t(1.2, size=shape)
+    else:
+        pool = data_.draw(st.lists(_kdit_cell, min_size=1, max_size=6))
+        values = np.array(data_.draw(st.lists(st.sampled_from(pool), min_size=n * d * t,
+                                              max_size=n * d * t))).reshape(shape)
+    train = TimeSeriesBatch(values)
+    if any(np.ptp(f) == 0 or f.std() == 0 for f in map(train.pooled, range(d))):
+        return  # a constant feature is flagged, not fitted (tested above)
+    assert_kdit_matches_reference(train, alpha)
 
 
 def test_ndtr_saturation_constants():
-    # the KDIT fit writes 1.0 and 0.0 for kernel terms beyond these bounds
+    # the KDIT fit counts kernel terms with z >= 8.3 as exactly 1.0 ...
     def sweep(z, direction, steps=2000):
         out = [z]
         for _ in range(steps):
@@ -356,16 +427,25 @@ def test_ndtr_saturation_constants():
     one = np.concatenate([sweep(sn.NDTR_ONE_Z, np.inf),
                           np.linspace(sn.NDTR_ONE_Z, 60.0, 100_001),
                           np.geomspace(60.0, 1e300, 1000), [np.inf]])
-    zero = np.concatenate([sweep(sn.NDTR_ZERO_Z, -np.inf),
-                           np.linspace(-60.0, sn.NDTR_ZERO_Z, 100_001),
-                           -np.geomspace(60.0, 1e300, 1000), [-np.inf]])
     assert np.all(ndtr(one) == 1.0)
-    assert np.all(ndtr(zero) == 0.0)
+    # ... and drops those with z <= -8.3, each below this
+    assert ndtr(-sn.NDTR_ONE_Z) <= 5.3e-17
 
 
 def test_kdit_rejects_bad_alpha():
     with pytest.raises(ValueError):
         sn.KditConfig(alpha=0.0)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"alpha": -1.0}, "alpha"), ({"alpha": float("nan")}, "alpha"),
+    ({"alpha": float("inf")}, "alpha"), ({"alpha": "1"}, "alpha"), ({"alpha": True}, "alpha"),
+    ({"grid_size": 1}, "grid_size"), ({"grid_size": 8.0}, "grid_size"),
+    ({"grid_size": True}, "grid_size"), ({"grid_size": "64"}, "grid_size"),
+])
+def test_kdit_config_rejects_bad_fields(kwargs, name):
+    with pytest.raises(ValueError, match=f"'{name}'"):
+        sn.KditConfig(**kwargs)
 
 
 # --- pipeline ----------------------------------------------------------------
@@ -433,12 +513,22 @@ def _scalar_field(doc):
     doc["stages"][0]["mean"] = 0.0
 
 
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_std, "stage 0 (zscore) is missing field 'std'"),
     (_retag, "stage 1 is tagged 'zscore' but step 1 is 'yeo_johnson'"),
     (_drop_stage, "lists 2 steps but 1 stages"),
     (_short_field, "stage 1 (yeo_johnson) field 'lam' has 1 features, expected 2"),
     (_scalar_field, "stage 0 (zscore) field 'mean' is not a per-feature list"),
+    (_set("steps", [["zscore"], "yeo_johnson"]),
+     "static pipeline field 'steps' has unknown step ['zscore']"),
+    (_set("steps", "zscore"), "static pipeline field 'steps' must be a list"),
+    (_set("stages", {}), "static pipeline field 'stages' must be a list"),
+    (_set("winsorize_quantiles", 0.5), "static pipeline field 'winsorize_quantiles'"),
+    (_set("kdit_alpha", float("nan")), "static pipeline field 'kdit_alpha'"),
 ])
 def test_pipeline_json_rejects_malformed_stages(corrupt, message):
     train = TimeSeriesBatch(np.random.default_rng(43).normal(size=(10, 2, 5)))
@@ -448,6 +538,23 @@ def test_pipeline_json_rejects_malformed_stages(corrupt, message):
     with pytest.raises(ValueError) as info:
         sn.StaticPipeline.from_json_dict(doc)
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"steps": ("kdit",)}, "steps"), ({"steps": "kdit"}, "steps"),
+    ({"steps": [["kdit"]]}, "steps"), ({"steps": [3]}, "steps"),
+    ({"winsorize_quantiles": 0.5}, "winsorize_quantiles"),
+    ({"winsorize_quantiles": (0.99, 0.01)}, "winsorize_quantiles"),
+    ({"winsorize_quantiles": (0.01, 1.5)}, "winsorize_quantiles"),
+    ({"winsorize_quantiles": (0.01,)}, "winsorize_quantiles"),
+    ({"winsorize_quantiles": (0.01, "0.99")}, "winsorize_quantiles"),
+    ({"kdit_alpha": float("nan")}, "kdit_alpha"), ({"kdit_alpha": float("inf")}, "kdit_alpha"),
+    ({"kdit_alpha": 0.0}, "kdit_alpha"), ({"kdit_alpha": -2.0}, "kdit_alpha"),
+    ({"kdit_alpha": "1"}, "kdit_alpha"),
+])
+def test_pipeline_rejects_bad_fields(kwargs, name):
+    with pytest.raises(ValueError, match=f"static pipeline field '{name}'"):
+        sn.StaticPipeline(**{"steps": ["kdit"], **kwargs})
 
 
 def test_static_transforms_preserve_order():

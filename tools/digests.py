@@ -5,9 +5,9 @@ Runs ``generate``, then ``train`` (report, checkpoint, history) followed by
 ``preprocess``, all with the ``tsnorm`` package found under ``--src``, in a
 fresh temporary directory with relative paths (reports echo the CSV path).
 Each checkpoint is also loaded and written back, which pins the loaders and
-the writers.  A larger ``generate`` CSV (20,000 rows, several loader chunks
-and KDIT blocks) is loaded and saved again, and a ``kdit`` static pipeline
-is fitted on it.  On that CSV a two-cell ``edain_global`` model with dropout
+the writers.  A larger ``generate`` CSV (20,000 rows, several loader
+chunks) is loaded and saved again, and a ``kdit`` static pipeline is fitted
+on it.  On that CSV a two-cell ``edain_global`` model with dropout
 0.2 between the cells is trained (report, checkpoint, history) and evaluated;
 its 400 validation and 2,000 evaluated series span several evaluation
 blocks.  A last ``train`` is driven by flags alone, with no ``--config``,

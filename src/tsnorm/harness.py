@@ -16,7 +16,7 @@ import json
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .flow_kl import FlowDomainError, KlBijectorParams, fit_kl, normalize_direct
 from .metrics import (amex_metric, binary_accuracy, cohen_kappa, macro_f1, ternary_accuracy)
 from .neural import UNIT_CORRECTIONS, GruStack, IdentityPreproc, TrainConfig, TrainResult, \
     bce_loss, cross_entropy_loss, train_loop
-from .static_norm import StaticPipeline
+from .static_norm import StaticPipeline, check_static_fields
 from .synthgen import default_config, generate_dataset
 from .yeojohnson import PowerDomainError
 
@@ -165,6 +165,8 @@ class ExperimentConfig:
                             ("train.max_epochs", self.train.max_epochs)):
             if value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
+        self.winsorize_quantiles = check_static_fields(self.winsorize_quantiles,
+                                                       self.kdit_alpha, "config")
 
     def resolved_corrections(self) -> dict:
         """The named preset, else the corrections the train config sets, else
@@ -205,6 +207,7 @@ class ExperimentConfig:
         if dataset:
             # both or neither of the two sources is refused by __post_init__
             doc["csv_path"], doc["synthetic"] = dataset.get("csv"), dataset.get("synthetic")
+            _check_value(doc["csv_path"], Optional[str], "config dataset.csv")
             if doc["synthetic"] is not None:
                 doc["synthetic"] = _from_fields(SyntheticSource, doc["synthetic"],
                                                 "config dataset.synthetic")
@@ -226,10 +229,45 @@ def check_keys(doc, section: str, names) -> dict:
 
 
 def _from_fields(cls, doc, section: str):
-    """The dataclass ``cls`` built from the JSON object ``doc``, its lists as tuples."""
+    """The dataclass ``cls`` built from the JSON object ``doc``, its lists as
+    tuples.  A value that does not fit its field's annotation is a ValueError
+    naming the field, such as ``config train.max_epochs``."""
     check_keys(doc, section, {f.name for f in fields(cls)})
-    return cls(**{key: tuple(value) if isinstance(value, list) else value
-                  for key, value in doc.items()})
+    hints = get_type_hints(cls)
+    values = {key: tuple(value) if isinstance(value, list) else value
+              for key, value in doc.items()}
+    for key, value in values.items():
+        _check_value(value, hints[key], f"config {key}" if section == "config"
+                     else f"{section}.{key}")
+    return cls(**values)
+
+
+def _check_value(value, hint, name: str) -> None:
+    if not _fits(value, hint):
+        kind = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _fits(value, hint) -> bool:
+    """Whether a loaded JSON value fits a field annotation: an int is not a
+    bool, a float may be an int, and lists have become tuples."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[...]
+        return any(_fits(value, option) for option in args)
+    if origin is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if origin is dict:
+        return isinstance(value, dict) and all(_fits(k, args[0]) and _fits(v, args[1])
+                                               for k, v in value.items())
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, hint)
 
 
 # ---------------------------------------------------------------------------

@@ -371,7 +371,8 @@ def cross_entropy_loss(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]
 @dataclass
 class TrainConfig:
     base_lr: float = 1e-3
-    corrections: Optional[dict] = None  # None: UNIT_CORRECTIONS, or a method's default preset
+    # None: UNIT_CORRECTIONS, or a method's default preset
+    corrections: Optional[dict[str, float]] = None
     optimizer: str = "adam"
     batch_size: int = 128
     max_epochs: int = 30

@@ -21,9 +21,23 @@ from .data import TimeSeriesBatch
 CDF_EPS = 1e-5
 GOLDEN_TOL = 1e-6
 LAMBDA_RANGE = (-5.0, 5.0)
+TINY = np.finfo(np.float64).tiny  # the smallest positive normal float
 # ndtr(z) is exactly 1.0 from z = 8.2924 up and below 5.2e-17 from -8.3 down:
 # the KDIT fit counts the first kernel terms as 1.0 and drops the second
 NDTR_ONE_Z = 8.3
+# The KDIT fit groups the sorted centers into bins at most KDIT_BIN_WIDTH
+# bandwidths wide and sums each bin's kernel terms from a Taylor expansion
+# about the bin's midpoint (the fast Gauss transform of Greengard & Strain,
+# 1991).  With d_j = (c_j - midpoint)/h and z = (g - midpoint)/h,
+#   sum_j ndtr(z - d_j) = count ndtr(z) - phi(z) sum_k M_k He_{k-1}(z),
+#   M_k = sum_j d_j^k / k!.
+# Every |d_j| <= 1/8, so cutting the series after KDIT_TERMS terms (ndtr and
+# M_1..M_11) leaves at most (1/8)^12/12! * max|He_11 phi| = 3.5e-17 per term.
+KDIT_BIN_WIDTH = 0.25
+KDIT_TERMS = 12
+# a bin this far from g, in bandwidths, has every member NDTR_ONE_Z or more away
+KDIT_REACH = NDTR_ONE_Z + KDIT_BIN_WIDTH / 2
+KDIT_BLOCK = 2 ** 13  # (grid point, bin) pairs evaluated at once: 64 KB a temporary
 
 yeo_johnson = yj.forward
 
@@ -262,29 +276,107 @@ def _check_alpha(value, name: str) -> None:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
+def check_static_fields(winsorize_quantiles, kdit_alpha, owner: str) -> tuple[float, float]:
+    """``winsorize_quantiles`` as a tuple, once it holds two quantiles
+    0 <= lower < upper <= 1 and ``kdit_alpha`` is a finite positive number;
+    otherwise a ValueError naming the field of ``owner`` (a static pipeline
+    or an experiment config)."""
+    q = winsorize_quantiles
+    if not (isinstance(q, (list, tuple)) and len(q) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in q)
+            and 0.0 <= q[0] < q[1] <= 1.0):
+        raise ValueError(f"{owner} field 'winsorize_quantiles' must be two "
+                         f"quantiles 0 <= lower < upper <= 1, got {q!r}")
+    _check_alpha(kdit_alpha, f"{owner} field 'kdit_alpha'")
+    return tuple(q)
+
+
+def _kernel_bins(ordered: np.ndarray, h: float):
+    """The sorted centers grouped into bins at most h/4 wide: each bin's
+    count, midpoint and moments M_1..M_11 (one row per k).
+
+    A gap wider than a bin starts a new run of centers, and each run is cut
+    into cells h/4 wide from its first center.  No center lies more than
+    n/4 bandwidths past the first of its run, so no cell index overflows,
+    whatever the size of h.
+    """
+    gap = np.diff(ordered) > KDIT_BIN_WIDTH * h
+    first = np.flatnonzero(np.concatenate(([True], gap)))
+    cell = np.repeat(ordered[first], np.diff(np.append(first, ordered.size)))
+    np.subtract(ordered, cell, out=cell)
+    cell /= h
+    cell /= KDIT_BIN_WIDTH
+    np.floor(cell, out=cell)
+    starts = np.flatnonzero(np.concatenate(([True], gap | (np.diff(cell) != 0))))
+    count = np.diff(np.append(starts, ordered.size))
+    low, high = ordered[starts], ordered[starts + count - 1]
+    mid = low + (high - low) / 2
+    d = np.subtract(ordered, np.repeat(mid, count), out=cell)  # the cells are done with
+    d /= h
+    term = d.copy()
+    moments = np.empty((KDIT_TERMS - 1, starts.size))
+    for k in range(1, KDIT_TERMS):
+        if k > 1:
+            term *= d
+            term /= k
+        moments[k - 1] = np.add.reduceat(term, starts)
+    return count.astype(np.float64), mid, moments
+
+
+def _bin_terms(z: np.ndarray, bins: np.ndarray, count: np.ndarray,
+               moments: np.ndarray) -> np.ndarray:
+    """The sum of a bin's kernel terms at z = (g - midpoint)/h, for arrays of
+    (grid point, bin) pairs given by z and the bin of each pair; z is clipped
+    to +-KDIT_REACH in place."""
+    np.clip(z, -KDIT_REACH, KDIT_REACH, out=z)  # keeps z^10 and exp finite
+    count = count[bins]
+    # sum_k M_k He_{k-1}(z), with He_{k+1} = z He_k - k He_{k-1}
+    he_prev, he = 1.0, z
+    series = moments[0][bins] + moments[1][bins] * z
+    for k in range(1, KDIT_TERMS - 2):
+        he_prev, he = he, z * he - k * he_prev
+        series += moments[k + 1][bins] * he
+    terms = count * ndtr(z) - series * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+    np.copyto(terms, count, where=z >= KDIT_REACH)  # every member has ndtr == 1.0
+    np.copyto(terms, 0.0, where=z <= -KDIT_REACH)   # every member is below ndtr(-8.3)
+    return terms
+
+
 def _kernel_cdf(grid: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray:
     """mean_j ndtr((grid_i - centers_j) / h) for every grid point, to within
-    ndtr(-8.3) = 5.2e-17 per value plus summation rounding.
+    ndtr(-8.3) + 3.5e-17 per value plus summation rounding.
 
-    With the centers sorted once, each grid point g needs only the window of
-    centers within NDTR_ONE_Z bandwidths of it.  The ``lo`` centers below the
-    window each contribute exactly 1.0, since SciPy's ``ndtr`` is 1.0 from
-    z = 8.2924 up; the centers above it each contribute less than
-    ndtr(-8.3) and are dropped.  The window reaches one more ulp of g on both
-    sides, so rounding of g -/+ 8.3h never moves a term across either
-    bound, even when h is below the spacing of the data.  Each row is summed
-    in sorted-center order, in one reused buffer.
+    The sorted centers are grouped into bins at most h/4 wide, and the kernel
+    terms of each bin are summed from its count and 11 moments (see
+    KDIT_BIN_WIDTH).  Each grid point g evaluates only the window of bins
+    whose midpoints lie within KDIT_REACH bandwidths of it.  Every member of
+    a bin below the window has z >= 8.3, where SciPy's ``ndtr`` is exactly
+    1.0, so those bins add their counts; every member of a bin above it has
+    a term below ndtr(-8.3) = 5.2e-17, and those bins are dropped.  The
+    window reaches one more ulp of g on both sides, so rounding of g -/+
+    reach never moves a bin across either bound, even when h is below the
+    spacing of the data.  The (grid point, bin) pairs of the windows are
+    evaluated at most KDIT_BLOCK at a time, and each row is summed in bin
+    order.
     """
     ordered = np.sort(centers)
     h = float(h)
-    reach = NDTR_ONE_Z * h + np.spacing(np.abs(grid))
-    lo = np.searchsorted(ordered, grid - reach, side="right")
-    hi = np.searchsorted(ordered, grid + reach, side="left")
-    z, cdf = np.empty_like(ordered), np.empty_like(grid)
-    for i, (g, a, b) in enumerate(zip(grid.tolist(), lo.tolist(), hi.tolist())):
-        w = np.subtract(g, ordered[a:b], out=z[:b - a])
-        w /= h
-        cdf[i] = a + ndtr(w, out=w).sum()
+    count, mid, moments = _kernel_bins(ordered, h)
+    reach = KDIT_REACH * h + np.spacing(np.abs(grid))
+    lo = np.searchsorted(mid, grid - reach, side="right")
+    width = np.searchsorted(mid, grid + reach, side="left") - lo
+    ends = np.cumsum(width)
+    cdf = np.concatenate(([0.0], np.cumsum(count)))[lo]
+    i = 0
+    while i < grid.size:
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] - width[i] + KDIT_BLOCK, side="right")))
+        w = width[i:j]
+        row = np.repeat(np.arange(j - i), w)
+        bins = np.arange(w.sum()) + np.repeat(lo[i:j] - (np.cumsum(w) - w), w)
+        z = grid[i:j][row] - mid[bins]
+        z /= h
+        cdf[i:j] += np.bincount(row, _bin_terms(z, bins, count, moments), minlength=j - i)
+        i = j
     return cdf / ordered.size
 
 
@@ -293,8 +385,13 @@ def fit_kdit(train: TimeSeriesBatch, config: KditConfig) -> StaticStats:
 
     The CDF is renormalized over the training range so both limits come out
     on the [0, 1] scale; constant features are flagged and map to 0.5.
-    :func:`_kernel_cdf` drops the kernel terms below ndtr(-8.3) = 5.2e-17, so
-    each CDF value is within that of the dense kernel sum, plus rounding.
+    :func:`_kernel_cdf` drops the kernel terms below ndtr(-8.3) = 5.2e-17
+    and sums the others by bins, from a series cut at 3.5e-17 a term, so
+    each CDF value is within 8.7e-17 of the dense kernel mean, plus
+    rounding.  An ``alpha`` that gives a feature
+    a bandwidth that is not a positive normal float, a grid that is not
+    finite in bandwidths, or a CDF that does not rise over the training
+    range is a ValueError naming ``alpha`` and the feature.
     """
     _require_data(train)
     grids, cdfs = [], []
@@ -312,14 +409,25 @@ def fit_kdit(train: TimeSeriesBatch, config: KditConfig) -> StaticStats:
             cdfs.append(np.array([0.0, 1.0]))
             lo[k], hi[k], bw[k] = 0.0, 1.0, 0.0
             continue
-        h = config.alpha * sd * n ** (-0.2)
+        with np.errstate(over="ignore"):
+            h = config.alpha * sd * n ** (-0.2)
+            first, last = centers.min() - 3.0 * h, centers.max() + 3.0 * h
+            usable = TINY <= h < np.inf and np.isfinite((last - first) / h)
+        if not usable:
+            raise ValueError(f"kdit field 'alpha' = {config.alpha!r} gives feature {k} the "
+                             f"bandwidth {float(h)!r}; it must be a positive normal float "
+                             f"that spans the grid in finitely many bandwidths")
         bw[k] = h
-        grid = np.linspace(centers.min() - 3.0 * h, centers.max() + 3.0 * h, config.grid_size)
+        grid = np.linspace(first, last, config.grid_size)
         cdf = _kernel_cdf(grid, centers, h)
         grids.append(grid)
         cdfs.append(cdf)
         lo[k] = np.interp(centers.min(), grid, cdf)
         hi[k] = np.interp(centers.max(), grid, cdf)
+        if not hi[k] > lo[k]:
+            raise ValueError(f"kdit field 'alpha' = {config.alpha!r} gives feature {k} "
+                             f"a CDF that does not rise over the training range "
+                             f"({float(lo[k])!r} to {float(hi[k])!r})")
     return StaticStats(alpha=config.alpha, grid=grids, cdf=cdfs, cdf_lo=lo, cdf_hi=hi,
                        bandwidth=bw, zero_variance=zero)
 
@@ -386,14 +494,8 @@ class StaticPipeline:
         for s in self.steps:
             if not isinstance(s, str) or s not in _STEPS:
                 raise ValueError(f"static pipeline field 'steps' has unknown step {s!r}")
-        q = self.winsorize_quantiles
-        if not (isinstance(q, (list, tuple)) and len(q) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in q)
-                and 0.0 <= q[0] < q[1] <= 1.0):
-            raise ValueError(f"static pipeline field 'winsorize_quantiles' must be two "
-                             f"quantiles 0 <= lower < upper <= 1, got {q!r}")
-        self.winsorize_quantiles = tuple(q)
-        _check_alpha(self.kdit_alpha, "static pipeline field 'kdit_alpha'")
+        self.winsorize_quantiles = check_static_fields(self.winsorize_quantiles,
+                                                       self.kdit_alpha, "static pipeline")
 
     def fit(self, train: TimeSeriesBatch) -> "StaticPipeline":
         self.fitted = []
@@ -424,9 +526,9 @@ class StaticPipeline:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StaticPipeline":
-        """Load a fitted pipeline; a stage that is missing, mistagged, lacks a
-        field of its step or disagrees on the feature count is a ValueError
-        naming the stage and the field."""
+        """Load a fitted pipeline; a stage that is missing, not an object,
+        mistagged, lacks a field of its step or disagrees on the feature count
+        is a ValueError naming the stage and the field."""
         for key in ("steps", "stages"):
             if key not in doc:
                 raise ValueError(f"static pipeline is missing field {key!r}")
@@ -441,6 +543,8 @@ class StaticPipeline:
                              f"but {len(stages)} stages")
         n_features = None
         for i, (step, stage) in enumerate(zip(steps, stages)):
+            if not isinstance(stage, dict):
+                raise ValueError(f"stage {i} must be a JSON object, not {type(stage).__name__}")
             if stage.get("step") != step:
                 raise ValueError(f"stage {i} is tagged {stage.get('step')!r} "
                                  f"but step {i} is {step!r}")

@@ -345,6 +345,21 @@ def test_partner_flag_alone_keeps_the_defaults(tmp_path):
                                                              "valid_fraction": 0.2}
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"kdit_alpha": float("nan")}, "config field 'kdit_alpha' must be a finite positive number"),
+    ({"winsorize_quantiles": [0.9, 0.1]}, "config field 'winsorize_quantiles' must be two quantiles"),
+    ({"train": {"max_epochs": "3"}}, "config train.max_epochs must be int, got '3'"),
+    ({"cv": {"kind": "kfold", "k": "3"}}, "config cv.k must be int, got '3'"),
+], ids=["kdit_alpha", "winsorize_quantiles", "max_epochs", "k"])
+def test_train_refuses_a_bad_config_value_with_exit_two(tmp_path, dataset_csv, capsys, extra,
+                                                        message):
+    config = small_experiment_config(tmp_path, dataset_csv, method="edain_global", **extra)
+    out = tmp_path / "report.json"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+    assert f"error: ValueError: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_anchored_boundaries_past_the_dataset_exit_two(tmp_path, dataset_csv, capsys):
     config = small_experiment_config(tmp_path, dataset_csv,
                                      cv={"kind": "anchored", "boundaries": [0, 40, 80, 500]})

@@ -275,6 +275,52 @@ def test_malformed_config_values_are_refused(doc, message):
         hx.ExperimentConfig.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"train": {"max_epochs": "3"}}, "config train.max_epochs must be int, got '3'"),
+    ({"cv": {"kind": "kfold", "k": "3"}}, "config cv.k must be int, got '3'"),
+    ({"cv": {"kind": "anchored", "boundaries": [0, 1.5, 3]}},
+     "config cv.boundaries must be Optional[tuple[int, ...]], got (0, 1.5, 3)"),
+    ({"cv": {"kind": 3}}, "config cv.kind must be str, got 3"),
+    ({"repetitions": True}, "config repetitions must be int, got True"),
+    ({"seed": 1.5}, "config seed must be int, got 1.5"),
+    ({"method": None}, "config method must be str, got None"),
+    ({"preset": ["desk-global"]}, "config preset must be Optional[str], got ('desk-global',)"),
+    ({"sublayers": ["shift", 3]}, "config sublayers must be tuple[str, ...], got ('shift', 3)"),
+    ({"kdit_alpha": "1"}, "config kdit_alpha must be float, got '1'"),
+    ({"winsorize_quantiles": [0.1]},
+     "config winsorize_quantiles must be tuple[float, float], got (0.1,)"),
+    ({"warm_start": 1}, "config warm_start must be bool, got 1"),
+    ({"model": {"hidden": [4, "8"]}}, "config model.hidden must be tuple[int, ...], got (4, '8')"),
+    ({"model": {"head": [[4]]}}, "config model.head must be tuple[int, ...], got ([4],)"),
+    ({"model": {"dropout": "0.1"}}, "config model.dropout must be float, got '0.1'"),
+    ({"train": {"base_lr": None}}, "config train.base_lr must be float, got None"),
+    ({"train": {"milestones": [4.5]}}, "config train.milestones must be tuple[int, ...], got (4.5,)"),
+    ({"train": {"corrections": {"shift": "x"}}},
+     "config train.corrections must be Optional[dict[str, float]], got {'shift': 'x'}"),
+    ({"train": {"optimizer": 1}}, "config train.optimizer must be str, got 1"),
+    ({"dataset": {"synthetic": {"n": 1.5}}}, "config dataset.synthetic.n must be int, got 1.5"),
+    ({"dataset": {"csv": 5}}, "config dataset.csv must be Optional[str], got 5"),
+], ids=lambda v: "" if isinstance(v, str) else json.dumps(v))
+def test_config_value_of_the_wrong_type_is_refused_by_name(extra, message):
+    # before, most of these ended in a bare TypeError from a later comparison
+    with pytest.raises(ValueError) as info:
+        hx.ExperimentConfig.from_json_dict(small_doc(**extra))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("extra, field", [
+    ({"kdit_alpha": float("nan")}, "kdit_alpha"), ({"kdit_alpha": 0}, "kdit_alpha"),
+    ({"winsorize_quantiles": [0.9, 0.1]}, "winsorize_quantiles"),
+    ({"winsorize_quantiles": [0.0, 1.5]}, "winsorize_quantiles"),
+])
+@pytest.mark.parametrize("method", ["edain_global", "kdit"])
+def test_static_fields_are_checked_when_the_config_loads(extra, field, method):
+    # the EDAIN and DAIN methods never build a static pipeline, so only the
+    # config can refuse these
+    with pytest.raises(ValueError, match=f"^config field '{field}' must be "):
+        hx.ExperimentConfig.from_json_dict(small_doc(method=method, **extra))
+
+
 def test_config_loader_turns_lists_into_tuples():
     cfg = hx.ExperimentConfig.from_json_dict(small_doc(
         sublayers=["shift", "scale"], winsorize_quantiles=[0.05, 0.95],

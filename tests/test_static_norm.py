@@ -333,10 +333,10 @@ def kdit_cases():
 
 
 # How far a fitted KDIT CDF value may lie from the dense kernel mean.  The fit
-# drops kernel terms below ndtr(-8.3) = 5.2e-17, whose mean is below that, and
-# sums each row in sorted-center order, which rounds differently from the
-# dense row: a few ulps of a value in [0, 1].  The worst seen over kdit_cases
-# x alpha is 4.4e-16.
+# drops kernel terms below ndtr(-8.3) = 5.2e-17, cuts each bin's Taylor series
+# at 3.5e-17 a term (both bounds hold for the mean too), and sums by bins in
+# sorted order, which rounds differently from the dense row: a few ulps of a
+# value in [0, 1].  The worst seen over the cases below is 5.6e-16.
 KDIT_CDF_ABS_TOL = 1e-14
 
 
@@ -355,6 +355,57 @@ def assert_kdit_matches_reference(train, alpha):
 @pytest.mark.parametrize("case", ["one", "many", "heavy", "duplicates"])
 def test_kdit_fit_equals_dense_reference(case, alpha):
     assert_kdit_matches_reference(TimeSeriesBatch(kdit_cases()[case]), alpha)
+
+
+def _wide_alpha_cases():
+    rng = np.random.default_rng(33)
+    cluster = np.append(rng.normal(0.0, 1e-3, 2999), 1e6)
+    return {"normal": rng.normal(size=(100, 1, 30)), "cluster": cluster.reshape(1, 1, -1)}
+
+
+@pytest.mark.parametrize("alpha", [1e-8, 1e-2, 1.0, 1e4, 1e8])
+@pytest.mark.parametrize("case", ["normal", "cluster"])
+def test_kdit_fit_equals_dense_reference_across_alpha(case, alpha):
+    # a few thousand centers, from bins of one center each (1e-8) to one bin
+    # for all of them (1e8); the cluster case puts 2,999 centers within a few
+    # bins and one far outside every window
+    assert_kdit_matches_reference(TimeSeriesBatch(_wide_alpha_cases()[case]), alpha)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.37, 3e-5])
+def test_kernel_cdf_with_centers_on_bin_boundaries(h):
+    # centers exactly on the cell edges c0 + k h/4 and one ulp to either side
+    edges = 2.5 + np.arange(12) * (h * sn.KDIT_BIN_WIDTH)
+    centers = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+    count, mid, _ = sn._kernel_bins(np.sort(centers), h)
+    offsets = (np.sort(centers) - np.repeat(mid, count.astype(int))) / h
+    assert np.max(np.abs(offsets)) <= 0.125 * (1 + 1e-12)  # what the 3.5e-17 bound needs
+    grid = np.linspace(centers.min() - 10 * h, centers.max() + 10 * h, 997)
+    dense = ndtr((grid[:, None] - centers[None, :]) / h).mean(axis=1)
+    cdf = sn._kernel_cdf(grid, centers, h)
+    assert np.max(np.abs(cdf - dense)) <= KDIT_CDF_ABS_TOL
+    assert np.all(np.diff(cdf) >= 0)
+
+
+def test_bin_terms_are_exact_past_the_reach():
+    # a bin KDIT_REACH or more below g adds exactly its count, one as far above
+    # adds exactly 0, whatever its moments
+    z = np.array([60.0, sn.KDIT_REACH, -sn.KDIT_REACH, -60.0])
+    count = np.array([3.0, 5.0, 7.0, 2.0])
+    moments = np.full((sn.KDIT_TERMS - 1, z.size), -0.01)
+    terms = sn._bin_terms(z, np.arange(z.size), count, moments)
+    assert np.array_equal(terms, [3.0, 5.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("alpha, why", [(5e-324, "the bandwidth 0.0"),
+                                        (1e300, "does not rise")])
+def test_kdit_fit_refuses_a_degenerate_bandwidth(alpha, why):
+    # 5e-324 gives h = 0 (NaN CDFs before), 1e300 a flat CDF (0/0 in apply)
+    train = TimeSeriesBatch(np.random.default_rng(34).normal(size=(10, 2, 5)))
+    with pytest.raises(ValueError) as info:
+        sn.fit_kdit(train, sn.KditConfig(alpha=alpha))
+    assert f"kdit field 'alpha' = {alpha!r} gives feature 0 " in str(info.value)
+    assert why in str(info.value)
 
 
 def test_kdit_fit_with_bandwidth_below_data_spacing():
@@ -398,7 +449,7 @@ _kdit_cell = st.one_of(st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=F
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(shape=st.tuples(st.integers(1, 12), st.integers(1, 2), st.integers(1, 8)),
-       alpha=st.floats(1e-2, 1e4), heavy=st.booleans(), data_=st.data())
+       alpha=st.floats(1e-6, 1e8), heavy=st.booleans(), data_=st.data())
 def test_kdit_fit_matches_dense_reference_property(shape, alpha, heavy, data_):
     # random sizes and bandwidths; duplicates from a small pool of values and,
     # with ``heavy``, Student-t(1.2) tails
@@ -529,6 +580,7 @@ def _set(key, value):
     (_set("stages", {}), "static pipeline field 'stages' must be a list"),
     (_set("winsorize_quantiles", 0.5), "static pipeline field 'winsorize_quantiles'"),
     (_set("kdit_alpha", float("nan")), "static pipeline field 'kdit_alpha'"),
+    (lambda doc: doc["stages"].__setitem__(0, 1), "stage 0 must be a JSON object, not int"),
 ])
 def test_pipeline_json_rejects_malformed_stages(corrupt, message):
     train = TimeSeriesBatch(np.random.default_rng(43).normal(size=(10, 2, 5)))

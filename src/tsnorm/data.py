@@ -6,8 +6,9 @@ series, and an optional per-series weight vector.  Everything downstream
 (normalization layers, the training stack, the synthetic generator) passes
 these batches around.  Building a :class:`TimeSeriesBatch` scans its values
 for NaN/Inf and freezes a private copy unless it is handed an array that is
-already read-only and C-contiguous, so each new batch (every layer output and
-every minibatch) costs a pass and usually a copy.
+already read-only and C-contiguous.  Callers that build a fresh array for a
+batch (a minibatch, a row subset, EDAIN's output) freeze it themselves, so
+such a batch costs the scan but no second copy.
 """
 
 from __future__ import annotations
@@ -159,8 +160,10 @@ class LabeledDataset:
             w = self.weights[indices]
             total = w.sum()
             w = w / total if total > 0 else np.full(len(indices), 1.0 / max(len(indices), 1))
+        values = self.batch.values[indices]  # a fresh array: frozen, not copied again
+        values.flags.writeable = False
         return LabeledDataset(
-            TimeSeriesBatch(self.batch.values[indices]),
+            TimeSeriesBatch(values),
             self.labels[indices],
             self.label_kind,
             w,

@@ -38,9 +38,11 @@ UNIT_CORRECTIONS = {"outlier": 1.0, "shift": 1.0, "scale": 1.0, "power": 1.0}  #
 PREDICT_ROWS = 128  # series per block of the eval-mode passes (:func:`predict`)
 
 
-def _sigmoid(v):
-    # branch-free: tanh saturates where exp would overflow or underflow
-    out = np.tanh(0.5 * v)
+def _sigmoid(v, out=None):
+    # branch-free: tanh saturates where exp would overflow or underflow;
+    # ``out=v`` runs it in place
+    out = np.multiply(v, 0.5, out=out)
+    np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
     return out
@@ -197,7 +199,8 @@ def _cell_forward(stacked: dict, seq: np.ndarray) -> tuple[np.ndarray, dict]:
     t_steps, n, _ = seq.shape
     wh = stacked["wh"]
     h_dim = wh.shape[0]
-    proj = seq.reshape(t_steps * n, -1) @ stacked["wx"] + stacked["b"]
+    proj = seq.reshape(t_steps * n, -1) @ stacked["wx"]
+    proj += stacked["b"]
     proj = proj.reshape(t_steps, n, 3 * h_dim)
 
     h = np.zeros((n, h_dim))
@@ -208,7 +211,8 @@ def _cell_forward(stacked: dict, seq: np.ndarray) -> tuple[np.ndarray, dict]:
     qs = np.empty_like(outs)
     for t in range(t_steps):
         hw = h @ wh
-        rz = _sigmoid(proj[t, :, :2 * h_dim] + hw[:, :2 * h_dim])
+        rz = proj[t, :, :2 * h_dim] + hw[:, :2 * h_dim]
+        _sigmoid(rz, out=rz)
         # per-gate contiguous copies: BPTT's elementwise ops run ~2.5x slower
         # on column slices of a stacked block
         r, z, q = rs[t], zs[t], qs[t]
@@ -222,9 +226,11 @@ def _cell_forward(stacked: dict, seq: np.ndarray) -> tuple[np.ndarray, dict]:
     return outs, cache
 
 
-def _cell_backward(dout: np.ndarray, cache: dict) -> tuple[dict, np.ndarray]:
+def _cell_backward(dout: np.ndarray, cache: dict,
+                   input_grad: bool = True) -> tuple[dict, Optional[np.ndarray]]:
     """BPTT through one cell.  ``dout`` is the (T, N, H) gradient of the cell's
-    per-step outputs; returns parameter grads and the (T, N, In) input grad."""
+    per-step outputs; returns parameter grads and the (T, N, In) input grad,
+    None unless ``input_grad`` is set."""
     stacked = cache["stacked"]
     seq, rs, zs, ns, qs, outs = cache["seq"], cache["r"], cache["z"], cache["n"], cache["q"], cache["out"]
     t_steps, n, h_dim = dout.shape
@@ -257,8 +263,9 @@ def _cell_backward(dout: np.ndarray, cache: dict) -> tuple[dict, np.ndarray]:
     blocks = {"wx": flat_seq.T @ flat_dp, "wh": g_wh, "b": flat_dp.sum(axis=0)}
     grads = {f"{kind}{gate}": block[..., g * h_dim:(g + 1) * h_dim]
              for kind, block in blocks.items() for g, gate in enumerate("rzn")}
-    d_seq = (flat_dp @ stacked["wx"].T).reshape(seq.shape)
-    return grads, d_seq
+    if not input_grad:
+        return grads, None
+    return grads, (flat_dp @ stacked["wx"].T).reshape(seq.shape)
 
 
 def gru_forward(x: TimeSeriesBatch, model: GruStack, training: bool = False,
@@ -299,8 +306,11 @@ def gru_forward(x: TimeSeriesBatch, model: GruStack, training: bool = False,
     return probs, cache
 
 
-def gru_backward(d_logits: np.ndarray, cache: dict) -> tuple[dict, np.ndarray]:
-    """Backpropagation through head and time; also returns the input gradient."""
+def gru_backward(d_logits: np.ndarray, cache: dict,
+                 input_grad: bool = True) -> tuple[dict, Optional[np.ndarray]]:
+    """Backpropagation through head and time; also returns the input
+    gradient, or None when ``input_grad`` is off (the first cell then skips
+    its ``d_seq`` product)."""
     model: GruStack = cache["model"]
     acts, pre_acts = cache["acts"], cache["pre"]
     if d_logits.ndim == 1:
@@ -323,14 +333,15 @@ def gru_backward(d_logits: np.ndarray, cache: dict) -> tuple[dict, np.ndarray]:
         if dout is None:
             dout = np.zeros_like(cache["cells"][i]["out"])
             dout[t_steps - 1] = d_last
-        cell_grads, d_seq = _cell_backward(dout, cache["cells"][i])
+        cell_grads, d_seq = _cell_backward(dout, cache["cells"][i], input_grad or i > 0)
         for name, g in cell_grads.items():
             grads[f"cell{i}.{name}"] = g
         if i > 0:
             mask = cache["masks"][i - 1]
             dout = d_seq * mask if mask is not None else d_seq
-    grad_input = np.moveaxis(d_seq, 0, 2)  # back to (N, d, T)
-    return grads, grad_input
+    if not input_grad:
+        return grads, None
+    return grads, np.moveaxis(d_seq, 0, 2)  # back to (N, d, T)
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +486,10 @@ class IdentityPreproc(Trainable):
     def forward(self, x: TimeSeriesBatch, training: bool):
         return x, None
 
-    def backward(self, grad_out, cache):
-        return {}, grad_out
+    def backward(self, grad_out, cache, input_grad: bool = True):
+        """(parameter grads, input grad); the input grad is None unless
+        ``input_grad`` is set."""
+        return {}, grad_out if input_grad else None
 
     def projection(self):
         return None
@@ -563,6 +576,8 @@ def train_loop(train: LabeledDataset, valid: LabeledDataset, preproc, model: Gru
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = {**model.parameters(), **preproc.parameters()}
+    # the GRU's input gradient is read only by a preprocessing layer that trains
+    trains_preproc = bool(preproc.parameters())
     groups = {**model.groups(), **preproc.groups()}
     optimizer = Optimizer(config, projection=preproc.projection)
 
@@ -577,7 +592,9 @@ def train_loop(train: LabeledDataset, valid: LabeledDataset, preproc, model: Gru
         total_loss = 0.0
         total_count = 0
         for idx in minibatch_indices(train.n, config.batch_size, rng, shuffle=True):
-            xb = TimeSeriesBatch(train.batch.values[idx])
+            values = train.batch.values[idx]  # a fresh array: frozen, not copied again
+            values.flags.writeable = False
+            xb = TimeSeriesBatch(values)
             yb = train.labels[idx]
             xn, pcache = preproc.forward(xb, training=True)
             probs, mcache = gru_forward(xn, model, training=True, rng=rng)
@@ -589,9 +606,10 @@ def train_loop(train: LabeledDataset, valid: LabeledDataset, preproc, model: Gru
                 raise FloatingPointError(
                     f"non-finite training loss at epoch {epoch} (batch of {len(idx)})"
                 )
-            model_grads, grad_input = gru_backward(d_logits, mcache)
-            preproc_grads, _ = preproc.backward(grad_input, pcache)
-            optimizer.step(params, {**model_grads, **preproc_grads}, groups)
+            grads, grad_input = gru_backward(d_logits, mcache, input_grad=trains_preproc)
+            if trains_preproc:
+                grads.update(preproc.backward(grad_input, pcache, input_grad=False)[0])
+            optimizer.step(params, grads, groups)
             total_loss += loss * len(idx)
             total_count += len(idx)
 

@@ -114,8 +114,13 @@ def fit_zscore(train: TimeSeriesBatch) -> StaticStats:
     pooled = train.values.reshape(train.n, train.d, train.t)
     mean = pooled.mean(axis=(0, 2))
     std = np.sqrt(((pooled - mean[None, :, None]) ** 2).mean(axis=(0, 2)))
-    constant = pooled.min(axis=(0, 2)) == pooled.max(axis=(0, 2))  # equal values can give std > 0
-    return StaticStats(mean=mean, std=std, zero_variance=(std == 0.0) | constant)
+    # Equal values can give std > 0, but only by the rounding of the mean, far
+    # below 1e-12*|mean|; a NaN or inf std (an overflowing mean) is suspect too.
+    # Only suspect features pay for the min/max pass.
+    zero = std == 0.0
+    for k in np.flatnonzero(~(std > 1e-12 * np.abs(mean)) & ~zero):
+        zero[k] = pooled[:, k, :].min() == pooled[:, k, :].max()
+    return StaticStats(mean=mean, std=std, zero_variance=zero)
 
 
 def apply_zscore(x: TimeSeriesBatch, stats: StaticStats) -> TimeSeriesBatch:
@@ -527,8 +532,10 @@ class StaticPipeline:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StaticPipeline":
         """Load a fitted pipeline; a stage that is missing, not an object,
-        mistagged, lacks a field of its step or disagrees on the feature count
-        is a ValueError naming the stage and the field."""
+        mistagged, lacks a field of its step or disagrees on the feature count,
+        or a kdit stage whose ``cdf_hi`` is not above its ``cdf_lo`` for a
+        feature not flagged ``zero_variance``, is a ValueError naming the
+        stage and the field."""
         for key in ("steps", "stages"):
             if key not in doc:
                 raise ValueError(f"static pipeline is missing field {key!r}")
@@ -562,5 +569,13 @@ class StaticPipeline:
                 if len(value) != n_features:
                     raise ValueError(f"stage {i} ({step}) field {name!r} has "
                                      f"{len(value)} features, expected {n_features}")
-            pipeline.fitted.append(StaticStats.from_json_dict(stage))
+            stats = StaticStats.from_json_dict(stage)
+            if step == "kdit":  # apply_kdit divides by cdf_hi - cdf_lo
+                flat = ~(stats.cdf_hi > stats.cdf_lo) & ~stats.zero_variance
+                if flat.any():
+                    k = int(np.argmax(flat))
+                    raise ValueError(f"stage {i} (kdit) field 'cdf_hi' must be above 'cdf_lo' "
+                                     f"for feature {k}, got {float(stats.cdf_hi[k])!r} and "
+                                     f"{float(stats.cdf_lo[k])!r}")
+            pipeline.fitted.append(stats)
         return pipeline

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradcheck import check_grads
-from tsnorm.data import TimeSeriesBatch
+from tsnorm.data import LabeledDataset, NonFiniteBatchError, TimeSeriesBatch
+from tsnorm.harness import ABLATION_ROWS
 from tsnorm import adaptive as ad
+from tsnorm import neural as nn
 from tsnorm import static_norm as sn
+from tsnorm import yeojohnson as yj
 
 
 def random_params(rng, d, mode=ad.GLOBAL_AWARE, alpha_range=(0.1, 0.9)):
@@ -491,3 +494,167 @@ def test_edain_layer_warm_start_is_zscore():
     out, _ = layer.forward(train, training=False)
     want = sn.apply_zscore(train, sn.fit_zscore(train))
     assert np.allclose(out.values, want.values)
+
+
+# --- the blocked chain against the whole-batch stage wrappers -----------------
+
+EDAIN_SUBSETS = [rows for _, rows in ABLATION_ROWS if rows is not None]
+
+
+def wrapper_chain(x, params, state, enabled, grad):
+    """EDAIN as one whole-batch pass of each enabled per-stage wrapper; returns
+    (output, {param: grad}, grad_input, state)."""
+    local = params.mode == ad.LOCAL_AWARE
+    use_shift, use_scale = "shift" in enabled, "scale" in enabled
+    steps = []
+    if "om" in enabled:
+        if not local:
+            state = ad.update_running_mean(state, x)
+        x, c = ad.outlier_forward(x, params, ad.local_summary(x) if local else state)
+        steps.append(("om", c))
+    if use_shift or use_scale:
+        x, c = ad.shift_scale_forward(x, params, None, use_shift, use_scale)
+        steps.append(("ss", c))
+    if "power" in enabled:
+        x, c = ad.power_forward(x, params)
+        steps.append(("pw", c))
+    grads = {name: np.zeros(params.d) for name in ad.EDAIN_GROUPS}
+    g = grad
+    for name, c in reversed(steps):
+        if name == "pw":
+            g, grads["lam"] = ad.power_backward(g, c)
+        elif name == "ss":
+            g, grads["m"], grads["s"] = ad.shift_scale_backward(g, c)
+        else:
+            g, grads["alpha"], grads["beta"] = ad.outlier_backward(g, c)
+    return x.values, grads, g, state
+
+
+def gru_layout(grad):
+    """``grad`` laid out as ``gru_backward`` hands it over: a (T, N, d) array
+    viewed as (N, d, T)."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(grad, 2, 0)), 0, 2)
+
+
+def _block_rows(d, t):
+    return ad.EDAIN_BLOCK_ELEMENTS // (d * t)
+
+
+# (shape, blocks): N = 1; a wide batch; one series past a block boundary;
+# d = 1, one block however long; d*T above the block size, one series a block
+CHAIN_SHAPES = [
+    ((1, 128, 13), 1),
+    ((128, 128, 13), -(-128 // _block_rows(128, 13))),
+    ((_block_rows(64, 9) + 1, 64, 9), 2),
+    ((4 * ad.EDAIN_BLOCK_ELEMENTS // 20, 1, 20), 1),
+    ((3, 7, ad.EDAIN_BLOCK_ELEMENTS // 7 + 1), 3),
+]
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("shape, blocks", CHAIN_SHAPES)
+@pytest.mark.parametrize("mode", [ad.GLOBAL_AWARE, ad.LOCAL_AWARE])
+def test_blocked_chain_equals_stage_wrappers_bitwise(shape, blocks, mode):
+    rng = np.random.default_rng(sum(shape))
+    n, d, t = shape
+    values = rng.standard_t(4, size=shape) * 2.0 + 0.3
+    values[0, 0, :] = 1.25  # a constant series: its sigma is floored in local mode
+    x = TimeSeriesBatch(values)
+    params = random_params(rng, d, mode)
+    params.lam[0] = 2.0 - 1e-7  # a power-transform branch window
+    grad = rng.normal(size=shape)
+    for enabled in EDAIN_SUBSETS:
+        state = ad.RunningMean(rng.normal(size=d), 9)
+        out, cache, new_state = ad.edain_forward(x, params, state, training=True,
+                                                 enabled=enabled)
+        assert len(cache["blocks"]) == blocks
+        for g in (grad, gru_layout(grad)):
+            want_out, want_grads, want_gx, want_state = wrapper_chain(x, params, state,
+                                                                      enabled, g)
+            assert _same_bits(out.values, want_out), enabled
+            if "om" in enabled and mode == ad.GLOBAL_AWARE:
+                assert _same_bits(new_state.mu_hat, want_state.mu_hat)
+                assert new_state.count == want_state.count
+            grads, gx = ad.edain_backward(g, cache)
+            assert _same_bits(gx, want_gx), enabled
+            skipped, none = ad.edain_backward(g, cache, input_grad=False)
+            assert none is None
+            for name in ad.EDAIN_GROUPS:
+                assert _same_bits(grads[name], want_grads[name]), (enabled, name)
+                assert _same_bits(skipped[name], want_grads[name]), (enabled, name)
+
+
+def test_edain_layer_backward_skips_only_the_input_gradient():
+    rng = np.random.default_rng(23)
+    x = TimeSeriesBatch(rng.normal(size=(50, 6, 5)))
+    for layer in (ad.EdainLayer(6, ad.LOCAL_AWARE), ad.DainLayer(6)):
+        for arr in layer.parameters().values():
+            arr += rng.uniform(0.0, 0.2, arr.shape)
+        _, cache = layer.forward(x, training=True)
+        g = gru_layout(rng.normal(size=x.values.shape))
+        full, gx = layer.backward(g, cache)
+        skipped, none = layer.backward(g, cache, input_grad=False)
+        assert gx.shape == x.values.shape and none is None
+        for name in full:
+            assert _same_bits(skipped[name], full[name]), name
+
+
+def _poisoned(values, row):
+    """A batch whose series ``row`` holds a NaN, past the finiteness check
+    that building a batch makes."""
+    x = TimeSeriesBatch(values)
+    x.values.flags.writeable = True
+    x.values[row, 1, 2] = np.nan
+    x.values.flags.writeable = False
+    return x
+
+
+@pytest.mark.parametrize("mode", [ad.GLOBAL_AWARE, ad.LOCAL_AWARE])
+def test_nan_in_a_middle_block_is_refused_by_the_stage(mode):
+    rng = np.random.default_rng(24)
+    d, t = 64, 16
+    rows = _block_rows(d, t)
+    x = _poisoned(rng.normal(size=(3 * rows, d, t)), rows + rows // 2)
+    layer = ad.EdainLayer(d, mode)
+    with pytest.raises(NonFiniteBatchError, match="EDAIN outlier stage"):
+        layer.forward(x, training=False)
+    layer = ad.EdainLayer(d, mode, enabled=("shift", "scale", "power"))
+    with pytest.raises(NonFiniteBatchError, match="EDAIN shift/scale stage"):
+        layer.forward(x, training=False)
+
+
+def test_minus_inf_before_the_power_stage_is_refused():
+    # for lam > 2 the power stage maps -inf to the finite -1/(lam - 2), so
+    # checking only the chain's output would let it through
+    assert yj.forward(np.array([-np.inf]), 3.0)[0] == -1.0
+    rng = np.random.default_rng(25)
+    values = rng.normal(size=(20, 2, 4))
+    values[3, 0, 1] = -1e308
+    params = ad.EdainParams(alpha=np.zeros(2), beta=np.ones(2), m=np.zeros(2),
+                            s=np.full(2, 1e-6), lam=np.full(2, 3.0))
+    with pytest.raises(NonFiniteBatchError, match="EDAIN shift/scale stage"), \
+            np.errstate(over="ignore"):
+        ad.edain_forward(TimeSeriesBatch(values), params, ad.RunningMean.zeros(2))
+
+
+def test_train_loop_refuses_a_non_finite_value_inside_a_middle_block():
+    # A 1e308 in the middle block of the first minibatch passes the batch
+    # check, and the shift/scale stage overflows it to inf.
+    rng = np.random.default_rng(26)
+    d, t = 64, 16
+    batch = 3 * _block_rows(d, t)
+    n = 2 * batch
+    values = rng.normal(size=(n, d, t))
+    config = nn.TrainConfig(batch_size=batch, max_epochs=1, seed=4)
+    order = np.random.Generator(np.random.PCG64(config.seed)).permutation(n)
+    values[order[_block_rows(d, t) + 1], 5, 3] = 1e308
+    train = LabeledDataset(TimeSeriesBatch(values), rng.integers(0, 2, n))
+    layer = ad.EdainLayer(d, ad.GLOBAL_AWARE)
+    layer.params.s[:] = 1e-3
+    model = nn.GruStack(d_in=d, hidden=(3,), head=(3,), dropout=0.0)
+    with pytest.raises(NonFiniteBatchError, match="EDAIN shift/scale stage"), \
+            np.errstate(over="ignore"):
+        nn.train_loop(train, train, layer, model, config)

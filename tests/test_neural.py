@@ -145,6 +145,39 @@ def test_gru_backward_zero_loss_gradient():
     assert all(np.allclose(g, 0.0) for g in grads.values())
 
 
+def test_gru_backward_without_the_input_gradient_gives_the_same_model_gradients():
+    rng = np.random.default_rng(9)
+    model = nn.GruStack(d_in=5, hidden=(6, 4), head=(3,), n_classes=1, dropout=0.2,
+                        rng=np.random.default_rng(10))
+    x = TimeSeriesBatch(rng.normal(size=(7, 5, 4)))
+    _, cache = nn.gru_forward(x, model, training=True, rng=np.random.default_rng(11))
+    d_logits = rng.normal(size=(7, 1))
+    grads, grad_input = nn.gru_backward(d_logits, cache)
+    skipped, none = nn.gru_backward(d_logits, cache, input_grad=False)
+    assert grad_input.shape == x.values.shape and none is None
+    assert list(skipped) == list(grads)
+    for name, g in grads.items():
+        assert np.array_equal(skipped[name], g), name
+
+
+class _NoBackward(nn.IdentityPreproc):
+    def backward(self, grad_out, cache, input_grad=True):
+        raise AssertionError("a layer without parameters was asked for its backward pass")
+
+
+def test_train_loop_skips_the_backward_pass_of_untrained_preprocessing():
+    data = toy_dataset(n=40, seed=12)
+    config = nn.TrainConfig(batch_size=16, max_epochs=2, seed=3)
+    runs = []
+    for preproc in (nn.IdentityPreproc(), _NoBackward()):
+        model = nn.GruStack(d_in=2, hidden=(3,), head=(3,), dropout=0.0,
+                            rng=np.random.default_rng(13))
+        runs.append(nn.train_loop(data, data, preproc, model, config))
+    assert runs[0].history == runs[1].history
+    for name, arr in runs[0].model.parameters().items():
+        assert np.array_equal(runs[1].model.parameters()[name], arr), name
+
+
 def test_bce_examples_and_fd():
     y = np.array([1, 0, 1, 0])
     loss, _ = nn.bce_loss(y.astype(float), y)

@@ -53,6 +53,27 @@ def test_zscore_constant_feature_with_nonzero_computed_std():
     assert json.dumps(back.to_json_dict(), sort_keys=True) == text
 
 
+def test_zscore_constant_flags_equal_the_full_min_max_check():
+    # constant, near-constant (one value an ulp up), +-1e308 constant (the
+    # mean overflows: its std is NaN or inf) and ordinary features, over
+    # series counts whose means round differently
+    for n in (1, 3, 12, 257):
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=(n, 7, 5))
+        values[:, 0] = 1.858603571952818
+        values[:, 1] = 0.1
+        values[-1, 1, -1] = np.nextafter(0.1, 1.0)
+        values[:, 2] = 1e308
+        values[:, 3] = -1e308
+        values[:, 4] = -3.0e-300
+        values[:, 5] *= 1e-9
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats = sn.fit_zscore(TimeSeriesBatch(values))
+        full = (stats.std == 0.0) | (values.min(axis=(0, 2)) == values.max(axis=(0, 2)))
+        assert stats.zero_variance.tolist() == full.tolist(), n
+        assert stats.zero_variance.tolist() == [True, False, True, True, True, False, False]
+
+
 def test_zscore_refit_is_standard():
     rng = np.random.default_rng(0)
     b = TimeSeriesBatch(rng.normal(3.0, 2.5, size=(20, 3, 10)))
@@ -564,6 +585,27 @@ def _scalar_field(doc):
     doc["stages"][0]["mean"] = 0.0
 
 
+def _kdit_stage(doc, field, source):
+    """Step 1 becomes a fitted kdit stage whose feature 1 has ``field`` set to
+    its ``source`` value (or past it): ``apply_kdit`` would divide by zero."""
+    train = TimeSeriesBatch(np.random.default_rng(44).normal(size=(10, 2, 5)))
+    stage = sn.StaticPipeline(["kdit"]).fit(train).to_json_dict()["stages"][0]
+    stage[field][1] = stage[source][1]
+    doc["steps"][1] = "kdit"
+    doc["stages"][1] = json.loads(json.dumps(stage))
+
+
+def test_pipeline_json_accepts_a_flat_cdf_on_a_constant_kdit_feature():
+    values = np.random.default_rng(45).normal(size=(10, 2, 5))
+    values[:, 0] = 2.5
+    train = TimeSeriesBatch(values)
+    doc = json.loads(json.dumps(sn.StaticPipeline(["kdit"]).fit(train).to_json_dict()))
+    assert doc["stages"][0]["zero_variance"] == [True, False]
+    doc["stages"][0]["cdf_hi"][0] = doc["stages"][0]["cdf_lo"][0]  # never divided by
+    out = sn.StaticPipeline.from_json_dict(doc).apply(train).values
+    assert np.all(out[:, 0] == 0.5) and np.all(np.isfinite(out))
+
+
 def _set(key, value):
     return lambda doc: doc.__setitem__(key, value)
 
@@ -581,6 +623,10 @@ def _set(key, value):
     (_set("winsorize_quantiles", 0.5), "static pipeline field 'winsorize_quantiles'"),
     (_set("kdit_alpha", float("nan")), "static pipeline field 'kdit_alpha'"),
     (lambda doc: doc["stages"].__setitem__(0, 1), "stage 0 must be a JSON object, not int"),
+    (lambda doc: _kdit_stage(doc, "cdf_hi", "cdf_lo"),
+     "stage 1 (kdit) field 'cdf_hi' must be above 'cdf_lo' for feature 1"),
+    (lambda doc: _kdit_stage(doc, "cdf_lo", "cdf_hi"),
+     "stage 1 (kdit) field 'cdf_hi' must be above 'cdf_lo' for feature 1"),
 ])
 def test_pipeline_json_rejects_malformed_stages(corrupt, message):
     train = TimeSeriesBatch(np.random.default_rng(43).normal(size=(10, 2, 5)))

@@ -10,8 +10,12 @@ chunks) is loaded and saved again, and a ``kdit`` static pipeline is fitted
 on it.  On that CSV a two-cell ``edain_global`` model with dropout
 0.2 between the cells is trained (report, checkpoint, history) and evaluated;
 its 400 validation and 2,000 evaluated series span several evaluation
-blocks.  A last ``train`` is driven by flags alone, with no ``--config``,
-on a generated synthetic set, which pins the flag-to-config path.  One
+blocks.  A ``train`` is driven by flags alone, with no ``--config``,
+on a generated synthetic set, which pins the flag-to-config path.  Last, a
+``generate --pdf-config`` set of 80 features x 13 steps trains
+``edain_global`` and ``edain_local`` at batch 128 (report, checkpoint,
+history) and is evaluated: each minibatch and evaluation block holds more
+values than one EDAIN row block, so those runs go through several.  One
 ``name sha256`` line is printed per artefact, so two trees compare with a
 single diff:
 
@@ -81,6 +85,24 @@ DEEP_CONFIG = {
 }
 
 
+# 80 features x 13 steps: 128 series hold 133,120 values, over two EDAIN row
+# blocks (adaptive.EDAIN_BLOCK_ELEMENTS = 2**16)
+_WIDE_SHAPES = (("phi(x)", [-6, 6], [-1, 0.5]), ("np.exp(-x) * (x > 0)", [0, 10], [-1]),
+                ("0.3 * phi(x + 2) + 0.7 * phi((x - 1) / 0.5) / 0.5", [-7, 4], [-1, 0.8, 0.3]))
+WIDE_PDFS = {"features": [{"pdf": pdf, "bounds": bounds, "theta": theta}
+                          for pdf, bounds, theta in (_WIDE_SHAPES[k % 3] for k in range(80))]}
+WIDE_METHODS = ("edain_global", "edain_local")
+
+
+def _wide_config(method: str) -> dict:
+    return {
+        "method": method, "seed": 6, "repetitions": 1, "dataset": {"csv": "wide.csv"},
+        "model": {"hidden": [4], "head": [4], "dropout": 0.1},
+        "train": {"max_epochs": 2, "batch_size": 128, "milestones": [2], "patience": 5},
+        "cv": {"kind": "holdout", "valid_fraction": 0.2},
+    }
+
+
 def _package_root(src: Path) -> Path:
     for root in (src / "src", src):
         if (root / "tsnorm" / "cli.py").is_file():
@@ -129,6 +151,19 @@ def run_recipe(src: Path, work: Path) -> list[tuple[str, str]]:
     tsnorm("train", *FLAG_RUN, "--out", "flags.report.json", "--checkpoint-out", "flags.ckpt.json",
            "--history-out", "flags.history.csv")
     artefacts.extend(["flags.report.json", "flags.ckpt.json", "flags.history.csv"])
+    (work / "wide.pdfs.json").write_text(json.dumps(WIDE_PDFS))
+    tsnorm("generate", "--pdf-config", "wide.pdfs.json", "--n", "400", "--t", "13",
+           "--seed", "13", "--out", "wide.csv")
+    artefacts.append("wide.csv")
+    for method in WIDE_METHODS:
+        names = {k: f"wide.{method}.{k}" for k in
+                 ("report.json", "ckpt.json", "history.csv", "eval.json")}
+        (work / f"wide.{method}.config.json").write_text(json.dumps(_wide_config(method)))
+        tsnorm("train", "--config", f"wide.{method}.config.json", "--out", names["report.json"],
+               "--checkpoint-out", names["ckpt.json"], "--history-out", names["history.csv"])
+        tsnorm("evaluate", "--data", "wide.csv", "--checkpoint", names["ckpt.json"],
+               "--out", names["eval.json"])
+        artefacts.extend(names.values())
     return [(name, hashlib.sha256((work / name).read_bytes()).hexdigest()) for name in artefacts]
 
 

@@ -118,7 +118,7 @@ def update_running_mean(state: RunningMean, batch: TimeSeriesBatch) -> RunningMe
     this closed form, so after a full epoch mu_hat equals the pooled mean.
     """
     if batch.d != len(state.mu_hat):
-        raise ValueError("feature dimension mismatch in running-mean update")
+        raise ValueError(f"batch has {batch.d} features, running mean has {len(state.mu_hat)}")
     n, t = state.count, batch.t
     total = n * t * state.mu_hat + batch.values.sum(axis=(0, 2))
     new_count = n + batch.n
@@ -451,6 +451,8 @@ def edain_forward(
     for NaN/Inf while it is in cache (a ``NonFiniteBatchError`` naming the
     stage).  Every value equals the one a whole-batch pass gives, bit for bit.
     """
+    if x.d != params.d:
+        raise ValueError(f"batch has {x.d} features, EDAIN layer expects {params.d}")
     for name in enabled:
         if name not in ALL_SUBLAYERS:
             raise ValueError(f"unknown sublayer flag {name!r}")
@@ -579,7 +581,7 @@ class DainParams:
 def dain_forward(x: TimeSeriesBatch, params: DainParams) -> tuple[TimeSeriesBatch, dict]:
     """Per-series adaptive shift, rms scale (floored), and sigmoid gate."""
     if x.d != params.d:
-        raise ValueError("feature dimension mismatch")
+        raise ValueError(f"batch has {x.d} features, DAIN layer expects {params.d}")
     v = x.values
     a = v.mean(axis=2)                       # (N, d)
     wa_a = a @ params.w_a.T

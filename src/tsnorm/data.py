@@ -9,14 +9,20 @@ for NaN/Inf and freezes a private copy unless it is handed an array that is
 already read-only and C-contiguous.  Callers that build a fresh array for a
 batch (a minibatch, a row subset, EDAIN's output) freeze it themselves, so
 such a batch costs the scan but no second copy.
+
+The CSV codec works ``LOAD_CHUNK`` rows at a time, so its temporaries stay
+small: :func:`load_csv` parses plain chunks with numpy's C text parser and
+hands the rest of a file to the ``csv`` module, and :func:`save_csv`
+formats a column at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -27,7 +33,7 @@ TERNARY = "ternary"
 
 _CLASS_COUNT = {BINARY: 2, TERNARY: 3}
 
-LOAD_CHUNK = 4096  # data rows :func:`load_csv` parses at a time
+LOAD_CHUNK = 4096  # data rows the CSV codec parses or formats at a time
 _INT64 = np.iinfo(np.int64)
 
 
@@ -222,9 +228,58 @@ def _parse_chunk(rows: list[list[str]], row_nos: np.ndarray, d: int):
     return ints, feats
 
 
+# A chunk holding any of these goes to the csv module: a quote (a quoted cell
+# may span lines) and \x1c-\x1f, which numpy strips as whitespace but int()
+# and float() refuse.  So does non-ASCII text: numpy's integer parser reads
+# some non-ASCII letters as digits.
+_CSV_ONLY = '"\x1c\x1d\x1e\x1f'
+_BLANK = frozenset({"\n", "\r\n", "\r"})  # the lines csv.reader reads as empty rows
+
+
+def _loadtxt_chunk(lines: list[str], first: int, dtype: np.dtype):
+    """Parse one chunk of physical lines, the first of them file row
+    ``first``, with numpy's C parser.
+
+    Returns what :func:`_parse_chunk` would give, plus the rows' numbers, or
+    None when the csv module has to read the chunk: a character of
+    ``_CSV_ONLY`` or a non-ASCII one, a cell numpy refuses (``1_000``, a
+    missing or extra cell, an integer past 64 bits), a line numpy skips, or
+    a non-finite feature.  An accepted chunk holds the values ``int()`` and
+    ``float()`` give.
+    """
+    text = "".join(lines)
+    if not text.isascii() or any(c in text for c in _CSV_ONLY):
+        return None
+    nos = np.arange(first, first + len(lines))
+    if not _BLANK.isdisjoint(lines):  # blank lines are skipped but keep their row numbers
+        keep = [i for i, line in enumerate(lines) if line not in _BLANK]
+        lines, nos = [lines[i] for i in keep], nos[keep]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # some numpy versions only warn on 5.0 as an int
+            rec = np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar='"',
+                             ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if rec.shape != (len(lines),):
+        return None
+    names = dtype.names
+    feats = np.stack([rec[name] for name in names[2:-1]])
+    if not np.isfinite(feats).all():
+        return None
+    return np.stack([rec[name] for name in (names[0], names[1], names[-1])]), feats, nos
+
+
 def _read_rows(path: Path):
     """Parse the file in chunks; returns d and the concatenated (3, N)
-    integer cells, (d, N) features and (N,) row numbers in file order."""
+    integer cells, (d, N) features and (N,) row numbers in file order.
+
+    Chunks of ``LOAD_CHUNK`` physical lines go through numpy's parser.  From
+    the first chunk it refuses on, ``csv.reader`` reads the records and
+    :func:`_parse_chunk` parses them, in chunks of as many records.  Up to
+    there no line holds a quote, so each line is one record and both paths
+    number rows alike.
+    """
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -232,8 +287,17 @@ def _read_rows(path: Path):
         except StopIteration:
             raise CsvFormatError("empty file") from None
         d = _parse_header([h.strip() for h in header])
-        ints, feats, row_nos = [], [], []
+        dtype = np.dtype([("series_id", np.int64), ("timestep", np.int64)]
+                         + [(f"f{k + 1}", np.float64) for k in range(d)] + [("label", np.int64)])
+        chunks = []
         first = 2
+        while lines := list(islice(fh, LOAD_CHUNK)):
+            chunk = _loadtxt_chunk(lines, first, dtype)
+            if chunk is None:
+                reader = csv.reader(chain(lines, fh))
+                break
+            chunks.append(chunk)
+            first += len(lines)
         while rows := list(islice(reader, LOAD_CHUNK)):
             nos = np.arange(first, first + len(rows))
             first += len(rows)
@@ -242,12 +306,10 @@ def _read_rows(path: Path):
                 rows, nos = [rows[i] for i in keep], nos[keep]
                 if not rows:
                     continue
-            chunk_ints, chunk_feats = _parse_chunk(rows, nos, d)
-            ints.append(chunk_ints)
-            feats.append(chunk_feats)
-            row_nos.append(nos)
-    if not ints:
+            chunks.append((*_parse_chunk(rows, nos, d), nos))
+    if not chunks:
         raise CsvFormatError("file contains a header but no data rows")
+    ints, feats, row_nos = zip(*chunks)
     return d, np.concatenate(ints, axis=1), np.concatenate(feats, axis=1), np.concatenate(row_nos)
 
 
@@ -268,11 +330,16 @@ def load_csv(path: str | Path) -> LabeledDataset:
     One row per (series, timestep) pair, in any order; series are sorted by
     id and timesteps ascending in the returned batch.  Malformed input
     (missing cells, non-numeric or non-finite features, ragged series,
-    duplicate pairs, inconsistent labels) raises :class:`CsvFormatError`
-    naming an offending row or series.  Rows are parsed in chunks of
-    ``LOAD_CHUNK``, so a file with several faults reports one of them (a
-    malformed cell before a duplicate pair, for instance); a file with one
-    fault reports its kind and row.
+    duplicate pairs, inconsistent or out-of-range labels) raises
+    :class:`CsvFormatError` naming an offending row or series.  Rows are
+    parsed in chunks of ``LOAD_CHUNK``, so a file with several faults reports
+    one of them (a malformed cell before a duplicate pair, for instance); a
+    file with one fault reports its kind and row.
+
+    Chunks of plain ASCII numbers go through ``np.loadtxt``; from the first
+    chunk it refuses on (quotes, spellings such as ``1_000``, a fault), the
+    rest goes through ``csv.reader`` with Python ``int`` and ``float``.  Both
+    give the same values, errors and row numbers.
     """
     d, ints, feats, row_nos = _read_rows(Path(path))
     sids, steps, labels = ints
@@ -295,8 +362,11 @@ def load_csv(path: str | Path) -> LabeledDataset:
     if mixed.any():
         raise CsvFormatError(f"series {sids[starts[np.argmax(mixed)]]}: label differs between rows")
     labels = labels[:, 0]
-    if labels.min() < 0 or labels.max() > 2:
-        raise CsvFormatError("labels must be in {0,1} or {0,1,2}")
+    outside = (labels < 0) | (labels > 2)
+    if outside.any():
+        i = np.argmax(outside)
+        raise CsvFormatError(f"series {sids[starts[i]]}: label {labels[i]}; "
+                             "labels must be in {0,1} or {0,1,2}")
     kind = TERNARY if labels.max() > 1 else BINARY
     values = np.take(feats, order, axis=1).reshape(d, n, t).transpose(1, 0, 2)
     return LabeledDataset(TimeSeriesBatch(values), labels, kind)
@@ -305,21 +375,29 @@ def load_csv(path: str | Path) -> LabeledDataset:
 def save_csv(dataset: LabeledDataset, path: str | Path) -> None:
     """Write a dataset in the exact format :func:`load_csv` accepts.
 
-    Feature values use shortest round-trip decimal text, so saving and
-    reloading reproduces the 64-bit values bit for bit.  The bytes are those
-    of ``csv.writer`` with its default dialect (no cell needs quoting, rows
-    end in CRLF); the file is written one series at a time.
+    Feature values use shortest round-trip decimal text (``repr``), so saving
+    and reloading reproduces the 64-bit values bit for bit.  The bytes are
+    those of ``csv.writer`` with its default dialect (no cell needs quoting,
+    rows end in CRLF).  Cells are formatted a column at a time over blocks
+    of whole series, about ``LOAD_CHUNK`` rows each.
     """
     if dataset.batch.d == 0:
         raise ValueError("refusing to write a dataset with zero feature columns")
     path = Path(path)
-    d = dataset.batch.d
+    n, d, t = dataset.batch.values.shape
     header = ["series_id", "timestep"] + [f"f{k + 1}" for k in range(d)] + ["label"]
+    steps = list(map(str, range(t)))
+    per_block = max(1, LOAD_CHUNK // max(t, 1))
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for i, label in enumerate(dataset.labels.tolist()):
-            fh.write("".join(f"{i},{step},{','.join(map(repr, cells))},{label}\r\n"
-                             for step, cells in enumerate(dataset.batch.values[i].T.tolist())))
+        for start in range(0, n, per_block):
+            block = dataset.batch.values[start:start + per_block]
+            ids = [s for s in map(str, range(start, start + len(block))) for _ in steps]
+            labels = dataset.labels[start:start + len(block)].tolist()
+            # each row's last cell carries its line end
+            ends = [s for s in map("{}\r\n".format, labels) for _ in steps]
+            feats = [map(repr, col) for col in block.transpose(1, 0, 2).reshape(d, -1).tolist()]
+            fh.write("".join(map(",".join, zip(ids, steps * len(block), *feats, ends))))
 
 
 def minibatch_indices(

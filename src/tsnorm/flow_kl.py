@@ -107,7 +107,7 @@ def normalize_direction(x: TimeSeriesBatch, params: KlBijectorParams) -> tuple[T
     log p(x) = sum log phi(z) + log_det.
     """
     if x.d != params.d:
-        raise ValueError("feature dimension mismatch")
+        raise ValueError(f"batch has {x.d} features, EDAIN-KL bijector expects {params.d}")
     c = _chain(x.values, params)
     log_det = (c["ld1"] + c["ld3"] + c["ld4"]).sum(axis=(1, 2))
     return TimeSeriesBatch(c["z"]), log_det
@@ -122,7 +122,7 @@ def generate_direction(z: TimeSeriesBatch, params: KlBijectorParams) -> TimeSeri
     sample).
     """
     if z.d != params.d:
-        raise ValueError("feature dimension mismatch")
+        raise ValueError(f"batch has {z.d} features, EDAIN-KL bijector expects {params.d}")
     v3 = yj.inverse(z.values, params.lam[None, :, None])
     v1 = v3 * params.s[None, :, None] + params.m[None, :, None]
     arg = (v1 - params.mu_hat[None, :, None]) / params.beta[None, :, None]

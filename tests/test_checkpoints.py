@@ -126,3 +126,24 @@ def test_cli_reports_malformed_layer_checkpoint(tmp_path, capsys, case):
     assert main(["preprocess", "--checkpoint", str(ckpt), "--data", str(data),
                  "--out", str(tmp_path / "out.csv")]) == 2
     assert f"error: ValueError: {message}" in capsys.readouterr().err
+
+
+# the layer each adaptive fixture's preprocessing names in a feature-count error
+LAYER_NAMES = {"edain_global": "EDAIN layer", "edain_local": "EDAIN layer",
+               "dain": "DAIN layer", "edain_kl": "EDAIN-KL bijector"}
+
+
+@pytest.mark.parametrize("kind", sorted(LAYER_NAMES))
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_cli_names_both_feature_counts_of_an_adaptive_layer(tmp_path, capsys, kind, d):
+    doc = json.loads((DATA / f"ckpt_{kind}.json").read_text())
+    ckpt, data = tmp_path / "ckpt.json", tmp_path / "data.csv"
+    ckpt.write_text(json.dumps(doc["checkpoint"]))
+    values = np.random.default_rng(0).normal(size=(12, d, 5))
+    save_csv(LabeledDataset(TimeSeriesBatch(values), np.array(doc["labels"])), data)
+    message = f"error: ValueError: batch has {d} features, {LAYER_NAMES[kind]} expects 3"
+    assert main(["preprocess", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+    assert message in capsys.readouterr().err

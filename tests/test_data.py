@@ -1,6 +1,9 @@
 import csv
+import functools
 import random
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +254,16 @@ def test_blank_lines_keep_row_numbers(tmp_path):
         load_csv(write_lines(tmp_path / "blank.csv", lines))
 
 
+def test_blank_lines_keep_row_numbers_of_a_duplicate(tmp_path):
+    _, lines = big_csv_lines(tmp_path)
+    first = lines[10].split(",")  # series 0, timestep 9
+    lines[LATE - 1] = ",".join(first[:2] + lines[LATE - 1].split(",")[2:-1] + first[-1:])
+    lines[LATE - 20:LATE - 20] = ["", ""]
+    lines[5:5] = [""]
+    with pytest.raises(CsvFormatError, match=rf"^row {LATE + 3}: duplicate .* pair \(0, 9\)"):
+        load_csv(write_lines(tmp_path / "dup.csv", lines))
+
+
 def test_two_duplicate_pairs_report_the_earliest_repeat(tmp_path):
     path = tmp_path / "dups.csv"
     path.write_text("series_id,timestep,f1,label\n"
@@ -265,6 +278,141 @@ def test_integer_cell_beyond_int64_names_its_row(tmp_path):
     with pytest.raises(CsvFormatError, match="^row 3: integer cell outside the 64-bit range"):
         load_csv(path)
 
+
+def test_label_out_of_range_names_the_first_series(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("series_id,timestep,f1,label\n7,0,1.0,3\n2,0,1.0,0\n5,0,1.0,-1\n")
+    with pytest.raises(CsvFormatError, match=r"^series 5: label -1; labels must be in "
+                                             r"\{0,1\} or \{0,1,2\}$"):
+        load_csv(path)
+
+
+def test_saved_csv_is_parsed_without_the_csv_module(tmp_path, monkeypatch):
+    ds, lines = big_csv_lines(tmp_path)
+    lines[20:20] = [""]  # a blank line does not send its chunk to the csv module
+
+    def refuse(*args):
+        raise AssertionError("a chunk went to the csv module")
+
+    monkeypatch.setattr(data, "_parse_chunk", refuse)
+    back = load_csv(write_lines(tmp_path / "plain.csv", lines))
+    assert same_bits(back.batch.values, ds.batch.values)
+
+
+# a valid cell over two lines leaves the record number of a later fault as it is
+@pytest.mark.parametrize("cell, cell_row, fault_row", [
+    ('"1.\n5"', LATE, LATE),  # the quoted cell is itself the fault
+    ('"1.5\n"', LATE, LATE + 10),
+    ('"1.5\n"', 100, LATE),
+])
+def test_quoted_line_break_keeps_record_numbers(tmp_path, cell, cell_row, fault_row):
+    _, lines = big_csv_lines(tmp_path)
+    for row, text in ((fault_row, "oops"), (cell_row, cell)):
+        cells = lines[row - 1].split(",")
+        lines[row - 1] = ",".join(cells[:2] + [text] + cells[3:])
+    with pytest.raises(CsvFormatError, match=f"^row {fault_row}: non-numeric feature value"):
+        load_csv(write_lines(tmp_path / "quoted.csv", lines))
+
+
+# The differential property: load_csv against its csv-module path forced for
+# the whole file (numpy's parser refuses every chunk), on a valid 150-row file
+# read in 32-line chunks with one cell or line mutated.
+SMALL_CHUNK = 32
+
+
+def _underscored(cell):
+    """A spelling int() and float() accept and numpy refuses, where there is one."""
+    spots = [i for i in range(1, len(cell)) if cell[i - 1].isdigit() and cell[i].isdigit()]
+    return cell[:spots[0]] + "_" + cell[spots[0]:] if spots else cell + "_"
+
+
+CELL_EDITS = {
+    "quoted": lambda c: f'"{c}"',
+    "underscore": _underscored,
+    "padded": lambda c: f" {c} ",
+    "tab padded": lambda c: f"\t{c}\x0b",
+    "plus": lambda c: "+" + c,
+    "point zero": lambda c: c + ".0",
+    "exponent": lambda c: c + "e0",
+    "nan": lambda c: "nan",
+    "overflow to inf": lambda c: "1e400",
+    "-inf": lambda c: "-Infinity",
+    "int64 max + 1": lambda c: "9223372036854775808",
+    "int64 min": lambda c: "-9223372036854775808",
+    "int64 min - 1": lambda c: "-9223372036854775809",
+    "long mantissa": lambda c: "0.1000000000000000055511151231257827021181583404541015625",
+    "long digits": lambda c: "-3.14159265358979323846264338327950288419716939937510582097494459",
+    "subnormal": lambda c: "4.9406564584124654e-324",
+    "half the least subnormal": lambda c: "2.4703282292062328e-324",
+    "below normal": lambda c: "2.2250738585072011e-308",
+    "underflow": lambda c: "1e-400",
+    "empty": lambda c: "",
+    "zero": lambda c: "0",
+    "two": lambda c: "2",
+    "minus one": lambda c: "-1",
+    "hex": lambda c: "0x10",
+    "NUL": lambda c: c + "\0",
+    "file separator": lambda c: "\x1c" + c,
+    "no-break space": lambda c: "\xa0" + c,
+    "arabic-indic digit": lambda c: "٣",
+    "quoted line break": lambda c: f'"{c}\n"',
+    "quoted line break inside": lambda c: '"1.\n5"',
+    "text after a closing quote": lambda c: f'"{c}"0',
+    "unclosed quote": lambda c: '"' + c,
+    "non-ASCII letter": lambda c: c + "\u01fe",
+}
+LINE_EDITS = {
+    "whitespace-only line": lambda line: [" "],
+    "trailing comma": lambda line: [line + ","],
+    "missing cell": lambda line: [line.rsplit(",", 1)[0]],
+    "blank line": lambda line: ["", line],
+    "two blank lines": lambda line: [line, "", ""],
+    "blank line and a repeat": lambda line: ["", line, line],
+    "line removed": lambda line: [],
+}
+
+
+@functools.lru_cache(maxsize=1)
+def small_csv_lines():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "small.csv"
+        save_csv(make_dataset(n=15, d=2, t=10, seed=8, kind="ternary"), path)
+        return path.read_bytes().decode().split("\r\n")[:-1]
+
+
+def load_outcome(path, forced):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "LOAD_CHUNK", SMALL_CHUNK)
+        if forced:
+            mp.setattr(data, "_loadtxt_chunk", lambda *args: None)
+        try:
+            # every record with its row number, then the dataset
+            records = [a.tobytes() for a in data._read_rows(path)[1:]]
+            ds = load_csv(path)
+        except Exception as exc:  # the reference may raise anything; both must agree
+            return type(exc).__name__, str(exc)
+    return records, ds.batch.values.shape, ds.batch.values.tobytes(), ds.labels.tolist(), \
+        ds.label_kind
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(line_no=st.integers(1, 150), column=st.integers(0, 4),
+       edit=st.sampled_from(sorted(CELL_EDITS) + sorted(LINE_EDITS)),
+       ending=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_loader_agrees_with_its_csv_module_path(tmp_path_factory, line_no, column, edit,
+                                               ending):
+    lines = list(small_csv_lines())
+    assert len(lines) == 151 and len(lines) > 4 * SMALL_CHUNK
+    if edit in CELL_EDITS:
+        cells = lines[line_no].split(",")
+        cells[column] = CELL_EDITS[edit](cells[column])
+        lines[line_no:line_no + 1] = [",".join(cells)]
+    else:
+        lines[line_no:line_no + 1] = LINE_EDITS[edit](lines[line_no])
+    path = tmp_path_factory.mktemp("mutated") / "m.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(ending.join(lines) + ending)
+    assert load_outcome(path, forced=False) == load_outcome(path, forced=True)
 
 def test_minibatch_sizes_and_partition():
     ds = make_dataset(n=5)

@@ -11,11 +11,15 @@ on it.  On that CSV a two-cell ``edain_global`` model with dropout
 0.2 between the cells is trained (report, checkpoint, history) and evaluated;
 its 400 validation and 2,000 evaluated series span several evaluation
 blocks.  A ``train`` is driven by flags alone, with no ``--config``,
-on a generated synthetic set, which pins the flag-to-config path.  Last, a
+on a generated synthetic set, which pins the flag-to-config path.  Then a
 ``generate --pdf-config`` set of 80 features x 13 steps trains
 ``edain_global`` and ``edain_local`` at batch 128 (report, checkpoint,
 history) and is evaluated: each minibatch and evaluation block holds more
-values than one EDAIN row block, so those runs go through several.  One
+values than one EDAIN row block, so those runs go through several.  Last,
+the 20,000-row CSV is respelled from row 10,002 on (ids like ``1_234``,
+quoted feature cells, one of them broken over two lines) and loaded and
+saved again: its first chunks take numpy's parser and the rest the csv
+module's, and the saved file equals the one saved from the plain CSV.  One
 ``name sha256`` line is printed per artefact, so two trees compare with a
 single diff:
 
@@ -58,6 +62,28 @@ dataset = load_csv(sys.argv[1])
 save_csv(dataset, sys.argv[2])
 save_report(StaticPipeline(["kdit"]).fit(dataset.batch).to_json_dict(), sys.argv[3])
 """
+
+# loads a CSV and writes it back
+RESAVE_PLAIN_CSV = """
+import sys
+from tsnorm.data import load_csv, save_csv
+save_csv(load_csv(sys.argv[1]), sys.argv[2])
+"""
+
+
+def _respelled(csv_text: str, start: int) -> str:
+    """The CSV text with every line from ``start`` on respelled: a series id
+    of two or more digits as ``1_234``, each feature cell quoted, and the
+    first respelled line's first feature cell broken over two lines."""
+    lines = csv_text.split("\r\n")
+    for i in range(start, len(lines) - 1):  # the text ends with a line break
+        sid, step, *feats, label = lines[i].split(",")
+        sid = sid[0] + "_" + sid[1:] if len(sid) > 1 else sid
+        feats = [f'"{cell}"' for cell in feats]
+        if i == start:
+            feats[0] = feats[0][:-1] + '\n"'
+        lines[i] = ",".join([sid, step, *feats, label])
+    return "\r\n".join(lines)
 
 
 def _config(method: str) -> dict:
@@ -164,6 +190,10 @@ def run_recipe(src: Path, work: Path) -> list[tuple[str, str]]:
         tsnorm("evaluate", "--data", "wide.csv", "--checkpoint", names["ckpt.json"],
                "--out", names["eval.json"])
         artefacts.extend(names.values())
+    big = (work / "big.csv").read_bytes().decode()
+    (work / "respelled.csv").write_bytes(_respelled(big, 10_001).encode())
+    python("-c", RESAVE_PLAIN_CSV, "respelled.csv", "respelled.resaved.csv")
+    artefacts.extend(["respelled.csv", "respelled.resaved.csv"])
     return [(name, hashlib.sha256((work / name).read_bytes()).hexdigest()) for name in artefacts]
 
 

@@ -116,7 +116,7 @@ def _synth_from_pdf_config(doc: dict, n: int, t: int, seed: int) -> SynthConfig:
 def _experiment_config(args) -> ExperimentConfig:
     """The ``--config`` document, or ``{}``, with each given flag written over
     the field it names, loaded once by ``ExperimentConfig.from_json_dict``."""
-    doc = json.loads(Path(args.config).read_text()) if args.config else {}
+    doc = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     if not isinstance(doc, dict):
         raise ValueError(f"config must be a JSON object, not {type(doc).__name__}")
 
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     if args.pdf_config:
-        doc = json.loads(Path(args.pdf_config).read_text())
+        doc = json.loads(Path(args.pdf_config).read_text(encoding="utf-8"))
         config = _synth_from_pdf_config(doc, n=args.n, t=args.t, seed=args.seed)
     else:
         config = default_config(n=args.n, t=args.t, seed=args.seed)
@@ -246,7 +246,7 @@ def _cmd_train(args) -> int:
             save_report(doc, args.checkpoint_out)
             print(f"checkpoint written to {args.checkpoint_out}")
         if args.history_out:
-            Path(args.history_out).write_text(history_to_csv(result.history))
+            Path(args.history_out).write_text(history_to_csv(result.history), encoding="utf-8")
             print(f"training history written to {args.history_out}")
     if report.incomplete and not report.rows:
         raise RuntimeError(f"all folds failed: {report.incomplete[0]['error']}")
@@ -254,7 +254,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    doc = json.loads(Path(args.checkpoint).read_text())
+    doc = json.loads(Path(args.checkpoint).read_text(encoding="utf-8"))
     preproc = _load_preproc(doc["preproc"])
     model = GruStack.from_json_dict(doc["model"])
     dataset = load_csv(args.data)
@@ -294,7 +294,7 @@ def _cmd_kl_fit(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    doc = json.loads(Path(args.checkpoint).read_text())
+    doc = json.loads(Path(args.checkpoint).read_text(encoding="utf-8"))
     preproc = _load_preproc(doc["preproc"] if "preproc" in doc else doc)
     dataset = load_csv(args.data)
     out_batch, _ = preproc.forward(dataset.batch, training=False)

@@ -278,9 +278,24 @@ def _read_rows(path: Path):
     the first chunk it refuses on, ``csv.reader`` reads the records and
     :func:`_parse_chunk` parses them, in chunks of as many records.  Up to
     there no line holds a quote, so each line is one record and both paths
-    number rows alike.
+    number rows alike.  Text that is not UTF-8 is refused naming the first
+    row that holds it.
     """
-    with path.open(newline="") as fh:
+    try:
+        return _read_utf8_rows(path)
+    except UnicodeDecodeError:
+        # undecodable bytes read back as lone surrogates, which no UTF-8 text holds
+        with path.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
+            for row_no, row in enumerate(csv.reader(fh), start=1):
+                try:
+                    "".join(row).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise CsvFormatError(f"row {row_no}: text is not UTF-8") from None
+        raise
+
+
+def _read_utf8_rows(path: Path):
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -388,7 +403,7 @@ def save_csv(dataset: LabeledDataset, path: str | Path) -> None:
     header = ["series_id", "timestep"] + [f"f{k + 1}" for k in range(d)] + ["label"]
     steps = list(map(str, range(t)))
     per_block = max(1, LOAD_CHUNK // max(t, 1))
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, n, per_block):
             block = dataset.batch.values[start:start + per_block]

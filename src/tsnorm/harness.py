@@ -455,7 +455,8 @@ def _aggregate(rows: list) -> dict:
 
 def save_report(doc: dict, path: str | Path) -> None:
     """Canonical JSON emission: sorted keys, two-space indent, newline."""
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
+                          encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -133,8 +133,14 @@ def apply_zscore(x: TimeSeriesBatch, stats: StaticStats) -> TimeSeriesBatch:
 
 def fit_minmax(train: TimeSeriesBatch) -> StaticStats:
     _require_data(train)
-    mn = train.values.min(axis=(0, 2))
-    mx = train.values.max(axis=(0, 2))
+    # one contiguous pass down the (N, d*T) rows, then a (d, T) reduction.
+    # min and max are exact in any order, except which signed zero wins a
+    # tie, so a zero extreme is taken from the pooled strided reduction.
+    rows = train.values.reshape(train.n, train.d * train.t)
+    mn = rows.min(axis=0).reshape(train.d, train.t).min(axis=1)
+    mx = rows.max(axis=0).reshape(train.d, train.t).max(axis=1)
+    if not (mn.all() and mx.all()):
+        mn, mx = train.values.min(axis=(0, 2)), train.values.max(axis=(0, 2))
     return StaticStats(minimum=mn, maximum=mx, zero_variance=mx == mn)
 
 

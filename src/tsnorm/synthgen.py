@@ -8,12 +8,18 @@ and form a binary response from a fixed random linear combination of the
 uniforms plus noise; (3) push the uniforms through numerically inverted CDFs
 of the requested (unnormalized) densities, so each feature's marginal
 matches its density exactly up to the integration grid.
+
+The (dT x dT) steps work in place, over strips of ``ROW_BLOCK`` rows where
+a matrix meets its transpose, so besides LAPACK's ``eigh`` workspace a
+generation holds a few (dT x dT) arrays at a time.  The inverse-CDF step
+reads a guide table (Chen & Asau's indexed search) and checks each answer
+against the ``searchsorted`` condition.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,15 +29,29 @@ from .data import BINARY, LabeledDataset, TimeSeriesBatch
 
 PSD_JITTER = 1e-10
 DEGENERATE_VAR = 1e-12
+# rows per strip where a (dT x dT) matrix is compared with or mirrored into
+# its transpose: each strip's temporaries stay a few MB
+ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
 class InverseCdfTable:
-    """Normalized trapezoid CDF of an unnormalized density on a grid."""
+    """Normalized trapezoid CDF of an unnormalized density on a grid.
+
+    ``guide`` has one bucket per table point: ``guide[k]`` is the first index
+    whose CDF reaches k/K (K = len(cdf)), capped at K - 1.  It is derived
+    from ``cdf`` on construction.
+    """
 
     x: np.ndarray
     cdf: np.ndarray
     cached: bool = False
+    guide: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        k = len(self.cdf)
+        guide = np.searchsorted(self.cdf, np.arange(k) / k, side="left")
+        object.__setattr__(self, "guide", np.minimum(guide, k - 1))
 
 
 _TABLE_CACHE: dict = {}
@@ -112,8 +132,14 @@ def build_covariance(config: SynthConfig, rng: np.random.Generator) -> np.ndarra
     d, t = config.d, config.t
     size = d * t
     sigma = rng.normal(0.0, config.sigma_cor, size=(size, size))
-    sigma = np.triu(sigma, 1)
-    sigma = sigma + sigma.T
+    # the strict upper triangle mirrored below a zero diagonal, in place;
+    # "+ 0.0" turns -0.0 into 0.0, as adding the zeroed triangle did
+    sigma += 0.0
+    for r0 in range(0, size, ROW_BLOCK):
+        r1 = r0 + ROW_BLOCK
+        sigma[r0:r1, :r0] = sigma[:r0, r0:r1].T
+        upper = np.triu(sigma[r0:r1, r0:r1], 1)
+        sigma[r0:r1, r0:r1] = upper + upper.T
     for j in range(d):
         block = np.empty((t, t))
         for lag in range(t):
@@ -131,12 +157,28 @@ def nearest_psd(sigma: np.ndarray) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError("covariance must be square")
-    if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-10):
-        raise ValueError("nearest_psd expects a symmetric matrix")
+    # np.allclose(sigma, sigma.T) strip by strip.  With rtol = 0 its test
+    # |a - b| <= atol (or a == b) is symmetric in a and b, so the strips on and
+    # right of the diagonal meet every pair.
+    size = sigma.shape[0]
+    for r0 in range(0, size, ROW_BLOCK):
+        r1 = r0 + ROW_BLOCK
+        if not np.allclose(sigma[r0:r1, r0:], sigma[r0:, r0:r1].T, rtol=0.0,
+                           atol=1e-10):
+            raise ValueError("nearest_psd expects a symmetric matrix")
     w, v = np.linalg.eigh(sigma)
+    del sigma  # frees the input when the caller passed a temporary
     w = np.maximum(w, 0.0)
     out = (v * w) @ v.T
-    return (out + out.T) / 2.0
+    del v
+    # (out + out.T) / 2 in place: each pair (i, j), (j, i) gets one sum
+    for r0 in range(0, size, ROW_BLOCK):
+        r1 = r0 + ROW_BLOCK
+        mean = out[r0:r1, r0:] + out[r0:, r0:r1].T
+        mean /= 2.0
+        out[r0:r1, r0:] = mean
+        out[r0:, r0:r1] = mean.T
+    return out
 
 
 def sample_correlated_uniforms(sigma_psd: np.ndarray, n_samples: int,
@@ -147,16 +189,21 @@ def sample_correlated_uniforms(sigma_psd: np.ndarray, n_samples: int,
     size = sigma_psd.shape[0]
     diag = np.diag(sigma_psd).copy()
     degenerate = diag <= DEGENERATE_VAR
+    # sigma_psd + PSD_JITTER * I in one float64 copy: off the diagonal the
+    # identity added 0.0, which "+ 0.0" repeats (-0.0 becomes 0.0)
+    jittered = np.add(sigma_psd, 0.0, dtype=np.float64)
+    jittered.flat[::size + 1] += PSD_JITTER
     try:
-        chol = np.linalg.cholesky(sigma_psd + PSD_JITTER * np.eye(size))
+        chol = np.linalg.cholesky(jittered)
     except np.linalg.LinAlgError:
         min_eig = float(np.linalg.eigvalsh(sigma_psd).min())
         raise np.linalg.LinAlgError(
             f"Cholesky failed even after jitter; min eigenvalue {min_eig:.3e}"
         ) from None
+    del jittered, sigma_psd  # the input too, when the caller passed a temporary
     normals = rng.standard_normal((n_samples, size)) @ chol.T
-    sd = np.sqrt(np.where(degenerate, 1.0, diag))
-    uniforms = ndtr(normals / sd[None, :])
+    normals /= np.sqrt(np.where(degenerate, 1.0, diag))
+    uniforms = ndtr(normals, out=normals)
     uniforms[:, degenerate] = 0.5
     return uniforms
 
@@ -189,11 +236,30 @@ def build_inverse_cdf(pdf: Callable, a: float, b: float, delta: float,
 
 
 def inv_cdf_lookup(table: InverseCdfTable, u) -> np.ndarray:
-    """Smallest grid x with CDF(x) >= u, by binary search; monotone in u."""
+    """Smallest grid x with CDF(x) >= u, the last grid point past the end;
+    monotone in u.  Equal to ``x[min(searchsorted(cdf, u, "left"), len(x) - 1)]``.
+
+    Each u reads its guide bucket floor(u*K) and steps at most one index.
+    An answer is kept only where cdf[i-1] < u <= cdf[i] (or i == 0), which on
+    a non-decreasing table is the searchsorted answer; the rest (flat CDF
+    stretches, rounding at bucket edges, u outside [0, 1], NaN) are searched.
+    """
     u = np.asarray(u, dtype=np.float64)
-    idx = np.searchsorted(table.cdf, u, side="left")
-    idx = np.minimum(idx, len(table.x) - 1)
-    return table.x[idx]
+    flat = u.ravel()
+    cdf = table.cdf
+    last = len(cdf) - 1
+    # clip before scaling, so no NaN, inf or overflow reaches the cast
+    bucket = (np.fmin(np.fmax(flat, 0.0), 1.0) * len(cdf)).astype(np.intp)
+    np.minimum(bucket, last, out=bucket)
+    idx = table.guide[bucket]
+    idx += cdf[idx] < flat
+    found = cdf[np.minimum(idx, last)] >= flat
+    found &= (cdf[idx - 1] < flat) | (idx == 0)
+    if not found.all():
+        missed = ~found
+        idx[missed] = np.searchsorted(cdf, flat[missed], side="left")
+    np.minimum(idx, len(table.x) - 1, out=idx)
+    return table.x[idx.reshape(u.shape)]
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +324,8 @@ def generate_dataset(config: SynthConfig, return_latent: bool = False):
 
     # one response coefficient per (feature, timestep)
     beta = rng.normal(1.0 / (d * t), config.sigma_beta, size=(d, t))
-    sigma = build_covariance(config, rng)
-    sigma_psd = nearest_psd(sigma)
-    uniforms = sample_correlated_uniforms(sigma_psd, n, rng)  # (n, d*t)
+    # no name holds the covariances, so each is freed once the next step is done with it
+    uniforms = sample_correlated_uniforms(nearest_psd(build_covariance(config, rng)), n, rng)
     zeta = rng.normal(0.0, config.sigma_zeta, size=n)
 
     u_mat = uniforms.reshape(n, d, t)
@@ -276,6 +341,7 @@ def generate_dataset(config: SynthConfig, return_latent: bool = False):
         a, b = config.bounds[j]
         table = build_inverse_cdf(config.pdfs[j], a, b, config.delta[j])
         values[:, j, :] = inv_cdf_lookup(table, u_mat[:, j, :])
+    values.flags.writeable = False  # the batch keeps it without a copy
 
     dataset = LabeledDataset(TimeSeriesBatch(values), labels, BINARY)
     if return_latent:

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,3 +418,51 @@ def test_generate_refuses_unknown_pdf_config_keys(tmp_path, capsys, doc, message
                  "--out", str(out)]) == 2
     assert f"error: ValueError: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Run under the C locale with Python's UTF-8 mode and locale coercion off, so
+# open() without an encoding would read and write ASCII.
+ASCII_LOCALE_SCRIPT = """
+import locale
+from tsnorm.cli import main
+from tsnorm.data import CsvFormatError, load_csv, save_csv
+print(locale.getpreferredencoding(False))
+dataset = load_csv("nbsp.csv")
+print(dataset.batch.values.ravel().tolist())
+save_csv(dataset, "saved.csv")
+print(load_csv("saved.csv").batch.values.ravel().tolist())
+try:
+    load_csv("latin1.csv")
+except CsvFormatError as exc:
+    print(exc)
+print(main(["train", "--config", "config.json"]))
+print(main(["generate", "--pdf-config", "pdfs.json", "--n", "10", "--t", "3",
+            "--out", "out.csv"]))
+"""
+
+
+def test_text_files_are_utf8_under_an_ascii_locale(tmp_path):
+    header = b"series_id,timestep,f1,label\r\n"
+    # a no-break space before a number, which float() strips
+    (tmp_path / "nbsp.csv").write_bytes(header + b"0,0,\xc2\xa02.5,1\r\n0,1,3.0,1\r\n")
+    # the quoted line break makes the third record start on the fourth line
+    (tmp_path / "latin1.csv").write_bytes(
+        header + b'0,0,"2.5\n",1\r\n0,1,3\xe9,1\r\n0,2,4.0,1\r\n')
+    (tmp_path / "config.json").write_bytes(
+        b'{"method": "ed\xc3\xa4in", "dataset": {"synthetic": {"n": 20, "t": 3}}}')
+    (tmp_path / "pdfs.json").write_bytes(
+        b'{"features": [{"pdf": "ph\xc3\xaf(x)", "bounds": [0, 1]}]}')
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    env.pop("PYTHONIOENCODING", None)
+    proc = subprocess.run([sys.executable, "-c", ASCII_LOCALE_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, timeout=120)
+    out = proc.stdout.decode("ascii").splitlines()
+    if out and out[0].lower() not in ("ascii", "ansi_x3.4-1968", "us-ascii"):
+        pytest.skip(f"the C locale reads {out[0]} here")
+    assert proc.returncode == 0, proc.stderr.decode("ascii", "backslashreplace")
+    assert out[1:] == ["[2.5, 3.0]", "[2.5, 3.0]", "row 3: text is not UTF-8", "2", "2"]
+    err = proc.stderr.decode("ascii")
+    assert "UnicodeDecodeError" not in err
+    assert "unknown preprocessing method 'ed\\xe4in'" in err
+    assert "pdf expression may not contain Name 'ph\\xef'" in err

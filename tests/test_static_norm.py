@@ -111,6 +111,22 @@ def test_minmax_examples():
     assert beyond.values.ravel()[0] == pytest.approx(1.2)  # no clipping
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 1), (5, 1, 1), (4, 2, 1), (1, 3, 7), (7, 3, 10),
+                                   (300, 17, 13)])
+@pytest.mark.parametrize("zero_extremes", [False, True])
+def test_minmax_fit_equals_the_pooled_reduction(shape, zero_extremes):
+    rng = np.random.default_rng(sum(shape))
+    if zero_extremes:  # ties between 0.0 and -0.0 at the minimum or the maximum
+        values = rng.choice([0.0, -0.0, 1.0], size=shape)
+        values[:, 1::2, :] *= -1.0
+    else:
+        values = rng.normal(size=shape)
+    stats = sn.fit_minmax(TimeSeriesBatch(values))
+    for got, want in ((stats.minimum, values.min(axis=(0, 2))),
+                      (stats.maximum, values.max(axis=(0, 2)))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_minmax_constant_feature_matches_where_formula():
     rng = np.random.default_rng(9)
     values = rng.normal(size=(7, 3, 5))

@@ -19,9 +19,11 @@ values than one EDAIN row block, so those runs go through several.  Last,
 the 20,000-row CSV is respelled from row 10,002 on (ids like ``1_234``,
 quoted feature cells, one of them broken over two lines) and loaded and
 saved again: its first chunks take numpy's parser and the rest the csv
-module's, and the saved file equals the one saved from the plain CSV.  One
-``name sha256`` line is printed per artefact, so two trees compare with a
-single diff:
+module's, and the saved file equals the one saved from the plain CSV.  Then
+a ``generate --pdf-config`` set of 1 feature x 700 steps: its (700 x 700)
+covariance spans several of ``synthgen.ROW_BLOCK``'s 128-row strips and is
+not a multiple of them.  One ``name sha256`` line is printed per artefact,
+so two trees compare with a single diff:
 
     python3 tools/digests.py --src . > new.txt
     python3 tools/digests.py --src /path/to/other/checkout > old.txt
@@ -119,6 +121,10 @@ WIDE_PDFS = {"features": [{"pdf": pdf, "bounds": bounds, "theta": theta}
                           for pdf, bounds, theta in (_WIDE_SHAPES[k % 3] for k in range(80))]}
 WIDE_METHODS = ("edain_global", "edain_local")
 
+# one feature x 700 steps: a 700 x 700 covariance, over six 128-row strips
+LONG_PDFS = {"features": [{"pdf": "0.3 * phi(x + 2) + 0.7 * phi((x - 1) / 0.5) / 0.5",
+                           "bounds": [-7, 4], "theta": [-1, 0.8, 0.3]}]}
+
 
 def _wide_config(method: str) -> dict:
     return {
@@ -194,6 +200,10 @@ def run_recipe(src: Path, work: Path) -> list[tuple[str, str]]:
     (work / "respelled.csv").write_bytes(_respelled(big, 10_001).encode())
     python("-c", RESAVE_PLAIN_CSV, "respelled.csv", "respelled.resaved.csv")
     artefacts.extend(["respelled.csv", "respelled.resaved.csv"])
+    (work / "long.pdfs.json").write_text(json.dumps(LONG_PDFS))
+    tsnorm("generate", "--pdf-config", "long.pdfs.json", "--n", "60", "--t", "700",
+           "--seed", "14", "--out", "long.csv")
+    artefacts.append("long.csv")
     return [(name, hashlib.sha256((work / name).read_bytes()).hexdigest()) for name in artefacts]
 
 

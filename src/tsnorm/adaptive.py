@@ -25,7 +25,7 @@ the rest), which run it once.
 
 ``EdainLayer`` and ``DainLayer`` subclass ``neural.IdentityPreproc``: their
 ``parameters()`` is the one list of trained arrays, and the inherited
-snapshot/restore, ``to_json_dict`` and the ``neural.load_arrays`` loader all
+snapshot/restore, ``to_json_dict`` and the ``data.load_arrays`` loader all
 go through it (EDAIN adds only its running mean).  A checkpoint entry that is
 missing, non-numeric, misshapen or non-finite is a ``ValueError`` naming it.
 """
@@ -38,8 +38,8 @@ from typing import Optional
 import numpy as np
 
 from . import yeojohnson as yj
-from .data import NonFiniteBatchError, TimeSeriesBatch
-from .neural import IdentityPreproc, _sigmoid, load_arrays
+from .data import NonFiniteBatchError, TimeSeriesBatch, load_arrays, load_fields
+from .neural import IdentityPreproc, _sigmoid
 from .static_norm import fit_zscore
 
 GLOBAL_AWARE = "global_aware"
@@ -60,6 +60,9 @@ EDAIN_BLOCK_ELEMENTS = 2 ** 16
 
 # learning-rate group per parameter name
 EDAIN_GROUPS = {"alpha": "outlier", "beta": "outlier", "m": "shift", "s": "scale", "lam": "power"}
+# the fields of an EDAIN checkpoint besides its arrays: the EdainLayer
+# constructor's mode and enabled flags, and the RunningMean's count
+EDAIN_HEADER = {"mode": str, "enabled": tuple[str, ...], "count": int}
 
 
 @dataclass
@@ -75,7 +78,8 @@ class EdainParams:
 
     def __post_init__(self):
         if self.mode not in (GLOBAL_AWARE, LOCAL_AWARE):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"edain mode must be {GLOBAL_AWARE!r} or {LOCAL_AWARE!r}, "
+                             f"got {self.mode!r}")
         for name in ("alpha", "beta", "m", "s", "lam"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64).copy())
 
@@ -105,6 +109,10 @@ class RunningMean:
 
     mu_hat: np.ndarray
     count: int = 0
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise ValueError(f"edain count must be non-negative, got {self.count!r}")
 
     @classmethod
     def zeros(cls, d: int) -> "RunningMean":
@@ -642,6 +650,9 @@ class EdainLayer(IdentityPreproc):
                  warm_start: Optional[TimeSeriesBatch] = None):
         self.params = init_edain_params(d, mode)
         self.enabled = tuple(enabled)
+        for flag in self.enabled:
+            if flag not in ALL_SUBLAYERS:
+                raise ValueError(f"edain enabled has unknown sublayer {flag!r}")
         self.state = RunningMean.zeros(d)
         if warm_start is not None and mode == GLOBAL_AWARE:
             # start the shift/scale stage at the pooled statistics so the
@@ -687,23 +698,12 @@ class EdainLayer(IdentityPreproc):
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EdainLayer":
         """Checked load: a bad header field or parameter is a ValueError naming it."""
-        for key in ("mode", "enabled", "count"):
-            if key not in doc:
-                raise ValueError(f"edain checkpoint is missing field {key!r}")
-        mode, enabled, count = doc["mode"], doc["enabled"], doc["count"]
-        if mode not in (GLOBAL_AWARE, LOCAL_AWARE):
-            raise ValueError(f"edain field 'mode' must be {GLOBAL_AWARE!r} or {LOCAL_AWARE!r}, "
-                             f"got {mode!r}")
-        if not isinstance(enabled, list):
-            raise ValueError(f"edain field 'enabled' must be a list of sublayers, got {enabled!r}")
-        for flag in enabled:
-            if flag not in ALL_SUBLAYERS:
-                raise ValueError(f"edain field 'enabled' has unknown sublayer {flag!r}")
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-            raise ValueError(f"edain field 'count' must be a non-negative integer, got {count!r}")
-        layer = cls(d=np.size(doc.get("alpha", ())), mode=mode, enabled=tuple(enabled))
-        load_arrays({**layer.parameters(), "mu_hat": layer.state.mu_hat}, doc, "edain")
-        layer.state = RunningMean(layer.state.mu_hat, count)
+        header = load_fields(doc, EDAIN_HEADER, "edain", required=EDAIN_HEADER,
+                             extra=("kind", *EDAIN_GROUPS, "mu_hat"))
+        layer = cls(checkpoint_width(doc, "alpha"), header["mode"], header["enabled"])
+        load_arrays({**layer.parameters(), "mu_hat": layer.state.mu_hat}, doc, "edain",
+                    " to match 'alpha'")
+        layer.state = RunningMean(layer.state.mu_hat, header["count"])
         return layer
 
 
@@ -737,6 +737,12 @@ class DainLayer(IdentityPreproc):
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DainLayer":
-        layer = cls(d=np.size(doc.get("bias", ())))
-        load_arrays(layer.parameters(), doc, "dain")
+        load_fields(doc, {}, "dain", extra=("kind", *cls.GROUPS))
+        layer = cls(d=checkpoint_width(doc, "bias"))
+        load_arrays(layer.parameters(), doc, "dain", " to match 'bias'")
         return layer
+
+
+def checkpoint_width(doc: dict, name: str) -> int:
+    """The feature count a checkpoint's ``name`` array gives its layer."""
+    return len(doc[name]) if isinstance(doc.get(name), list) else 0

@@ -15,15 +15,16 @@ import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from typing import get_type_hints
 
 import numpy as np
 from scipy.special import ndtr
 
 from .adaptive import DainLayer, EdainLayer
 from .flow_kl import fit_kl
-from .data import LabeledDataset, load_csv, save_csv
+from .data import LabeledDataset, load_csv, load_fields, save_csv
 from .harness import (ExperimentConfig, KlPreproc, PRESETS, StaticPreproc, ablation_json,
-                      check_keys, fold_metrics, run_ablation, run_experiment, save_report)
+                      fold_metrics, run_ablation, run_experiment, save_report)
 from .neural import GruStack, IdentityPreproc, TrainConfig, history_to_csv, predict
 from .synthgen import SynthConfig, default_config, generate_dataset
 
@@ -37,10 +38,21 @@ _PREPROC_KINDS = {
 }
 
 
+# the fields of a checkpoint file: ``train`` writes preproc and model,
+# ``kl-fit`` preproc and history
+_CHECKPOINT = {"preproc": dict, "model": dict, "history": list}
+
+
+def _read_checkpoint(path: str, *required: str) -> dict:
+    """The checkpoint file at ``path``, once it holds the ``required`` fields."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    return load_fields(doc, _CHECKPOINT, "checkpoint", required=required)
+
+
 def _load_preproc(doc: dict):
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _PREPROC_KINDS:
-        raise ValueError(f"checkpoint has unknown preprocessing kind {kind!r}")
+        raise ValueError(f"checkpoint preproc has unknown preprocessing kind {kind!r}")
     return _PREPROC_KINDS[kind].from_json_dict(doc)
 
 
@@ -91,26 +103,30 @@ def _pdf_from_expression(expr: str):
     return pdf
 
 
+# the fields of one feature of a pdf config; SynthConfig holds them per feature
+_PDF_FEATURE = {"pdf": str, "bounds": tuple[float, float], "theta": tuple[float, ...],
+                "sigma_eps": float, "delta": float}
+
+
 def _synth_from_pdf_config(doc: dict, n: int, t: int, seed: int) -> SynthConfig:
-    check_keys(doc, "pdf config", ("features", "sigma_cor", "sigma_zeta", "sigma_beta",
-                                   "response_threshold"))
-    feats = doc["features"]
-    for j, f in enumerate(feats):
-        check_keys(f, f"pdf config feature {j}", ("pdf", "bounds", "theta", "sigma_eps", "delta"))
-    pdfs = [_pdf_from_expression(f["pdf"]) for f in feats]
-    bounds = [tuple(f["bounds"]) for f in feats]
-    rows = [f.get("theta", [-1.0]) for f in feats]
-    theta = np.zeros((len(feats), max(map(len, rows))))
+    """The SynthConfig a pdf config describes; a field it leaves out takes
+    SynthConfig's default, and a feature's ``theta``, ``sigma_eps`` and
+    ``delta`` default to (-1), 1 and a thousandth of its bounds' width."""
+    hints = get_type_hints(SynthConfig)
+    scalars = {key: hints[key] for key in ("sigma_cor", "sigma_zeta", "sigma_beta",
+                                           "response_threshold")}
+    top = load_fields(doc, {"features": list, **scalars}, "pdf config", required=("features",))
+    feats = [load_fields(f, _PDF_FEATURE, "pdf config", f"feature {j}", required=("pdf", "bounds"))
+             for j, f in enumerate(top.pop("features"))]
+    rows = [f.get("theta", (-1.0,)) for f in feats]
+    theta = np.zeros((len(feats), max(map(len, rows), default=1)))
     for j, row in enumerate(rows):
         theta[j, :len(row)] = row
-    sigma_eps = np.array([f.get("sigma_eps", 1.0) for f in feats])
-    delta = [f.get("delta", 1e-3 * (b - a)) for f, (a, b) in zip(feats, bounds)]
     return SynthConfig(
-        pdfs=pdfs, bounds=bounds, theta=theta, n=n, t=t, sigma_eps=sigma_eps,
-        sigma_cor=doc.get("sigma_cor", 1.4), sigma_zeta=doc.get("sigma_zeta", 0.5),
-        sigma_beta=doc.get("sigma_beta", 2.0), delta=delta, seed=seed,
-        response_threshold=doc.get("response_threshold", "adaptive"),
-    )
+        pdfs=[_pdf_from_expression(f["pdf"]) for f in feats], bounds=[f["bounds"] for f in feats],
+        theta=theta, n=n, t=t, sigma_eps=np.array([f.get("sigma_eps", 1.0) for f in feats]),
+        delta=[f.get("delta", 1e-3 * (f["bounds"][1] - f["bounds"][0])) for f in feats],
+        seed=seed, **top)
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -254,7 +270,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    doc = json.loads(Path(args.checkpoint).read_text(encoding="utf-8"))
+    doc = _read_checkpoint(args.checkpoint, "preproc", "model")
     preproc = _load_preproc(doc["preproc"])
     model = GruStack.from_json_dict(doc["model"])
     dataset = load_csv(args.data)
@@ -294,8 +310,7 @@ def _cmd_kl_fit(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    doc = json.loads(Path(args.checkpoint).read_text(encoding="utf-8"))
-    preproc = _load_preproc(doc["preproc"] if "preproc" in doc else doc)
+    preproc = _load_preproc(_read_checkpoint(args.checkpoint, "preproc")["preproc"])
     dataset = load_csv(args.data)
     out_batch, _ = preproc.forward(dataset.batch, training=False)
     save_csv(LabeledDataset(out_batch, dataset.labels, dataset.label_kind), args.out)

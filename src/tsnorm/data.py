@@ -14,6 +14,14 @@ The CSV codec works ``LOAD_CHUNK`` rows at a time, so its temporaries stay
 small: :func:`load_csv` parses plain chunks with numpy's C text parser and
 hands the rest of a file to the ``csv`` module, and :func:`save_csv`
 formats a column at a time.
+
+The JSON documents the program reads (checkpoints, experiment configs and
+pdf configs) are loaded field by field through one checker,
+:func:`load_fields`: each field is typed by an annotation, and arrays go
+through :func:`load_array`.  Every refusal names its field in one form:
+"<document> <field>" at the top of a document and "<document>
+<section>.<field>" inside one, as in "config train.max_epochs must be int,
+got '3'".
 """
 
 from __future__ import annotations
@@ -21,10 +29,10 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -424,3 +432,144 @@ def minibatch_indices(
     order = generator.permutation(n) if shuffle else np.arange(n)
     for start in range(0, n, batch_size):
         yield order[start : start + batch_size]
+
+
+# ---------------------------------------------------------------------------
+# JSON documents
+
+BoolArray = np.ndarray[Any, np.dtype[np.bool_]]  # annotates an array of JSON booleans
+_TYPE_OF = np.frompyfunc(type, 1, 1)
+
+
+def check_keys(doc, section: str, names) -> dict:
+    """``doc`` itself, once it is a JSON object whose keys are all in ``names``;
+    anything else is a ValueError that names ``section`` and the key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{section} must be a JSON object, not {type(doc).__name__}")
+    for key in doc:
+        if key not in names:
+            raise ValueError(f"{section} has unknown field {key!r}")
+    return doc
+
+
+def load_fields(doc, hints: dict, what: str, part: Optional[str] = None,
+                required=(), extra=()) -> dict:
+    """The fields of the JSON object ``doc`` that ``hints`` types, each through
+    :func:`_check_value`.  ``what`` names the document and ``part`` the section
+    of it that ``doc`` is.  A key outside ``hints`` and ``extra`` (which the
+    caller reads), or a missing or null ``required`` field, is refused."""
+    section = what if part is None else f"{what} {part}"
+    check_keys(doc, section, {*hints, *extra})
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{section} is missing field {key!r}")
+    return {key: _check_value(value, _present(hints[key]) if key in required else hints[key],
+                              what, key if part is None else f"{part}.{key}")
+            for key, value in doc.items() if key in hints}
+
+
+def from_fields(cls, doc, what: str, part: Optional[str] = None):
+    return cls(**load_fields(doc, get_type_hints(cls), what, part))
+
+
+def check_fields(obj, what: str) -> None:
+    """Refuse a field of the dataclass ``obj`` that does not fit its annotation."""
+    hints = get_type_hints(type(obj))
+    for f in fields(obj):
+        if not _fits(value := getattr(obj, f.name), hints[f.name]):
+            raise ValueError(f"{what} {f.name} must be {_kind(hints[f.name])}, got {value!r}")
+
+
+def _check_value(value, hint, what: str, path: str):
+    """A loaded JSON value once it fits the annotation ``hint``, else a
+    ValueError naming the field at ``path`` of document ``what``.  A list
+    becomes a tuple, but stays a list for a list annotation and becomes a
+    :func:`load_array` for an ndarray one (``np.ndarray`` holds finite
+    numbers, ``BoolArray`` booleans); an object becomes the dataclass its
+    annotation names."""
+    name, inner = f"{what} {path}", _present(hint) if value is not None else hint
+    if is_dataclass(inner) and not isinstance(value, inner):
+        return from_fields(inner, value, what, path)
+    if (get_origin(inner) or inner) is np.ndarray:
+        dtype = get_args(get_args(inner)[1])[0] if get_origin(inner) else np.float64
+        return load_array(value, name, (None,), dtype)
+    if (get_origin(inner) or inner) is list:
+        if not isinstance(value, list):
+            raise ValueError(f"{name} must be {_kind(hint)}, got {value!r}")
+        args = get_args(inner)
+        return [_check_value(v, args[0], what, f"{path}[{k}]") for k, v in enumerate(value)] \
+            if args else value
+    value = tuple(value) if isinstance(value, list) else value
+    if not _fits(value, hint):
+        raise ValueError(f"{name} must be {_kind(hint)}, got {value!r}")
+    return value
+
+
+def _present(hint):
+    """``X`` for ``Optional[X]``; any other annotation as it is."""
+    options = [a for a in get_args(hint) if a is not type(None)]
+    return options[0] if get_origin(hint) is Union and len(options) == 1 else hint
+
+
+def _kind(hint) -> str:
+    return hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+
+
+def _fits(value, hint) -> bool:
+    """Whether a value fits a field annotation: an int is not a bool, a float
+    may be an int, and a tuple annotation wants a tuple."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[...]
+        return any(_fits(value, option) for option in args)
+    if origin is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if origin is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(_fits(k, args[0]) and _fits(v, args[1])
+                                               for k, v in value.items())
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
+def load_array(value, name: str, shape: tuple, dtype=np.float64, basis: str = "") -> np.ndarray:
+    """Nested JSON lists as a new array of ``shape`` (None: any length) and
+    ``dtype``, float64 from finite numbers or bool from booleans; otherwise a
+    ValueError naming ``name`` and the first bad entry.  ``basis`` says where
+    ``shape`` comes from.  Entry types are compared in one vectorised pass."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    entries = np.array(value, dtype=object)
+    if entries.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, entries.shape)):
+        expected = str(tuple("n" if n is None else n for n in shape)).replace("'", "")
+        raise ValueError(f"{name} has shape {entries.shape}, expected {expected}{basis}")
+    kinds = _TYPE_OF(entries)
+    bad = kinds != bool if dtype is np.bool_ else (kinds != float) & (kinds != int)
+    if not bad.any():
+        try:
+            out = entries.astype(dtype)
+        except OverflowError:  # an integer past the float64 range
+            out = np.full(entries.shape, np.inf)
+        bad = bad if dtype is np.bool_ else ~np.isfinite(out)
+        if not bad.any():
+            return out
+    at = tuple(np.argwhere(bad)[0].tolist())
+    kind = "boolean" if dtype is np.bool_ else "finite" if _fits(entries[at], float) else "numeric"
+    raise ValueError(f"{name} is not {kind}: entry {list(at)} is {entries[at]!r}")
+
+
+def load_arrays(arrays: dict[str, np.ndarray], doc: dict, what: str, basis: str = "") -> None:
+    """Write ``doc[name]`` into each of ``arrays`` in place (:func:`load_array`);
+    ``what`` names the checkpoint."""
+    for name in arrays:
+        if name not in doc:
+            raise ValueError(f"{what} is missing parameter {name!r}")
+    for name, arr in arrays.items():
+        arr[...] = load_array(doc[name], f"{what} parameter {name!r}", arr.shape, basis=basis)

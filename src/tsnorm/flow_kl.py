@@ -19,10 +19,10 @@ from typing import Optional
 import numpy as np
 
 from . import yeojohnson as yj
-from .adaptive import (BETA_MIN, SCALE_FLOOR, power, power_grads, shift_scale, shift_scale_grads,
-                       winsorize, winsorize_grads)
-from .data import TimeSeriesBatch, minibatch_indices
-from .neural import PREDICT_ROWS, Optimizer, TrainConfig, load_arrays
+from .adaptive import (BETA_MIN, SCALE_FLOOR, checkpoint_width, power, power_grads, shift_scale,
+                       shift_scale_grads, winsorize, winsorize_grads)
+from .data import TimeSeriesBatch, load_arrays, load_fields, minibatch_indices
+from .neural import PREDICT_ROWS, Optimizer, TrainConfig
 from .static_norm import fit_zscore
 
 LOG_2 = math.log(2.0)
@@ -67,8 +67,10 @@ class KlBijectorParams:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "KlBijectorParams":
         """Checked load: a bad entry is a ValueError naming it (``load_arrays``)."""
-        params = init_kl_params(np.size(doc.get("beta", ())))
-        load_arrays({**params.parameters(), "mu_hat": params.mu_hat}, doc, "edain_kl")
+        load_fields(doc, {}, "edain_kl", extra=("kind", *GROUPS, "mu_hat"))
+        params = init_kl_params(checkpoint_width(doc, "beta"))
+        load_arrays({**params.parameters(), "mu_hat": params.mu_hat}, doc, "edain_kl",
+                    " to match 'beta'")
         return params
 
 

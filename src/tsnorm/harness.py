@@ -16,12 +16,13 @@ import json
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Optional
 
 import numpy as np
 
 from .adaptive import ALL_SUBLAYERS, DainLayer, EdainLayer, GLOBAL_AWARE, LOCAL_AWARE
-from .data import BINARY, LabeledDataset, NonFiniteBatchError, RngState, TimeSeriesBatch, load_csv
+from .data import (BINARY, LabeledDataset, NonFiniteBatchError, RngState, TimeSeriesBatch,
+                   check_keys, from_fields, load_csv, load_fields)
 from .flow_kl import FlowDomainError, KlBijectorParams, fit_kl, normalize_direction
 from .metrics import (amex_metric, binary_accuracy, cohen_kappa, macro_f1, ternary_accuracy)
 from .neural import UNIT_CORRECTIONS, GruStack, IdentityPreproc, TrainConfig, TrainResult, \
@@ -156,17 +157,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown preprocessing method {self.method!r}; "
                              f"choose from {', '.join(METHODS)}")
         if (self.synthetic is None) == (self.csv_path is None):
-            raise ValueError("exactly one of synthetic/csv_path must be set")
+            raise ValueError("exactly one of synthetic/csv_path must be set "
+                             "(dataset csv or synthetic)")
         if tuple(self.sublayers) != ALL_SUBLAYERS and not self.method.startswith("edain"):
-            raise ValueError("sublayer flags are only valid with EDAIN methods")
+            raise ValueError(f"sublayer flags are only valid with EDAIN methods, "
+                             f"not with method {self.method!r}")
         if self.preset is not None and self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
         for name, value in (("repetitions", self.repetitions),
                             ("train.max_epochs", self.train.max_epochs)):
             if value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
-        self.winsorize_quantiles = check_static_fields(self.winsorize_quantiles,
-                                                       self.kdit_alpha, "config")
+        check_static_fields(self.winsorize_quantiles, self.kdit_alpha, "config")
 
     def resolved_corrections(self) -> dict:
         """The named preset, else the corrections the train config sets, else
@@ -199,75 +201,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        """The config a JSON document describes.  An unknown key in any section
-        is a ValueError that names the section and the key."""
+        """The config a JSON document describes, each section loaded by
+        ``data.load_fields``.  An unknown key or a value that does not fit its
+        field is a ValueError that names the section and the field."""
         names = {f.name for f in fields(cls)} - {"synthetic", "csv_path"} | {"dataset"}
         doc = dict(check_keys(doc, "config", names))
-        dataset = check_keys(doc.pop("dataset", {}), "config dataset", ("csv", "synthetic"))
+        sources = {"csv": Optional[str], "synthetic": Optional[SyntheticSource]}
+        dataset = load_fields(doc.pop("dataset", {}), sources, "config", "dataset")
         if dataset:
             # both or neither of the two sources is refused by __post_init__
             doc["csv_path"], doc["synthetic"] = dataset.get("csv"), dataset.get("synthetic")
-            _check_value(doc["csv_path"], Optional[str], "config dataset.csv")
-            if doc["synthetic"] is not None:
-                doc["synthetic"] = _from_fields(SyntheticSource, doc["synthetic"],
-                                                "config dataset.synthetic")
-        for key, section in (("model", ModelConfig), ("cv", CvConfig), ("train", TrainConfig)):
-            if key in doc:
-                doc[key] = _from_fields(section, doc[key], f"config {key}")
-        return _from_fields(cls, doc, "config")
-
-
-def check_keys(doc, section: str, names) -> dict:
-    """``doc`` itself, once it is a JSON object whose keys are all in ``names``;
-    anything else is a ValueError that names ``section`` and the key."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{section} must be a JSON object, not {type(doc).__name__}")
-    for key in doc:
-        if key not in names:
-            raise ValueError(f"{section} has unknown field {key!r}")
-    return doc
-
-
-def _from_fields(cls, doc, section: str):
-    """The dataclass ``cls`` built from the JSON object ``doc``, its lists as
-    tuples.  A value that does not fit its field's annotation is a ValueError
-    naming the field, such as ``config train.max_epochs``."""
-    check_keys(doc, section, {f.name for f in fields(cls)})
-    hints = get_type_hints(cls)
-    values = {key: tuple(value) if isinstance(value, list) else value
-              for key, value in doc.items()}
-    for key, value in values.items():
-        _check_value(value, hints[key], f"config {key}" if section == "config"
-                     else f"{section}.{key}")
-    return cls(**values)
-
-
-def _check_value(value, hint, name: str) -> None:
-    if not _fits(value, hint):
-        kind = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
-
-
-def _fits(value, hint) -> bool:
-    """Whether a loaded JSON value fits a field annotation: an int is not a
-    bool, a float may be an int, and lists have become tuples."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is Union:  # Optional[...]
-        return any(_fits(value, option) for option in args)
-    if origin is tuple:
-        if not isinstance(value, tuple):
-            return False
-        if args[-1] is Ellipsis:
-            return all(_fits(v, args[0]) for v in value)
-        return len(value) == len(args) and all(map(_fits, value, args))
-    if origin is dict:
-        return isinstance(value, dict) and all(_fits(k, args[0]) and _fits(v, args[1])
-                                               for k, v in value.items())
-    if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, hint)
+        return from_fields(cls, doc, "config")
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +287,7 @@ class StaticPreproc(IdentityPreproc):
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StaticPreproc":
-        return cls(StaticPipeline.from_json_dict(doc))
+        return cls(StaticPipeline.from_json_dict({k: v for k, v in doc.items() if k != "kind"}))
 
 
 class KlPreproc(IdentityPreproc):

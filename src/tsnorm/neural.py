@@ -18,19 +18,20 @@ through a name is an update of the stacked weights.  One step is then one
 State has one path.  ``parameters()`` is each trainable object's one list of
 its trained arrays: the model, and every preprocessing layer through the
 ``IdentityPreproc`` base.  ``Trainable.snapshot``/``restore`` copy it out and
-write it back in place, ``to_json_dict`` writes it, and ``load_arrays`` reads
-it back into the freshly built arrays: a missing, non-numeric, misshapen or
-non-finite entry is a ``ValueError`` that names the parameter.
+write it back in place, ``to_json_dict`` writes it, and ``data.load_arrays``
+reads it back into the freshly built arrays: a missing, non-numeric,
+misshapen or non-finite entry is a ``ValueError`` that names the parameter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, get_type_hints
 
 import numpy as np
 
-from .data import BINARY, LabeledDataset, TimeSeriesBatch, minibatch_indices
+from .data import BINARY, LabeledDataset, TimeSeriesBatch, load_arrays, load_fields, \
+    minibatch_indices
 
 PROB_CLIP = 1e-12
 GROUP_TAGS = ("outlier", "shift", "scale", "power", "model")
@@ -52,28 +53,6 @@ def _softmax(v):
     shifted = v - v.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def load_arrays(arrays: dict[str, np.ndarray], doc: dict, what: str) -> None:
-    """Write ``doc[name]`` into each of ``arrays`` in place.
-
-    A missing, non-numeric, misshapen or non-finite entry is a ValueError
-    that names the parameter; ``what`` names the checkpoint in the message.
-    """
-    for name in arrays:
-        if name not in doc:
-            raise ValueError(f"{what} checkpoint is missing parameter {name!r}")
-    for name, arr in arrays.items():
-        try:
-            value = np.asarray(doc[name], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{what} parameter {name!r} is not numeric: {exc}") from None
-        if value.shape != arr.shape:
-            raise ValueError(f"{what} parameter {name!r} has shape {value.shape}, "
-                             f"expected {arr.shape}")
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{what} parameter {name!r} is not finite")
-        arr[...] = value
 
 
 class Trainable:
@@ -102,8 +81,14 @@ class GruStack(Trainable):
     def __init__(self, d_in: int, hidden: tuple[int, ...] = (32, 32),
                  head: tuple[int, ...] = (64, 32), n_classes: int = 1,
                  dropout: float = 0.2, rng: Optional[np.random.Generator] = None):
-        if not (0.0 <= dropout < 1.0):
-            raise ValueError("dropout must be in [0, 1)")
+        for name, value, ok, want in (
+                ("d_in", d_in, d_in >= 1, "positive"),
+                ("hidden", hidden, len(hidden) and min(hidden) >= 1, "one or more positive sizes"),
+                ("head", head, not len(head) or min(head) >= 1, "positive sizes"),
+                ("n_classes", n_classes, n_classes in (1, 3), "1 or 3"),
+                ("dropout", dropout, 0.0 <= dropout < 1.0, "in [0, 1)")):
+            if not ok:
+                raise ValueError(f"model {name} must be {want}, got {value!r}")
         if rng is None:
             rng = np.random.default_rng(0)
         self.d_in = d_in
@@ -162,35 +147,21 @@ class GruStack(Trainable):
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GruStack":
-        """Rebuild a checkpointed model; a missing, unknown, misshapen or
+        """Rebuild a checkpointed model.  Its header is typed by the
+        constructor's annotations; a missing, unknown, misshapen or
         non-finite field is a ValueError that names it."""
-        for key in ("d_in", "hidden", "head", "n_classes", "dropout", "params"):
-            if key not in doc:
-                raise ValueError(f"model checkpoint is missing field {key!r}")
-
-        def count(v):
-            return isinstance(v, int) and not isinstance(v, bool) and v >= 1
-
-        hidden, head, dropout = doc["hidden"], doc["head"], doc["dropout"]
-        for name, ok, want in (
-                ("d_in", count(doc["d_in"]), "a positive integer"),
-                ("hidden", isinstance(hidden, list) and hidden and all(map(count, hidden)),
-                 "a non-empty list of positive integers"),
-                ("head", isinstance(head, list) and all(map(count, head)),
-                 "a list of positive integers"),
-                ("n_classes", count(doc["n_classes"]) and doc["n_classes"] in (1, 3), "1 or 3"),
-                ("dropout", isinstance(dropout, (int, float)) and not isinstance(dropout, bool)
-                 and 0.0 <= dropout < 1.0, "a number in [0, 1)")):
-            if not ok:
-                raise ValueError(f"model checkpoint field {name!r} must be {want}, "
-                                 f"got {doc[name]!r}")
-        model = cls(d_in=doc["d_in"], hidden=tuple(doc["hidden"]), head=tuple(doc["head"]),
-                    n_classes=doc["n_classes"], dropout=doc["dropout"])
+        hints = {**get_type_hints(cls.__init__), "params": dict}
+        del hints["rng"]
+        header = load_fields(doc, hints, "model", required=hints)
+        doc_params = header.pop("params")
+        model = cls(**header)
         params = model.parameters()
-        for name in doc["params"]:
+        basis = (f" for d_in {model.d_in}, hidden {list(model.hidden)}, "
+                 f"head {list(model.head_sizes)} and n_classes {model.n_classes}")
+        for name in doc_params:
             if name not in params:
-                raise ValueError(f"model checkpoint has unknown parameter {name!r}")
-        load_arrays(params, doc["params"], "model")
+                raise ValueError(f"model has unknown parameter {name!r}{basis}")
+        load_arrays(params, doc_params, "model", basis)
         return model
 
 
@@ -499,6 +470,7 @@ class IdentityPreproc(Trainable):
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "IdentityPreproc":
+        load_fields(doc, {}, "identity", extra=("kind",))
         return cls()
 
 

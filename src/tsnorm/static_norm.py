@@ -10,13 +10,13 @@ them offline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import yeojohnson as yj
-from .data import TimeSeriesBatch
+from .data import BoolArray, TimeSeriesBatch, check_fields, check_keys, load_fields
 
 CDF_EPS = 1e-5
 GOLDEN_TOL = 1e-6
@@ -42,22 +42,18 @@ KDIT_BLOCK = 2 ** 13  # (grid point, bin) pairs evaluated at once: 64 KB a tempo
 yeo_johnson = yj.forward
 
 
-# fields that hold one array per feature (their lengths differ)
-_RAGGED = ("quantile_values", "quantile_cdf", "grid", "cdf")
-
-
 @dataclass
 class StaticStats:
     """Per-feature statistics; only the fields a given fit needs are set.
 
     One codec serves every fit: each set field is written under its own name
-    and read back with its dtype (``zero_variance`` is boolean, ``alpha`` a
-    scalar, the rest float64).
+    and read back as its annotation types it (``zero_variance`` is boolean,
+    ``alpha`` a scalar, the rest finite float64).
     """
 
     mean: Optional[np.ndarray] = None
     std: Optional[np.ndarray] = None
-    zero_variance: Optional[np.ndarray] = None
+    zero_variance: Optional[BoolArray] = None
     minimum: Optional[np.ndarray] = None
     maximum: Optional[np.ndarray] = None
     lower_clip: Optional[np.ndarray] = None
@@ -79,24 +75,9 @@ class StaticStats:
             v = getattr(self, f.name)
             if v is None:
                 continue
-            out[f.name] = [a.tolist() for a in v] if f.name in _RAGGED else np.asarray(v).tolist()
+            out[f.name] = [a.tolist() for a in v] if isinstance(v, list) else \
+                np.asarray(v).tolist()
         return out
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "StaticStats":
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in doc:
-                continue
-            v = doc[f.name]
-            dtype = bool if f.name == "zero_variance" else np.float64
-            if f.name == "alpha":
-                kwargs[f.name] = v  # kept as written, like the config it came from
-            elif f.name in _RAGGED:
-                kwargs[f.name] = [np.asarray(a, dtype=dtype) for a in v]
-            else:
-                kwargs[f.name] = np.asarray(v, dtype=dtype)
-        return cls(**kwargs)
 
 
 def _require_data(train: TimeSeriesBatch) -> None:
@@ -275,31 +256,27 @@ class KditConfig:
     grid_size: int = 1024
 
     def __post_init__(self):
-        _check_alpha(self.alpha, "kdit field 'alpha'")
-        if isinstance(self.grid_size, bool) or not isinstance(self.grid_size, int) \
-                or self.grid_size < 2:
-            raise ValueError(f"kdit field 'grid_size' must be an integer >= 2, "
-                             f"got {self.grid_size!r}")
+        check_fields(self, "kdit")
+        _check_alpha(self.alpha, "kdit alpha")
+        if self.grid_size < 2:
+            raise ValueError(f"kdit grid_size must be at least 2, got {self.grid_size!r}")
 
 
-def _check_alpha(value, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < np.inf:
+def _check_alpha(value: float, name: str) -> None:
+    if not 0 < value < np.inf:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
-def check_static_fields(winsorize_quantiles, kdit_alpha, owner: str) -> tuple[float, float]:
-    """``winsorize_quantiles`` as a tuple, once it holds two quantiles
-    0 <= lower < upper <= 1 and ``kdit_alpha`` is a finite positive number;
-    otherwise a ValueError naming the field of ``owner`` (a static pipeline
-    or an experiment config)."""
-    q = winsorize_quantiles
-    if not (isinstance(q, (list, tuple)) and len(q) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in q)
-            and 0.0 <= q[0] < q[1] <= 1.0):
-        raise ValueError(f"{owner} field 'winsorize_quantiles' must be two "
-                         f"quantiles 0 <= lower < upper <= 1, got {q!r}")
-    _check_alpha(kdit_alpha, f"{owner} field 'kdit_alpha'")
-    return tuple(q)
+def check_static_fields(winsorize_quantiles: tuple[float, float], kdit_alpha: float,
+                        owner: str) -> None:
+    """Refuse ``winsorize_quantiles`` unless 0 <= lower < upper <= 1, and
+    ``kdit_alpha`` unless it is finite and positive, with a ValueError naming
+    the field of ``owner`` (a static pipeline or an experiment config)."""
+    lower, upper = winsorize_quantiles
+    if not 0.0 <= lower < upper <= 1.0:
+        raise ValueError(f"{owner} winsorize_quantiles must be two quantiles "
+                         f"0 <= lower < upper <= 1, got {winsorize_quantiles!r}")
+    _check_alpha(kdit_alpha, f"{owner} kdit_alpha")
 
 
 def _kernel_bins(ordered: np.ndarray, h: float):
@@ -481,6 +458,7 @@ _STAGE_FIELDS = {
     "cdf_inversion": ("quantile_values", "quantile_cdf"),
     "kdit": ("alpha", "grid", "cdf", "cdf_lo", "cdf_hi", "bandwidth", "zero_variance"),
 }
+_STAGE_KEYS = {"step", *(f.name for f in fields(StaticStats))}
 
 
 @dataclass
@@ -499,14 +477,11 @@ class StaticPipeline:
     fitted: list[StaticStats] = field(default_factory=list)
 
     def __post_init__(self):
-        if not isinstance(self.steps, list):
-            raise ValueError(f"static pipeline field 'steps' must be a list of step names, "
-                             f"got {self.steps!r}")
+        check_fields(self, "static pipeline")
         for s in self.steps:
-            if not isinstance(s, str) or s not in _STEPS:
-                raise ValueError(f"static pipeline field 'steps' has unknown step {s!r}")
-        self.winsorize_quantiles = check_static_fields(self.winsorize_quantiles,
-                                                       self.kdit_alpha, "static pipeline")
+            if s not in _STEPS:
+                raise ValueError(f"static pipeline steps has unknown step {s!r}")
+        check_static_fields(self.winsorize_quantiles, self.kdit_alpha, "static pipeline")
 
     def fit(self, train: TimeSeriesBatch) -> "StaticPipeline":
         self.fitted = []
@@ -537,45 +512,36 @@ class StaticPipeline:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StaticPipeline":
-        """Load a fitted pipeline; a stage that is missing, not an object,
-        mistagged, lacks a field of its step or disagrees on the feature count,
-        or a kdit stage whose ``cdf_hi`` is not above its ``cdf_lo`` for a
-        feature not flagged ``zero_variance``, is a ValueError naming the
-        stage and the field."""
-        for key in ("steps", "stages"):
-            if key not in doc:
-                raise ValueError(f"static pipeline is missing field {key!r}")
-        steps, stages = doc["steps"], doc["stages"]
-        pipeline = cls(steps=steps,
-                       winsorize_quantiles=doc.get("winsorize_quantiles", (0.01, 0.99)),
-                       kdit_alpha=doc.get("kdit_alpha", 1.0))
-        if not isinstance(stages, list):
-            raise ValueError("static pipeline field 'stages' must be a list of stages")
-        if len(stages) != len(steps):
-            raise ValueError(f"static pipeline lists {len(steps)} steps "
+        """Load a fitted pipeline, its fields and each stage's typed by their
+        annotations (``data.load_fields``).  A stage that is missing, not an
+        object, mistagged, lacks a field of its step or disagrees on the
+        feature count, or a kdit stage whose ``cdf_hi`` is not above its
+        ``cdf_lo`` for a feature not flagged ``zero_variance``, is a
+        ValueError naming the stage and the field."""
+        hints = {**get_type_hints(cls), "stages": list}
+        del hints["fitted"]
+        values = load_fields(doc, hints, "static pipeline", required=("steps", "stages"))
+        stages = values.pop("stages")
+        pipeline = cls(**values)
+        if len(stages) != len(pipeline.steps):
+            raise ValueError(f"static pipeline lists {len(pipeline.steps)} steps "
                              f"but {len(stages)} stages")
         n_features = None
-        for i, (step, stage) in enumerate(zip(steps, stages)):
-            if not isinstance(stage, dict):
-                raise ValueError(f"stage {i} must be a JSON object, not {type(stage).__name__}")
-            if stage.get("step") != step:
-                raise ValueError(f"stage {i} is tagged {stage.get('step')!r} "
-                                 f"but step {i} is {step!r}")
+        for i, (step, stage) in enumerate(zip(pipeline.steps, stages)):
+            tag = check_keys(stage, f"stage {i}", _STAGE_KEYS).get("step")
+            if tag != step:
+                raise ValueError(f"stage {i} is tagged {tag!r} but step {i} is {step!r}")
+            section = f"stage {i} ({step})"
+            stats = StaticStats(**load_fields(stage, get_type_hints(StaticStats), section,
+                                              required=_STAGE_FIELDS[step], extra=("step",)))
             for name in _STAGE_FIELDS[step]:
-                if name not in stage:
-                    raise ValueError(f"stage {i} ({step}) is missing field {name!r}")
                 if name == "alpha":  # the one scalar field
                     continue
-                value = stage[name]
-                if not isinstance(value, list):
-                    raise ValueError(f"stage {i} ({step}) field {name!r} is not a "
-                                     f"per-feature list")
-                if n_features is None:
-                    n_features = len(value)
-                if len(value) != n_features:
-                    raise ValueError(f"stage {i} ({step}) field {name!r} has "
-                                     f"{len(value)} features, expected {n_features}")
-            stats = StaticStats.from_json_dict(stage)
+                count = len(getattr(stats, name))
+                n_features = count if n_features is None else n_features
+                if count != n_features:
+                    raise ValueError(f"{section} {name} has {count} features, "
+                                     f"expected {n_features}")
             if step == "kdit":  # apply_kdit divides by cdf_hi - cdf_lo
                 flat = ~(stats.cdf_hi > stats.cdf_lo) & ~stats.zero_variance
                 if flat.any():

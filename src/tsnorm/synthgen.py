@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtr
@@ -34,9 +34,11 @@ DEGENERATE_VAR = 1e-12
 ROW_BLOCK = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InverseCdfTable:
     """Normalized trapezoid CDF of an unnormalized density on a grid.
+
+    Tables compare and hash by identity, as the table cache holds them.
 
     ``guide`` has one bucket per table point: ``guide[k]`` is the first index
     whose CDF reaches k/K (K = len(cdf)), capped at K - 1.  It is derived
@@ -80,34 +82,41 @@ class SynthConfig:
     sigma_beta: float = 2.0
     delta: Optional[Sequence[float]] = None
     seed: int = 0
-    response_threshold: object = "adaptive"
+    response_threshold: Union[float, str] = "adaptive"
 
     def __post_init__(self):
+        if not self.pdfs:
+            raise ValueError("no features: pdfs must hold at least one density")
         self.theta = np.asarray(self.theta, dtype=np.float64)
-        if self.theta.ndim != 2 or self.theta.shape[0] != len(self.pdfs):
-            raise ValueError("theta must have one coefficient row per feature")
-        if not np.all(self.theta[:, 0] == -1.0):
-            raise ValueError("theta[:, 0] must equal -1")
-        if self.theta.shape[1] > 1 and np.any(np.abs(self.theta[:, 1:]) >= 1.0):
-            raise ValueError("theta_1..theta_q must lie in (-1, 1)")
+        if self.theta.ndim != 2 or self.theta.shape[0] != len(self.pdfs) or not self.theta.size:
+            raise ValueError("theta must have one non-empty coefficient row per feature")
+        bad = ~(self.theta[:, 0] == -1.0) | ~np.all(np.abs(self.theta[:, 1:]) < 1.0, axis=1)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ValueError(f"theta of feature {j} must be -1 and then values in (-1, 1), "
+                             f"got {self.theta[j].tolist()}")
         if len(self.bounds) != len(self.pdfs):
             raise ValueError("need one (A, B) bound pair per density")
         for a, b in self.bounds:
-            if not a < b:
+            if not -np.inf < a < b < np.inf:
                 raise ValueError(f"invalid bounds ({a}, {b})")
         if self.sigma_eps is None:
             self.sigma_eps = np.ones(len(self.pdfs))
         else:
             self.sigma_eps = np.asarray(self.sigma_eps, dtype=np.float64)
-        if np.any(self.sigma_eps <= 0) or self.sigma_cor <= 0 or self.sigma_zeta <= 0 \
-                or self.sigma_beta <= 0:
-            raise ValueError("all noise scales must be positive")
+        for name, value in (("sigma_eps", np.min(self.sigma_eps)), ("sigma_cor", self.sigma_cor),
+                            ("sigma_zeta", self.sigma_zeta), ("sigma_beta", self.sigma_beta)):
+            if not value > 0:
+                raise ValueError(f"noise scale {name} must be positive, got {value!r}")
         if self.delta is None:
             self.delta = tuple(1e-3 * (b - a) for a, b in self.bounds)
         else:
             self.delta = tuple(float(v) for v in self.delta)
-            if any(v <= 0 for v in self.delta):
+            if not all(v > 0 for v in self.delta):
                 raise ValueError("grid step delta must be positive")
+        if isinstance(self.response_threshold, str) and self.response_threshold != "adaptive":
+            raise ValueError(f"response_threshold must be a number or 'adaptive', "
+                             f"got {self.response_threshold!r}")
 
     @property
     def d(self) -> int:

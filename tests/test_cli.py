@@ -350,8 +350,9 @@ def test_partner_flag_alone_keeps_the_defaults(tmp_path):
 
 
 @pytest.mark.parametrize("extra, message", [
-    ({"kdit_alpha": float("nan")}, "config field 'kdit_alpha' must be a finite positive number"),
-    ({"winsorize_quantiles": [0.9, 0.1]}, "config field 'winsorize_quantiles' must be two quantiles"),
+    ({"kdit_alpha": float("nan")}, "config kdit_alpha must be a finite positive number, got nan"),
+    ({"winsorize_quantiles": [0.9, 0.1]},
+     "config winsorize_quantiles must be two quantiles 0 <= lower < upper <= 1, got (0.9, 0.1)"),
     ({"train": {"max_epochs": "3"}}, "config train.max_epochs must be int, got '3'"),
     ({"cv": {"kind": "kfold", "k": "3"}}, "config cv.k must be int, got '3'"),
 ], ids=["kdit_alpha", "winsorize_quantiles", "max_epochs", "k"])
@@ -412,6 +413,35 @@ def test_preset_flag_reaches_the_report_echo(tmp_path, dataset_csv, name):
     ({"features": ["phi(x)"]}, "pdf config feature 0 must be a JSON object, not str"),
 ], ids=["top", "feature", "not-an-object"])
 def test_generate_refuses_unknown_pdf_config_keys(tmp_path, capsys, doc, message):
+    pdf_cfg, out = tmp_path / "pdfs.json", tmp_path / "custom.csv"
+    pdf_cfg.write_text(json.dumps(doc))
+    assert main(["generate", "--pdf-config", str(pdf_cfg), "--n", "20", "--t", "4",
+                 "--out", str(out)]) == 2
+    assert f"error: ValueError: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({}, "pdf config is missing field 'features'"),
+    ({"features": [{"bounds": [0, 1]}]}, "pdf config feature 0 is missing field 'pdf'"),
+    ({"features": [{"pdf": "phi(x)"}]}, "pdf config feature 0 is missing field 'bounds'"),
+    ({"features": 3}, "pdf config features must be list, got 3"),
+    ({"features": [{"pdf": 3, "bounds": [0, 1]}]}, "pdf config feature 0.pdf must be str, got 3"),
+    ({"features": [{"pdf": "phi(x)", "bounds": 3}]},
+     "pdf config feature 0.bounds must be tuple[float, float], got 3"),
+    ({"features": [{"pdf": "phi(x)", "bounds": [0, 1], "theta": "x"}]},
+     "pdf config feature 0.theta must be tuple[float, ...], got 'x'"),
+    ({"features": [{"pdf": "phi(x)", "bounds": [0, 1], "theta": []}]},
+     "theta must have one non-empty coefficient row per feature"),
+    ({"features": [{"pdf": "phi(x)", "bounds": [0, 1], "sigma_eps": "x"}]},
+     "pdf config feature 0.sigma_eps must be float, got 'x'"),
+    ({"features": [{"pdf": "phi(x)", "bounds": [0, 1]}], "sigma_cor": "x"},
+     "pdf config sigma_cor must be float, got 'x'"),
+    ({"features": [{"pdf": "phi(x)", "bounds": [0, 1]}], "response_threshold": [1]},
+     "pdf config response_threshold must be Union[float, str], got (1,)"),
+], ids=["features-missing", "pdf-missing", "bounds-missing", "features", "pdf", "bounds",
+        "theta", "theta-empty", "sigma_eps", "sigma_cor", "response_threshold"])
+def test_generate_names_a_bad_pdf_config_field(tmp_path, capsys, doc, message):
     pdf_cfg, out = tmp_path / "pdfs.json", tmp_path / "custom.csv"
     pdf_cfg.write_text(json.dumps(doc))
     assert main(["generate", "--pdf-config", str(pdf_cfg), "--n", "20", "--t", "4",

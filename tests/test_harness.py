@@ -317,7 +317,7 @@ def test_config_value_of_the_wrong_type_is_refused_by_name(extra, message):
 def test_static_fields_are_checked_when_the_config_loads(extra, field, method):
     # the EDAIN and DAIN methods never build a static pipeline, so only the
     # config can refuse these
-    with pytest.raises(ValueError, match=f"^config field '{field}' must be "):
+    with pytest.raises(ValueError, match=f"^config {field} must be .*, got "):
         hx.ExperimentConfig.from_json_dict(small_doc(method=method, **extra))
 
 

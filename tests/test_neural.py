@@ -447,7 +447,7 @@ def test_model_checkpoint_rejects_bad_header(name, values):
         doc[name] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"model checkpoint field '{name}'"):
+            with pytest.raises(ValueError, match=f"^model {name} must be .*, got "):
                 nn.GruStack.from_json_dict(doc)
 
 

@@ -532,7 +532,7 @@ def test_kdit_rejects_bad_alpha():
     ({"grid_size": True}, "grid_size"), ({"grid_size": "64"}, "grid_size"),
 ])
 def test_kdit_config_rejects_bad_fields(kwargs, name):
-    with pytest.raises(ValueError, match=f"'{name}'"):
+    with pytest.raises(ValueError, match=f"^kdit {name} must be .*, got "):
         sn.KditConfig(**kwargs)
 
 
@@ -630,14 +630,18 @@ def _set(key, value):
     (_drop_std, "stage 0 (zscore) is missing field 'std'"),
     (_retag, "stage 1 is tagged 'zscore' but step 1 is 'yeo_johnson'"),
     (_drop_stage, "lists 2 steps but 1 stages"),
-    (_short_field, "stage 1 (yeo_johnson) field 'lam' has 1 features, expected 2"),
-    (_scalar_field, "stage 0 (zscore) field 'mean' is not a per-feature list"),
+    (_short_field, "stage 1 (yeo_johnson) lam has 1 features, expected 2"),
+    (_scalar_field, "stage 0 (zscore) mean must be a list, got 0.0"),
+    (lambda doc: doc["stages"][1].__setitem__("lam", None),
+     "stage 1 (yeo_johnson) lam must be a list, got None"),
     (_set("steps", [["zscore"], "yeo_johnson"]),
-     "static pipeline field 'steps' has unknown step ['zscore']"),
-    (_set("steps", "zscore"), "static pipeline field 'steps' must be a list"),
-    (_set("stages", {}), "static pipeline field 'stages' must be a list"),
-    (_set("winsorize_quantiles", 0.5), "static pipeline field 'winsorize_quantiles'"),
-    (_set("kdit_alpha", float("nan")), "static pipeline field 'kdit_alpha'"),
+     "static pipeline steps[0] must be str, got ('zscore',)"),
+    (_set("steps", "zscore"), "static pipeline steps must be list[str], got 'zscore'"),
+    (_set("stages", {}), "static pipeline stages must be list, got {}"),
+    (_set("winsorize_quantiles", 0.5),
+     "static pipeline winsorize_quantiles must be tuple[float, float], got 0.5"),
+    (_set("kdit_alpha", float("nan")),
+     "static pipeline kdit_alpha must be a finite positive number, got nan"),
     (lambda doc: doc["stages"].__setitem__(0, 1), "stage 0 must be a JSON object, not int"),
     (lambda doc: _kdit_stage(doc, "cdf_hi", "cdf_lo"),
      "stage 1 (kdit) field 'cdf_hi' must be above 'cdf_lo' for feature 1"),
@@ -667,7 +671,7 @@ def test_pipeline_json_rejects_malformed_stages(corrupt, message):
     ({"kdit_alpha": "1"}, "kdit_alpha"),
 ])
 def test_pipeline_rejects_bad_fields(kwargs, name):
-    with pytest.raises(ValueError, match=f"static pipeline field '{name}'"):
+    with pytest.raises(ValueError, match=f"^static pipeline {name} must be .*, got "):
         sn.StaticPipeline(**{"steps": ["kdit"], **kwargs})
 
 

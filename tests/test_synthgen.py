@@ -121,6 +121,18 @@ def test_table_cache_reuses_instance():
     assert table_a.cached
 
 
+def test_tables_compare_and_hash_by_identity():
+    # generated __eq__ compared the arrays and raised; __hash__ refused them
+    a, b = (sg.build_inverse_cdf(sg.pdf_left_skew, -1.0, 7.0, 0.01, use_cache=False)
+            for _ in range(2))
+    assert np.array_equal(a.cdf, b.cdf)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    cached = sg.build_inverse_cdf(sg.pdf_left_skew, -1.0, 7.0, 0.01)
+    assert sg.build_inverse_cdf(sg.pdf_left_skew, -1.0, 7.0, 0.01) is cached
+    assert cached.cached and cached != a
+
+
 def test_builtin_pdf_values():
     f1, f2, f3 = sg.builtin_pdfs()
     phi0 = 1.0 / math.sqrt(2 * math.pi)

@@ -15,14 +15,13 @@ import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import get_type_hints
 
 import numpy as np
 from scipy.special import ndtr
 
 from .adaptive import DainLayer, EdainLayer
 from .flow_kl import fit_kl
-from .data import LabeledDataset, load_csv, load_fields, save_csv
+from .data import LabeledDataset, load_csv, load_fields, save_csv, type_hints
 from .harness import (ExperimentConfig, KlPreproc, PRESETS, StaticPreproc, ablation_json,
                       fold_metrics, run_ablation, run_experiment, save_report)
 from .neural import GruStack, IdentityPreproc, TrainConfig, history_to_csv, predict
@@ -72,16 +71,20 @@ _PDF_SYNTAX = (ast.Expression, ast.BinOp, ast.Call, ast.Load, ast.operator, ast.
                ast.cmpop)
 
 
-def _pdf_from_expression(expr: str):
+def _pdf_from_expression(expr: str, name: str = "pdf expression"):
     """Compile a density expression of ``x``.
 
     Only number constants, arithmetic and unary operators, single
     comparisons, the elementwise boolean operators ``& | ~``, the names
     ``x pi e phi Phi ind`` and ``np.<f>`` for the functions in ``_PDF_NUMPY``
-    are accepted; anything else is a ValueError that names the node.  ``np``
-    is bound to those functions alone, not to the module.
+    are accepted; anything else, or text that does not parse, is a ValueError
+    that names ``name`` and the node.  ``np`` is bound to those functions
+    alone, not to the module.
     """
-    tree = ast.parse(expr, mode="eval")
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as err:
+        raise ValueError(f"{name} is not an expression ({err.msg}): {expr!r}") from None
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
             node.value = float(node.value)  # float powers overflow instead of growing unbounded
@@ -92,7 +95,7 @@ def _pdf_from_expression(expr: str):
                   or isinstance(node, ast.Name) and node.id in ("x", *_PDF_NAMES)
                   or isinstance(node, ast.Attribute) and node.attr in _PDF_NUMPY
                   and isinstance(node.value, ast.Name) and node.value.id == "np"):
-            raise ValueError(f"pdf expression may not contain {type(node).__name__} "
+            raise ValueError(f"{name} may not contain {type(node).__name__} "
                              f"{ast.unparse(node)!r}")
     code = compile(tree, "<pdf>", "eval")
 
@@ -112,7 +115,7 @@ def _synth_from_pdf_config(doc: dict, n: int, t: int, seed: int) -> SynthConfig:
     """The SynthConfig a pdf config describes; a field it leaves out takes
     SynthConfig's default, and a feature's ``theta``, ``sigma_eps`` and
     ``delta`` default to (-1), 1 and a thousandth of its bounds' width."""
-    hints = get_type_hints(SynthConfig)
+    hints = type_hints(SynthConfig)
     scalars = {key: hints[key] for key in ("sigma_cor", "sigma_zeta", "sigma_beta",
                                            "response_threshold")}
     top = load_fields(doc, {"features": list, **scalars}, "pdf config", required=("features",))
@@ -123,7 +126,8 @@ def _synth_from_pdf_config(doc: dict, n: int, t: int, seed: int) -> SynthConfig:
     for j, row in enumerate(rows):
         theta[j, :len(row)] = row
     return SynthConfig(
-        pdfs=[_pdf_from_expression(f["pdf"]) for f in feats], bounds=[f["bounds"] for f in feats],
+        pdfs=[_pdf_from_expression(f["pdf"], f"pdf config feature {j}.pdf")
+              for j, f in enumerate(feats)], bounds=[f["bounds"] for f in feats],
         theta=theta, n=n, t=t, sigma_eps=np.array([f.get("sigma_eps", 1.0) for f in feats]),
         delta=[f.get("delta", 1e-3 * (f["bounds"][1] - f["bounds"][0])) for f in feats],
         seed=seed, **top)

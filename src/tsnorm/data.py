@@ -27,11 +27,13 @@ got '3'".
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import chain, islice
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -114,14 +116,6 @@ class TimeSeriesBatch:
     def t(self) -> int:
         return self.values.shape[2]
 
-    def series(self, i: int) -> np.ndarray:
-        """The (d, T) matrix of series ``i``."""
-        return self.values[i]
-
-    def feature(self, k: int) -> np.ndarray:
-        """All observations of feature ``k`` as an (N, T) matrix."""
-        return self.values[:, k, :]
-
     def pooled(self, k: int) -> np.ndarray:
         """Feature ``k`` pooled over series and timesteps (length N*T)."""
         return self.values[:, k, :].reshape(-1)
@@ -161,10 +155,6 @@ class LabeledDataset:
     @property
     def n(self) -> int:
         return self.batch.n
-
-    @property
-    def n_classes(self) -> int:
-        return _CLASS_COUNT[self.label_kind]
 
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
         """Row subset; weights are renormalized to keep the sum-to-one invariant."""
@@ -468,13 +458,19 @@ def load_fields(doc, hints: dict, what: str, part: Optional[str] = None,
             for key, value in doc.items() if key in hints}
 
 
+@functools.cache
+def type_hints(owner) -> MappingProxyType:
+    """``typing.get_type_hints(owner)``, resolved once per class or function."""
+    return MappingProxyType(get_type_hints(owner))
+
+
 def from_fields(cls, doc, what: str, part: Optional[str] = None):
-    return cls(**load_fields(doc, get_type_hints(cls), what, part))
+    return cls(**load_fields(doc, type_hints(cls), what, part))
 
 
 def check_fields(obj, what: str) -> None:
     """Refuse a field of the dataclass ``obj`` that does not fit its annotation."""
-    hints = get_type_hints(type(obj))
+    hints = type_hints(type(obj))
     for f in fields(obj):
         if not _fits(value := getattr(obj, f.name), hints[f.name]):
             raise ValueError(f"{what} {f.name} must be {_kind(hints[f.name])}, got {value!r}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from . import yeojohnson as yj
 from .adaptive import (BETA_MIN, SCALE_FLOOR, checkpoint_width, power, power_grads, shift_scale,
                        shift_scale_grads, winsorize, winsorize_grads)
 from .data import TimeSeriesBatch, load_arrays, load_fields, minibatch_indices
-from .neural import PREDICT_ROWS, Optimizer, TrainConfig
+from .neural import PREDICT_ROWS, Optimizer, Trainable, TrainConfig
 from .static_norm import fit_zscore
 
 LOG_2 = math.log(2.0)
@@ -36,7 +35,7 @@ class FlowDomainError(ValueError):
 
 
 @dataclass
-class KlBijectorParams:
+class KlBijectorParams(Trainable):
     """Per-feature bijector parameters plus the fixed pooled mean."""
 
     beta: np.ndarray
@@ -52,9 +51,6 @@ class KlBijectorParams:
     @property
     def d(self) -> int:
         return len(self.beta)
-
-    def copy(self) -> "KlBijectorParams":
-        return KlBijectorParams(self.beta, self.m, self.s, self.lam, self.mu_hat)
 
     def parameters(self) -> dict[str, np.ndarray]:
         """The trained arrays; ``mu_hat`` is fixed before training."""
@@ -187,22 +183,17 @@ def negative_log_likelihood(batch: TimeSeriesBatch, params: KlBijectorParams) ->
     return float(per_series.sum()), grads
 
 
-def fit_kl(train: TimeSeriesBatch,
-           config: Optional[TrainConfig] = None) -> tuple[KlBijectorParams, list]:
+def fit_kl(train: TimeSeriesBatch, config: TrainConfig) -> tuple[KlBijectorParams, list]:
     """Fit the bijector by minibatch gradient descent on the NLL.
 
     Training starts from the pooled statistics of ``train`` (one pass, before
     any step): mu_hat and the shift m at the pooled mean, the scale s at the
     pooled standard deviation and beta at three of them, so the initial map is
     a z-score with mild winsorization.  mu_hat stays fixed.  Returns the
-    best-NLL parameters seen (evaluated on the full data once per epoch) and
-    the per-epoch history; a NaN loss aborts and returns the last finite
-    checkpoint.
+    best-NLL parameters seen (evaluated on the full data once per epoch and
+    restored at the end) and the per-epoch history; a NaN loss aborts and
+    returns the last finite checkpoint.
     """
-    if config is None:
-        config = TrainConfig(base_lr=1e-2, optimizer="adam", batch_size=256, max_epochs=50,
-                             milestones=(), patience=50)
-
     pooled = fit_zscore(train)
     std = np.maximum(pooled.std, SCALE_FLOOR)
     params = KlBijectorParams(beta=np.maximum(3.0 * std, BETA_MIN), m=pooled.mean, s=std,
@@ -216,7 +207,7 @@ def fit_kl(train: TimeSeriesBatch,
         return float(series_nll(train, params).sum()) / (train.n * train.d * train.t)
 
     best = full_nll()
-    best_params = params.copy()
+    best_snap = params.snapshot()
     history = [{"epoch": 0, "nll": best}]
     for epoch in range(1, config.max_epochs + 1):
         diverged = False
@@ -239,5 +230,6 @@ def fit_kl(train: TimeSeriesBatch,
         history.append({"epoch": epoch, "nll": epoch_nll})
         if epoch_nll < best:
             best = epoch_nll
-            best_params = params.copy()
-    return best_params, history
+            best_snap = params.snapshot()
+    params.restore(best_snap)
+    return params, history

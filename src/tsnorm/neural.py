@@ -8,30 +8,27 @@ the test suite checks every gradient against central finite differences.
 
 Each GRU cell (Cho et al. 2014) stores its weights in the stacked-gate layout
 used by cuDNN and PyTorch: ``wx`` (In x 3H), ``wh`` (H x 3H) and ``b`` (3H),
-with the reset, update and candidate gates in that column order.  The nine
-per-gate names (``wxr whr br wxz whz bz wxn whn bn``) that ``parameters()``,
-the optimizer and checkpoints use are views into those arrays, so an update
-through a name is an update of the stacked weights.  One step is then one
-``h @ wh`` matmul, and BPTT carries the hidden-state gradient back with one
-``d_gate @ wh.T``.
+with the reset, update and candidate gates in that column order.  One step
+is then one ``h @ wh`` matmul, and BPTT carries the hidden-state gradient
+back with one ``d_gate @ wh.T``.
 
-State has one path.  ``parameters()`` is each trainable object's one list of
-its trained arrays: the model, and every preprocessing layer through the
-``IdentityPreproc`` base.  ``Trainable.snapshot``/``restore`` copy it out and
-write it back in place, ``to_json_dict`` writes it, and ``data.load_arrays``
-reads it back into the freshly built arrays: a missing, non-numeric,
-misshapen or non-finite entry is a ``ValueError`` that names the parameter.
+State has one path.  ``parameters()`` names each array a ``Trainable`` (the
+model, a preprocessing layer, the EDAIN-KL bijector) stores and trains; the
+gradients, the optimizer state and ``snapshot``/``restore`` use those names.
+``to_json_dict`` writes the arrays and ``data.load_arrays`` reads them back,
+naming a missing, non-numeric, misshapen or non-finite entry.  Only a GRU
+checkpoint names other arrays: each cell per gate (``cell0.wxr whr br ...``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, get_type_hints
+from typing import Callable, Optional
 
 import numpy as np
 
 from .data import BINARY, LabeledDataset, TimeSeriesBatch, load_arrays, load_fields, \
-    minibatch_indices
+    minibatch_indices, type_hints
 
 PROB_CLIP = 1e-12
 GROUP_TAGS = ("outlier", "shift", "scale", "power", "model")
@@ -65,8 +62,7 @@ class Trainable:
         return {name: arr.copy() for name, arr in self.parameters().items()}
 
     def restore(self, snap: dict[str, np.ndarray]) -> None:
-        # write through the live arrays: the optimizer and the per-gate views
-        # hold references to them
+        # write through the live arrays: the optimizer holds references to them
         for name, arr in self.parameters().items():
             arr[...] = snap[name]
 
@@ -101,23 +97,16 @@ class GruStack(Trainable):
             bound = 1.0 / np.sqrt(n_in)
             return rng.uniform(-bound, bound, size=(n_in, n_out))
 
-        # stacked[i] holds cell i's wx/wh/b; cells[i] holds the per-gate views
+        # stacked[i] holds cell i's wx/wh/b, each gate a block of h columns
         self.stacked = []
-        self.cells = []
         prev = d_in
         for h in self.hidden:
             wx = np.empty((prev, 3 * h))
             wh = np.empty((h, 3 * h))
-            b = np.zeros(3 * h)
-            cell = {}
-            for g, gate in enumerate("rzn"):
-                cols = slice(g * h, (g + 1) * h)
-                wx[:, cols] = mat(prev, h)
-                wh[:, cols] = mat(h, h)
-                cell.update({f"wx{gate}": wx[:, cols], f"wh{gate}": wh[:, cols],
-                             f"b{gate}": b[cols]})
-            self.stacked.append({"wx": wx, "wh": wh, "b": b})
-            self.cells.append(cell)
+            for g in range(3):
+                wx[:, g * h:(g + 1) * h] = mat(prev, h)
+                wh[:, g * h:(g + 1) * h] = mat(h, h)
+            self.stacked.append({"wx": wx, "wh": wh, "b": np.zeros(3 * h)})
             prev = h
         self.head = []
         for width in self.head_sizes:
@@ -126,14 +115,19 @@ class GruStack(Trainable):
         self.head.append({"w": mat(prev, n_classes), "b": np.zeros(n_classes)})
 
     def parameters(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, cell in enumerate(self.cells):
-            for name, arr in cell.items():
-                out[f"cell{i}.{name}"] = arr
-        for i, layer in enumerate(self.head):
-            out[f"head{i}.w"] = layer["w"]
-            out[f"head{i}.b"] = layer["b"]
-        return out
+        return {f"{part}{i}.{kind}": arr
+                for part, layers in (("cell", self.stacked), ("head", self.head))
+                for i, layer in enumerate(layers) for kind, arr in layer.items()}
+
+    def _checkpoint_arrays(self) -> dict[str, np.ndarray]:
+        """The checkpoint's names: each cell per gate (``cell0.wxr``, ``cell0.whr``,
+        ``cell0.br``, ``cell0.wxz`` ...) as column-block views of its stacked
+        arrays, then the head's arrays as ``parameters()`` names them."""
+        gates = {f"cell{i}.{kind}{gate}": arr[..., g * h:(g + 1) * h]
+                 for i, (cell, h) in enumerate(zip(self.stacked, self.hidden))
+                 for g, gate in enumerate("rzn") for kind, arr in cell.items()}
+        heads = {name: arr for name, arr in self.parameters().items() if name.startswith("head")}
+        return {**gates, **heads}
 
     def groups(self) -> dict[str, str]:
         return {name: "model" for name in self.parameters()}
@@ -142,7 +136,7 @@ class GruStack(Trainable):
         return {
             "d_in": self.d_in, "hidden": list(self.hidden), "head": list(self.head_sizes),
             "n_classes": self.n_classes, "dropout": self.dropout,
-            "params": {name: arr.tolist() for name, arr in self.parameters().items()},
+            "params": {name: arr.tolist() for name, arr in self._checkpoint_arrays().items()},
         }
 
     @classmethod
@@ -150,12 +144,12 @@ class GruStack(Trainable):
         """Rebuild a checkpointed model.  Its header is typed by the
         constructor's annotations; a missing, unknown, misshapen or
         non-finite field is a ValueError that names it."""
-        hints = {**get_type_hints(cls.__init__), "params": dict}
+        hints = {**type_hints(cls.__init__), "params": dict}
         del hints["rng"]
         header = load_fields(doc, hints, "model", required=hints)
         doc_params = header.pop("params")
         model = cls(**header)
-        params = model.parameters()
+        params = model._checkpoint_arrays()
         basis = (f" for d_in {model.d_in}, hidden {list(model.hidden)}, "
                  f"head {list(model.head_sizes)} and n_classes {model.n_classes}")
         for name in doc_params:
@@ -231,9 +225,7 @@ def _cell_backward(dout: np.ndarray, cache: dict,
 
     flat_seq = seq.reshape(t_steps * n, -1)
     flat_dp = d_proj.reshape(t_steps * n, 3 * h_dim)
-    blocks = {"wx": flat_seq.T @ flat_dp, "wh": g_wh, "b": flat_dp.sum(axis=0)}
-    grads = {f"{kind}{gate}": block[..., g * h_dim:(g + 1) * h_dim]
-             for kind, block in blocks.items() for g, gate in enumerate("rzn")}
+    grads = {"wx": flat_seq.T @ flat_dp, "wh": g_wh, "b": flat_dp.sum(axis=0)}
     if not input_grad:
         return grads, None
     return grads, (flat_dp @ stacked["wx"].T).reshape(seq.shape)
@@ -250,7 +242,7 @@ def gru_forward(x: TimeSeriesBatch, model: GruStack, training: bool = False,
     for i, stacked in enumerate(model.stacked):
         outs, cache = _cell_forward(stacked, seq)
         cell_caches.append(cache)
-        if i < len(model.cells) - 1 and model.dropout > 0.0 and training:
+        if i < len(model.stacked) - 1 and model.dropout > 0.0 and training:
             if rng is None:
                 raise ValueError("training-mode dropout needs an RNG")
             mask = (rng.random(outs.shape) >= model.dropout) / (1.0 - model.dropout)
@@ -272,8 +264,7 @@ def gru_forward(x: TimeSeriesBatch, model: GruStack, training: bool = False,
         probs = _sigmoid(logits[:, 0])
     else:
         probs = _softmax(logits)
-    cache = {"cells": cell_caches, "masks": masks, "acts": acts, "pre": pre_acts,
-             "model": model, "t": x.t, "n": x.n}
+    cache = {"cells": cell_caches, "masks": masks, "acts": acts, "pre": pre_acts, "model": model}
     return probs, cache
 
 
@@ -297,16 +288,11 @@ def gru_backward(d_logits: np.ndarray, cache: dict,
         else:
             d_last = delta @ model.head[0]["w"].T
 
-    t_steps = cache["t"]
-    n = cache["n"]
-    dout = None
-    for i in range(len(model.cells) - 1, -1, -1):
-        if dout is None:
-            dout = np.zeros_like(cache["cells"][i]["out"])
-            dout[t_steps - 1] = d_last
+    dout = np.zeros_like(cache["cells"][-1]["out"])
+    dout[-1] = d_last  # only the top cell's last step feeds the head
+    for i in range(len(model.stacked) - 1, -1, -1):
         cell_grads, d_seq = _cell_backward(dout, cache["cells"][i], input_grad or i > 0)
-        for name, g in cell_grads.items():
-            grads[f"cell{i}.{name}"] = g
+        grads.update((f"cell{i}.{kind}", g) for kind, g in cell_grads.items())
         if i > 0:
             mask = cache["masks"][i - 1]
             dout = d_seq * mask if mask is not None else d_seq
@@ -369,12 +355,19 @@ class TrainConfig:
     rms_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be positive")
-        if self.max_epochs < 0:  # 0 epochs leaves the starting point (fit_kl)
-            raise ValueError(f"max_epochs must be nonnegative, got {self.max_epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        for name, ok, want in (
+                ("optimizer", self.optimizer in ("sgd", "adam", "rmsprop"), "sgd, adam or rmsprop"),
+                ("base_lr", 0 < self.base_lr < np.inf, "finite and positive"),
+                ("gamma", 0 < self.gamma < np.inf, "finite and positive"),
+                ("max_epochs", self.max_epochs >= 0, "nonnegative"),  # 0: fit_kl's start
+                ("batch_size", self.batch_size >= 1, "positive"),
+                ("patience", self.patience >= 0, "nonnegative"),
+                *((name, 0 <= getattr(self, name) < 1, "in [0, 1)")
+                  for name in ("adam_beta1", "adam_beta2", "rms_alpha")),
+                *((name, 0 <= getattr(self, name) < np.inf, "finite and nonnegative")
+                  for name in ("adam_eps", "rms_eps"))):
+            if not ok:
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
         for tag, rate in (self.corrections or {}).items():
             if tag not in UNIT_CORRECTIONS:
                 raise ValueError(f"corrections has unknown group {tag!r}")
@@ -395,8 +388,6 @@ class Optimizer:
 
     def __init__(self, config: TrainConfig, projection: Optional[Callable[[], None]] = None):
         self.kind = config.optimizer
-        if self.kind not in ("sgd", "adam", "rmsprop"):
-            raise ValueError(f"unknown optimizer {self.kind!r}")
         self.config = config
         self.lr = config.base_lr
         self.projection = projection

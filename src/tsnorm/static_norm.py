@@ -10,13 +10,13 @@ them offline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Optional, get_type_hints
+from typing import Optional
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import yeojohnson as yj
-from .data import BoolArray, TimeSeriesBatch, check_fields, check_keys, load_fields
+from .data import BoolArray, TimeSeriesBatch, check_fields, check_keys, load_fields, type_hints
 
 CDF_EPS = 1e-5
 GOLDEN_TOL = 1e-6
@@ -459,6 +459,8 @@ _STAGE_FIELDS = {
     "kdit": ("alpha", "grid", "cdf", "cdf_lo", "cdf_hi", "bandwidth", "zero_variance"),
 }
 _STAGE_KEYS = {"step", *(f.name for f in fields(StaticStats))}
+# step name -> the (xp, fp) fields its apply hands np.interp, per feature
+_INTERP_FIELDS = {"cdf_inversion": ("quantile_values", "quantile_cdf"), "kdit": ("grid", "cdf")}
 
 
 @dataclass
@@ -515,10 +517,12 @@ class StaticPipeline:
         """Load a fitted pipeline, its fields and each stage's typed by their
         annotations (``data.load_fields``).  A stage that is missing, not an
         object, mistagged, lacks a field of its step or disagrees on the
-        feature count, or a kdit stage whose ``cdf_hi`` is not above its
+        feature count, a feature whose interpolation points (``grid``/``cdf``,
+        ``quantile_values``/``quantile_cdf``) differ in length, are empty or
+        decrease, or a kdit stage whose ``cdf_hi`` is not above its
         ``cdf_lo`` for a feature not flagged ``zero_variance``, is a
         ValueError naming the stage and the field."""
-        hints = {**get_type_hints(cls), "stages": list}
+        hints = {**type_hints(cls), "stages": list}
         del hints["fitted"]
         values = load_fields(doc, hints, "static pipeline", required=("steps", "stages"))
         stages = values.pop("stages")
@@ -532,7 +536,7 @@ class StaticPipeline:
             if tag != step:
                 raise ValueError(f"stage {i} is tagged {tag!r} but step {i} is {step!r}")
             section = f"stage {i} ({step})"
-            stats = StaticStats(**load_fields(stage, get_type_hints(StaticStats), section,
+            stats = StaticStats(**load_fields(stage, type_hints(StaticStats), section,
                                               required=_STAGE_FIELDS[step], extra=("step",)))
             for name in _STAGE_FIELDS[step]:
                 if name == "alpha":  # the one scalar field
@@ -542,6 +546,17 @@ class StaticPipeline:
                 if count != n_features:
                     raise ValueError(f"{section} {name} has {count} features, "
                                      f"expected {n_features}")
+            if step in _INTERP_FIELDS:
+                xs_name, ys_name = _INTERP_FIELDS[step]
+                for k, (xs, ys) in enumerate(zip(getattr(stats, xs_name), getattr(stats, ys_name))):
+                    if not len(xs) == len(ys) > 0:
+                        raise ValueError(f"{section} {xs_name}[{k}] and {ys_name}[{k}] must be "
+                                         f"non-empty and equally long, got {len(xs)} and {len(ys)}")
+                    # repeats are allowed: the grid of a kdit fit over a few ulps has them
+                    if (down := xs[1:] < xs[:-1]).any():
+                        j = int(np.argmax(down)) + 1
+                        raise ValueError(f"{section} {xs_name}[{k}] must not decrease, but entry "
+                                         f"{j} is {float(xs[j])!r} after {float(xs[j - 1])!r}")
             if step == "kdit":  # apply_kdit divides by cdf_hi - cdf_lo
                 flat = ~(stats.cdf_hi > stats.cdf_lo) & ~stats.zero_variance
                 if flat.any():

@@ -19,8 +19,8 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
 def numeric_grad(loss_fn, array: np.ndarray, h: float = H) -> np.ndarray:
     """Central differences of a scalar function w.r.t. an array perturbed in place.
 
-    Elements are indexed in place, not through ``reshape(-1)``, which copies a
-    non-contiguous view (a GRU gate's columns of its stacked weight matrix).
+    Elements are indexed in place, not through ``reshape(-1)``, which would
+    perturb a copy of a non-contiguous view.
     """
     grad = np.zeros_like(array)
     for i in np.ndindex(array.shape):

@@ -439,8 +439,10 @@ def test_generate_refuses_unknown_pdf_config_keys(tmp_path, capsys, doc, message
      "pdf config sigma_cor must be float, got 'x'"),
     ({"features": [{"pdf": "phi(x)", "bounds": [0, 1]}], "response_threshold": [1]},
      "pdf config response_threshold must be Union[float, str], got (1,)"),
+    ({"features": [{"pdf": "phi(x)", "bounds": [0, 1]}, {"pdf": "phi(x) +", "bounds": [0, 1]}]},
+     "pdf config feature 1.pdf is not an expression (invalid syntax): 'phi(x) +'"),
 ], ids=["features-missing", "pdf-missing", "bounds-missing", "features", "pdf", "bounds",
-        "theta", "theta-empty", "sigma_eps", "sigma_cor", "response_threshold"])
+        "theta", "theta-empty", "sigma_eps", "sigma_cor", "response_threshold", "pdf-syntax"])
 def test_generate_names_a_bad_pdf_config_field(tmp_path, capsys, doc, message):
     pdf_cfg, out = tmp_path / "pdfs.json", tmp_path / "custom.csv"
     pdf_cfg.write_text(json.dumps(doc))
@@ -495,4 +497,4 @@ def test_text_files_are_utf8_under_an_ascii_locale(tmp_path):
     err = proc.stderr.decode("ascii")
     assert "UnicodeDecodeError" not in err
     assert "unknown preprocessing method 'ed\\xe4in'" in err
-    assert "pdf expression may not contain Name 'ph\\xef'" in err
+    assert "pdf config feature 0.pdf may not contain Name 'ph\\xef'" in err

@@ -24,8 +24,8 @@ def make_dataset(n=4, d=2, t=3, seed=0, kind="binary"):
 def test_batch_shape_and_accessors():
     b = TimeSeriesBatch(np.arange(24, dtype=float).reshape(2, 3, 4))
     assert (b.n, b.d, b.t) == (2, 3, 4)
-    assert b.series(1).shape == (3, 4)
-    assert b.feature(2).shape == (2, 4)
+    assert b.values[1].shape == (3, 4)
+    assert b.values[:, 2, :].shape == (2, 4)
     assert b.pooled(0).shape == (8,)
 
 

@@ -269,6 +269,8 @@ def test_unknown_config_key_is_refused_by_name(path, key, section):
     ({"train": {"batch_size": -1}}, "batch_size must be positive, got -1"),
     ({"dataset": {"synthetic": {"n": 0}}}, "synthetic n must be positive, got 0"),
     ({"dataset": {"synthetic": {"t": -2}}}, "synthetic t must be positive, got -2"),
+    ({"train": {"optimizer": "adamw"}}, "optimizer must be sgd, adam or rmsprop, got 'adamw'"),
+    ({"train": {"gamma": -3.0}}, "gamma must be finite and positive, got -3.0"),
 ])
 def test_malformed_config_values_are_refused(doc, message):
     with pytest.raises(ValueError, match=message):

@@ -47,13 +47,21 @@ def reference_sigmoid(v):
     return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def gate_blocks(stacked):
+    """A cell's stacked wx/wh/b cut into its r, z, n column blocks, named
+    as a checkpoint names them (``wxr``, ``whr``, ``br``, ...)."""
+    h = stacked["wh"].shape[0]
+    return {f"{kind}{gate}": arr[..., g * h:(g + 1) * h]
+            for g, gate in enumerate("rzn") for kind, arr in stacked.items()}
+
+
 def test_single_step_matches_hand_unrolled_cell():
     rng = np.random.default_rng(3)
     model = nn.GruStack(d_in=2, hidden=(4,), head=(), n_classes=1, dropout=0.0, rng=rng)
     x = np.random.default_rng(4).normal(size=(3, 2, 1))
     probs, _ = nn.gru_forward(TimeSeriesBatch(x), model)
 
-    cell = model.cells[0]
+    cell = gate_blocks(model.stacked[0])
     x0 = x[:, :, 0]
     r = reference_sigmoid(x0 @ cell["wxr"] + cell["br"])          # h_prev = 0
     z = reference_sigmoid(x0 @ cell["wxz"] + cell["bz"])
@@ -64,8 +72,8 @@ def test_single_step_matches_hand_unrolled_cell():
 
 
 def test_forward_matches_hand_unrolled_cells():
-    # two cells over several steps, one gate at a time through the per-gate
-    # names: a mix-up of the stacked wx/wh/b columns changes the output
+    # two cells over several steps, one gate at a time through the r, z, n
+    # column blocks: a mix-up of the stacked wx/wh/b columns changes the output
     model = nn.GruStack(d_in=2, hidden=(4, 3), head=(5,), n_classes=1, dropout=0.0,
                         rng=np.random.default_rng(3))
     rng = np.random.default_rng(5)
@@ -75,7 +83,7 @@ def test_forward_matches_hand_unrolled_cells():
     probs, _ = nn.gru_forward(TimeSeriesBatch(x), model)
 
     seq = [x[:, :, t] for t in range(x.shape[2])]
-    for cell in model.cells:
+    for cell in map(gate_blocks, model.stacked):
         h = np.zeros((x.shape[0], cell["whr"].shape[0]))
         outs = []
         for x_t in seq:
@@ -91,16 +99,26 @@ def test_forward_matches_hand_unrolled_cells():
 
 
 def test_per_gate_names_are_views_of_stacked_weights():
+    # the checkpoint codec's per-gate names are the r, z, n column blocks of
+    # the stacked arrays that parameters() names
     model = nn.GruStack(d_in=2, hidden=(3,), head=(), n_classes=1, dropout=0.0)
     stacked = model.stacked[0]
+    assert set(model.parameters()) == {"cell0.wx", "cell0.wh", "cell0.b", "head0.w", "head0.b"}
+    params = model.to_json_dict()["params"]
+    assert list(params) == [f"cell0.{kind}{gate}" for gate in "rzn" for kind in ("wx", "wh", "b")] \
+        + ["head0.w", "head0.b"]
+    views = model._checkpoint_arrays()
     for g, gate in enumerate("rzn"):
         cols = slice(3 * g, 3 * (g + 1))
         for kind in ("wx", "wh", "b"):
-            view = model.cells[0][f"{kind}{gate}"]
+            view = views[f"cell0.{kind}{gate}"]
             assert np.shares_memory(view, stacked[kind])
             assert np.array_equal(view, stacked[kind][..., cols])
-    model.parameters()["cell0.whz"][...] = 7.0
-    assert np.all(stacked["wh"][:, 3:6] == 7.0)
+            assert params[f"cell0.{kind}{gate}"] == view.tolist()
+    params["cell0.whz"] = np.full((3, 3), 7.0).tolist()
+    back = nn.GruStack.from_json_dict({**model.to_json_dict(), "params": params})
+    assert np.all(back.stacked[0]["wh"][:, 3:6] == 7.0)
+    assert np.array_equal(back.stacked[0]["wh"][:, :3], stacked["wh"][:, :3])
 
 
 def test_sigmoid_matches_two_branch_formula():
@@ -130,6 +148,8 @@ def test_gru_backward_matches_fd():
     assert grad_input.shape == x.shape
 
     params = model.parameters()
+    assert set(grads) == set(params)  # 3 stacked arrays per cell, 2 per head layer
+    assert len(params) == 3 * 2 + 2 * 2
     worst = check_grads(loss_fn, grads, params)
     assert max(worst.values()) < 1e-4, worst
     assert rel_err(grad_input, numeric_grad(loss_fn, x)) < 1e-4
@@ -299,7 +319,7 @@ def test_snapshot_is_a_copy_and_restore_writes_back():
             assert np.array_equal(layer.state.mu_hat, state.mu_hat), kind
     model = SNAPSHOT_LAYERS["gru"]()
     model.restore(model.snapshot())
-    assert np.shares_memory(model.cells[0]["whr"], model.stacked[0]["wh"])
+    assert model.parameters()["cell0.wh"] is model.stacked[0]["wh"]
 
 
 def test_unknown_group_tag_rejected():
@@ -377,6 +397,24 @@ def test_train_config_refuses_non_positive_counts_by_name():
     with pytest.raises(ValueError, match="correction 'scale' must be nonnegative"):
         nn.TrainConfig(corrections={"scale": -1.0})
     assert nn.TrainConfig(max_epochs=0).max_epochs == 0  # fit_kl's starting point
+
+
+@pytest.mark.parametrize("field, value, want", [
+    ("optimizer", "adamw", "sgd, adam or rmsprop"),
+    ("base_lr", float("nan"), "finite and positive"),
+    ("base_lr", 0.0, "finite and positive"),
+    ("gamma", -3.0, "finite and positive"),
+    ("gamma", float("inf"), "finite and positive"),
+    ("patience", -2, "nonnegative"),
+    ("adam_beta1", 1.0, r"in \[0, 1\)"),
+    ("adam_beta2", -0.1, r"in \[0, 1\)"),
+    ("rms_alpha", float("nan"), r"in \[0, 1\)"),
+    ("adam_eps", -1.0, "finite and nonnegative"),
+    ("rms_eps", float("inf"), "finite and nonnegative"),
+])
+def test_train_config_refuses_out_of_bounds_optimizer_fields(field, value, want):
+    with pytest.raises(ValueError, match=f"^{field} must be {want}, got {re.escape(repr(value))}$"):
+        nn.TrainConfig(**{field: value})
 
 
 def test_frozen_neutral_edain_matches_no_preprocessing():

@@ -611,6 +611,19 @@ def _kdit_stage(doc, field, source):
     doc["stages"][1] = json.loads(json.dumps(stage))
 
 
+def _interp_stage(step, field, fault):
+    """Step 1 becomes a fitted ``step`` stage whose ``field`` of feature 0 is
+    one entry short or reversed: ``np.interp`` would fail naming no stage, or
+    give finite garbage."""
+    def corrupt(doc):
+        train = TimeSeriesBatch(np.random.default_rng(46).normal(size=(10, 2, 5)))
+        stage = sn.StaticPipeline([step]).fit(train).to_json_dict()["stages"][0]
+        stage = json.loads(json.dumps(stage))
+        stage[field][0] = stage[field][0][:-1] if fault == "short" else stage[field][0][::-1]
+        doc["steps"][1], doc["stages"][1] = step, stage
+    return corrupt
+
+
 def test_pipeline_json_accepts_a_flat_cdf_on_a_constant_kdit_feature():
     values = np.random.default_rng(45).normal(size=(10, 2, 5))
     values[:, 0] = 2.5
@@ -647,6 +660,15 @@ def _set(key, value):
      "stage 1 (kdit) field 'cdf_hi' must be above 'cdf_lo' for feature 1"),
     (lambda doc: _kdit_stage(doc, "cdf_lo", "cdf_hi"),
      "stage 1 (kdit) field 'cdf_hi' must be above 'cdf_lo' for feature 1"),
+    (_interp_stage("cdf_inversion", "quantile_cdf", "short"),
+     "stage 1 (cdf_inversion) quantile_values[0] and quantile_cdf[0] must be non-empty and "
+     "equally long, got 50 and 49"),
+    (_interp_stage("kdit", "cdf", "short"),
+     "stage 1 (kdit) grid[0] and cdf[0] must be non-empty and equally long, got 1024 and 1023"),
+    (_interp_stage("cdf_inversion", "quantile_values", "reversed"),
+     "stage 1 (cdf_inversion) quantile_values[0] must not decrease, but entry 1 is "),
+    (_interp_stage("kdit", "grid", "reversed"),
+     "stage 1 (kdit) grid[0] must not decrease, but entry 1 is "),
 ])
 def test_pipeline_json_rejects_malformed_stages(corrupt, message):
     train = TimeSeriesBatch(np.random.default_rng(43).normal(size=(10, 2, 5)))
@@ -656,6 +678,16 @@ def test_pipeline_json_rejects_malformed_stages(corrupt, message):
     with pytest.raises(ValueError) as info:
         sn.StaticPipeline.from_json_dict(doc)
     assert message in str(info.value)
+
+
+def test_pipeline_json_reloads_a_kdit_grid_with_repeated_points():
+    # a feature a few ulps wide: linspace repeats grid points, which np.interp takes
+    values = (1e10 + np.arange(50) * np.spacing(1e10)).reshape(10, 1, 5)
+    train = TimeSeriesBatch(values)
+    pipe = sn.StaticPipeline(["kdit"]).fit(train)
+    assert np.any(np.diff(pipe.fitted[0].grid[0]) == 0)
+    back = sn.StaticPipeline.from_json_dict(json.loads(json.dumps(pipe.to_json_dict())))
+    assert np.array_equal(back.apply(train).values, pipe.apply(train).values)
 
 
 @pytest.mark.parametrize("kwargs, name", [

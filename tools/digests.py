@@ -28,6 +28,10 @@ so two trees compare with a single diff:
     python3 tools/digests.py --src . > new.txt
     python3 tools/digests.py --src /path/to/other/checkout > old.txt
     diff old.txt new.txt
+
+``tests/data/digests.txt`` holds these lines under a ``# fingerprint``
+line of :func:`fingerprint`, and ``tests/test_digests.py`` checks the
+recipe against them.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -140,6 +145,17 @@ def _package_root(src: Path) -> Path:
         if (root / "tsnorm" / "cli.py").is_file():
             return root.resolve()
     raise SystemExit(f"no tsnorm package under {src}")
+
+
+def fingerprint() -> dict:
+    """What the digests depend on besides the source: the numpy, scipy and
+    BLAS builds, python and the machine architecture."""
+    import numpy as np
+    import scipy
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "python": platform.python_version(), "machine": platform.machine()}
 
 
 def run_recipe(src: Path, work: Path) -> list[tuple[str, str]]:

@@ -28,6 +28,9 @@ the rest), which run it once.
 snapshot/restore, ``to_json_dict`` and the ``data.load_arrays`` loader all
 go through it (EDAIN adds only its running mean).  A checkpoint entry that is
 missing, non-numeric, misshapen or non-finite is a ``ValueError`` naming it.
+A layer's ``backward`` gives the parameter gradients only, since it is the
+first stage of the network; ``edain_backward`` and ``dain_backward`` give the
+input gradient too unless ``input_grad`` is off.
 """
 
 from __future__ import annotations
@@ -305,12 +308,11 @@ def shift_scale_grads(g: np.ndarray, out: Optional[np.ndarray], denom) -> tuple[
     return g / denom, None if out is None else g * out
 
 
-def _local_shift_scale(x: np.ndarray, m, s, use_shift: bool, use_scale: bool,
-                       summary: Optional[LocalSummary] = None) -> tuple[np.ndarray, dict]:
+def _local_shift_scale(x: np.ndarray, m, s, use_shift: bool,
+                       use_scale: bool) -> tuple[np.ndarray, dict]:
     """(x - m*mu_x)/(s*sigma_x) of one block, sigma floored, from the block's
-    own per-series statistics unless ``summary`` is given."""
-    if summary is None:
-        summary = local_summary(x)
+    own per-series statistics."""
+    summary = local_summary(x)
     sig = np.maximum(summary.sigma_x, SIGMA_FLOOR)
     shift = m[None, :] * summary.mu_x if use_shift else np.zeros_like(summary.mu_x)
     denom = s[None, :] * sig if use_scale else np.ones_like(sig)
@@ -359,19 +361,14 @@ def _shift_scale_grads(g, c: dict, want_x: bool, sums: _FeatureSums, rows: slice
 def shift_scale_forward(
     x: TimeSeriesBatch,
     params: EdainParams,
-    summary: Optional[LocalSummary] = None,
     use_shift: bool = True,
     use_scale: bool = True,
 ) -> tuple[TimeSeriesBatch, dict]:
-    """Global: (x - m)/s.  Local: (x - m*mu_x)/(s*sigma_x), sigma floored.
-
-    In local mode the summary defaults to the per-series statistics of ``x``
-    itself, which is the input the sublayer actually sees in the full stack.
-    """
+    """Global: (x - m)/s.  Local: (x - m*mu_x)/(s*sigma_x), sigma floored, from
+    the per-series statistics of ``x``, the input the sublayer sees in the stack."""
     local = params.mode == LOCAL_AWARE
     if local:
-        out, cache = _local_shift_scale(x.values, params.m, params.s, use_shift, use_scale,
-                                        summary)
+        out, cache = _local_shift_scale(x.values, params.m, params.s, use_shift, use_scale)
     else:
         denom = params.s[None, :, None] if use_scale else 1.0
         out = shift_scale(x.values, params.m[None, :, None] if use_shift else 0.0, denom)
@@ -675,9 +672,8 @@ class EdainLayer(IdentityPreproc):
             self.state = new_state
         return out, cache
 
-    def backward(self, grad_out: np.ndarray, cache: dict,
-                 input_grad: bool = True) -> tuple[dict, Optional[np.ndarray]]:
-        return edain_backward(grad_out, cache, input_grad)
+    def backward(self, grad_out: np.ndarray, cache: dict) -> dict:
+        return edain_backward(grad_out, cache, input_grad=False)[0]
 
     def projection(self) -> None:
         project_edain(self.params)
@@ -728,9 +724,8 @@ class DainLayer(IdentityPreproc):
     def forward(self, x: TimeSeriesBatch, training: bool) -> tuple[TimeSeriesBatch, dict]:
         return dain_forward(x, self.params)
 
-    def backward(self, grad_out: np.ndarray, cache: dict,
-                 input_grad: bool = True) -> tuple[dict, Optional[np.ndarray]]:
-        return dain_backward(grad_out, cache, input_grad)
+    def backward(self, grad_out: np.ndarray, cache: dict) -> dict:
+        return dain_backward(grad_out, cache, input_grad=False)[0]
 
     def to_json_dict(self) -> dict:
         return {"kind": "dain", **{name: arr.tolist() for name, arr in self.parameters().items()}}

@@ -123,12 +123,11 @@ class TimeSeriesBatch:
 
 @dataclass(eq=False)
 class LabeledDataset:
-    """A batch plus one integer label per series and optional weights."""
+    """A batch plus one integer label per series."""
 
     batch: TimeSeriesBatch
     labels: np.ndarray
     label_kind: str = BINARY
-    weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
@@ -142,36 +141,16 @@ class LabeledDataset:
         if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
             raise ValueError(f"labels out of range for {self.label_kind} task")
         self.labels = labels
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.shape != (self.batch.n,):
-                raise ValueError("weights length does not match series count")
-            if np.any(w < 0):
-                raise ValueError("weights must be nonnegative")
-            if abs(w.sum() - 1.0) > 1e-9:
-                raise ValueError("weights must sum to 1")
-            self.weights = w
 
     @property
     def n(self) -> int:
         return self.batch.n
 
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
-        """Row subset; weights are renormalized to keep the sum-to-one invariant."""
         indices = np.asarray(indices, dtype=np.int64)
-        w = None
-        if self.weights is not None:
-            w = self.weights[indices]
-            total = w.sum()
-            w = w / total if total > 0 else np.full(len(indices), 1.0 / max(len(indices), 1))
         values = self.batch.values[indices]  # a fresh array: frozen, not copied again
         values.flags.writeable = False
-        return LabeledDataset(
-            TimeSeriesBatch(values),
-            self.labels[indices],
-            self.label_kind,
-            w,
-        )
+        return LabeledDataset(TimeSeriesBatch(values), self.labels[indices], self.label_kind)
 
 
 def _parse_header(header: list[str]) -> int:

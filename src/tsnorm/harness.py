@@ -108,8 +108,14 @@ class CvConfig:
             raise ValueError(f"unknown cv scheme {self.kind!r}")
         if self.kind == "kfold" and self.k < 2:
             raise ValueError("kfold needs k >= 2")
-        if self.kind == "anchored" and (self.boundaries is None or len(self.boundaries) < 3):
-            raise ValueError("anchored cv needs at least three segment boundaries")
+        if self.kind == "holdout" and not 0.0 < self.valid_fraction < 1.0:
+            raise ValueError(f"cv.valid_fraction must be in (0, 1), got {self.valid_fraction!r}")
+        if self.kind == "anchored":
+            bounds = self.boundaries or ()
+            if len(bounds) < 3:
+                raise ValueError("anchored cv needs at least three segment boundaries")
+            if any(a >= b for a, b in zip(bounds, bounds[1:])):
+                raise ValueError(f"cv.boundaries must be strictly increasing, got {list(bounds)}")
 
     def to_json_dict(self):
         doc = {"kind": self.kind}
@@ -159,8 +165,9 @@ class ExperimentConfig:
         if (self.synthetic is None) == (self.csv_path is None):
             raise ValueError("exactly one of synthetic/csv_path must be set "
                              "(dataset csv or synthetic)")
-        if tuple(self.sublayers) != ALL_SUBLAYERS and not self.method.startswith("edain"):
-            raise ValueError(f"sublayer flags are only valid with EDAIN methods, "
+        edain = self.method in ("edain_global", "edain_local")  # edain_kl has no sublayers
+        if tuple(self.sublayers) != ALL_SUBLAYERS and not edain:
+            raise ValueError(f"sublayer flags are only valid with edain_global and edain_local, "
                              f"not with method {self.method!r}")
         if self.preset is not None and self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
@@ -420,7 +427,7 @@ def fold_metrics(dataset: LabeledDataset, probs: np.ndarray) -> dict:
     if dataset.label_kind == BINARY:
         loss, _ = bce_loss(probs, y)
         hard = (probs >= 0.5).astype(np.int64)
-        m, d_rate, g = amex_metric(probs, y, dataset.weights)
+        m, d_rate, g = amex_metric(probs, y)
         return {
             "bce": loss,
             "accuracy": binary_accuracy(probs, y),

@@ -18,6 +18,10 @@ gradients, the optimizer state and ``snapshot``/``restore`` use those names.
 ``to_json_dict`` writes the arrays and ``data.load_arrays`` reads them back,
 naming a missing, non-numeric, misshapen or non-finite entry.  Only a GRU
 checkpoint names other arrays: each cell per gate (``cell0.wxr whr br ...``).
+
+A preprocessing layer's ``backward`` gives its parameter gradients only;
+``train_loop`` asks ``gru_backward`` for the input gradient only when the
+layer has parameters to train.
 """
 
 from __future__ import annotations
@@ -371,10 +375,12 @@ class TrainConfig:
         for tag, rate in (self.corrections or {}).items():
             if tag not in UNIT_CORRECTIONS:
                 raise ValueError(f"corrections has unknown group {tag!r}")
-            if rate < 0:
-                raise ValueError(f"learning-rate correction {tag!r} must be nonnegative")
-        if list(self.milestones) != sorted(self.milestones):
-            raise ValueError("lr milestones must be increasing")
+            if not 0 <= rate < np.inf:
+                raise ValueError(f"learning-rate correction {tag!r} must be nonnegative "
+                                 f"and finite, got {rate!r}")
+        if any(a >= b for a, b in zip(self.milestones, self.milestones[1:])):
+            raise ValueError(f"lr milestones must be strictly increasing, "
+                             f"got {list(self.milestones)}")
 
 
 class Optimizer:
@@ -439,7 +445,8 @@ class Optimizer:
 
 class IdentityPreproc(Trainable):
     """No-op preprocessing layer and the base of every preprocessing layer:
-    the trainable ones override ``parameters()`` and inherit snapshot and
+    the trainable ones override ``parameters()``, add ``backward(grad_out,
+    cache)``, which gives their parameter gradients, and inherit snapshot and
     restore."""
 
     def groups(self):
@@ -447,11 +454,6 @@ class IdentityPreproc(Trainable):
 
     def forward(self, x: TimeSeriesBatch, training: bool):
         return x, None
-
-    def backward(self, grad_out, cache, input_grad: bool = True):
-        """(parameter grads, input grad); the input grad is None unless
-        ``input_grad`` is set."""
-        return {}, grad_out if input_grad else None
 
     def projection(self):
         return None
@@ -532,8 +534,6 @@ def train_loop(train: LabeledDataset, valid: LabeledDataset, preproc, model: Gru
     milestone), and restoration of the best-validation checkpoint at the end.
     Identical seeds give bit-identical histories.
     """
-    if preproc is None:
-        preproc = IdentityPreproc()
     if train.label_kind != valid.label_kind:
         raise ValueError("train and validation label kinds differ")
 
@@ -571,7 +571,7 @@ def train_loop(train: LabeledDataset, valid: LabeledDataset, preproc, model: Gru
                 )
             grads, grad_input = gru_backward(d_logits, mcache, input_grad=trains_preproc)
             if trains_preproc:
-                grads.update(preproc.backward(grad_input, pcache, input_grad=False)[0])
+                grads.update(preproc.backward(grad_input, pcache))
             optimizer.step(params, grads, groups)
             total_loss += loss * len(idx)
             total_count += len(idx)

@@ -92,7 +92,7 @@ def _check_dim(x: TimeSeriesBatch, d: int) -> None:
 
 def fit_zscore(train: TimeSeriesBatch) -> StaticStats:
     _require_data(train)
-    pooled = train.values.reshape(train.n, train.d, train.t)
+    pooled = train.values
     mean = pooled.mean(axis=(0, 2))
     std = np.sqrt(((pooled - mean[None, :, None]) ** 2).mean(axis=(0, 2)))
     # Equal values can give std > 0, but only by the rounding of the mean, far
@@ -217,6 +217,8 @@ def fit_cdf_inversion(train: TimeSeriesBatch) -> StaticStats:
     _require_data(train)
     values, cdfs = [], []
     for k in range(train.d):
+        # np.unique sorts again, but which of -0.0 and 0.0 it keeps for a run
+        # of zeros depends on the order it starts from
         pooled = np.sort(train.pooled(k))
         n = pooled.size
         uniq, counts = np.unique(pooled, return_counts=True)

@@ -47,7 +47,6 @@ class InverseCdfTable:
 
     x: np.ndarray
     cdf: np.ndarray
-    cached: bool = False
     guide: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -238,7 +237,7 @@ def build_inverse_cdf(pdf: Callable, a: float, b: float, delta: float,
     total = cum[-1]
     if total <= 0.0:
         raise ValueError("pdf integrates to zero mass on the given bounds")
-    table = InverseCdfTable(x=grid, cdf=cum / total, cached=use_cache)
+    table = InverseCdfTable(x=grid, cdf=cum / total)
     if use_cache:
         _TABLE_CACHE[key] = table
     return table

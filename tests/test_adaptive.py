@@ -208,7 +208,7 @@ def test_outlier_and_shift_scale_backward_match_reference_bitwise(mode, strided)
     for got, want in zip(ad.outlier_backward(grad, cache), ref_outlier_backward(grad, cache)):
         assert np.array_equal(got, want)
     for use_shift, use_scale in ((True, True), (True, False), (False, True), (False, False)):
-        _, cache = ad.shift_scale_forward(x, params, None, use_shift, use_scale)
+        _, cache = ad.shift_scale_forward(x, params, use_shift, use_scale)
         got = ad.shift_scale_backward(grad, cache)
         want = ref_shift_scale_backward(grad, cache)
         for g, w in zip(got, want):
@@ -513,7 +513,7 @@ def wrapper_chain(x, params, state, enabled, grad):
         x, c = ad.outlier_forward(x, params, ad.local_summary(x) if local else state)
         steps.append(("om", c))
     if use_shift or use_scale:
-        x, c = ad.shift_scale_forward(x, params, None, use_shift, use_scale)
+        x, c = ad.shift_scale_forward(x, params, use_shift, use_scale)
         steps.append(("ss", c))
     if "power" in enabled:
         x, c = ad.power_forward(x, params)
@@ -590,16 +590,21 @@ def test_blocked_chain_equals_stage_wrappers_bitwise(shape, blocks, mode):
 def test_edain_layer_backward_skips_only_the_input_gradient():
     rng = np.random.default_rng(23)
     x = TimeSeriesBatch(rng.normal(size=(50, 6, 5)))
-    for layer in (ad.EdainLayer(6, ad.LOCAL_AWARE), ad.DainLayer(6)):
+    for layer, backward in ((ad.EdainLayer(6, ad.LOCAL_AWARE), ad.edain_backward),
+                            (ad.DainLayer(6), ad.dain_backward)):
         for arr in layer.parameters().values():
             arr += rng.uniform(0.0, 0.2, arr.shape)
         _, cache = layer.forward(x, training=True)
         g = gru_layout(rng.normal(size=x.values.shape))
-        full, gx = layer.backward(g, cache)
-        skipped, none = layer.backward(g, cache, input_grad=False)
+        full, gx = backward(g, cache)
+        skipped, none = backward(g, cache, input_grad=False)
         assert gx.shape == x.values.shape and none is None
+        # the layer gives the parameter gradients only
+        by_layer = layer.backward(g, cache)
+        assert by_layer.keys() == full.keys()
         for name in full:
             assert _same_bits(skipped[name], full[name]), name
+            assert _same_bits(by_layer[name], full[name]), name
 
 
 def _poisoned(values, row):

@@ -1,16 +1,21 @@
-"""The library surface that the ``--trace 1`` microbenchmarks call.
+"""The library surface that the benchmark calls.
 
 ``bench/micro.py`` is loaded from its file, unchanged, and every case it
 times is called once at a small shape, so a refactor that renames or
 re-signs a function it uses fails here rather than in a benchmark run.
+Every ``tsnorm`` attribute that ``micro.py``, ``workloads.py`` and ``run.py``
+name, including the dotted names of ``run.TRACED_FUNCTIONS``, must resolve.
 """
 
+import ast
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 
-MICRO = Path(__file__).resolve().parent.parent / "bench" / "micro.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+MICRO = BENCH / "micro.py"
 
 
 def load_micro():
@@ -35,3 +40,50 @@ def test_every_desk_only_case_runs(tmp_path):
                           "save_csv", "load_csv"}
     for fn in cases.values():
         fn()
+
+
+def _dotted(node) -> list[str]:
+    """``a.b.c`` as ["a", "b", "c"]; [] unless the chain starts at a name."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.insert(0, node.attr)
+        node = node.value
+    return [node.id, *parts] if isinstance(node, ast.Name) else []
+
+
+def bench_names() -> set[tuple[str, str]]:
+    """(file, full dotted name) of every package attribute that a bench file
+    reads through ``from tsnorm import m [as a]`` or ``import tsnorm``, and
+    of every entry of ``TRACED_FUNCTIONS``."""
+    names = set()
+    for file in ("micro.py", "workloads.py", "run.py"):
+        tree = ast.parse((BENCH / file).read_text(encoding="utf-8"))
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "tsnorm":
+                aliases.update({a.asname or a.name: f"tsnorm.{a.name}" for a in node.names})
+            elif isinstance(node, ast.Import):
+                aliases.update({a.asname or a.name: a.name for a in node.names
+                                if a.name == "tsnorm"})
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "TRACED_FUNCTIONS" for t in node.targets):
+                names.update((file, f"tsnorm.{elt.value}") for elt in node.value.elts)
+        for node in ast.walk(tree):
+            chain = _dotted(node)
+            if len(chain) > 1 and chain[0] in aliases:
+                names.add((file, ".".join([aliases[chain[0]], *chain[1:]])))
+    return names
+
+
+def test_every_tsnorm_name_the_bench_reads_resolves():
+    names = bench_names()
+    assert ("run.py", "tsnorm.harness.make_preproc") in names
+    assert ("workloads.py", "tsnorm.neural.train_loop") in names
+    assert ("micro.py", "tsnorm.yeojohnson.dlam") in names
+    missing = []
+    for file, name in sorted(names):
+        try:
+            pkgutil.resolve_name(name)
+        except (ImportError, AttributeError):
+            missing.append(f"{file}: {name}")
+    assert not missing, "\n".join(missing)

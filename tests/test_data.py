@@ -64,8 +64,6 @@ def test_labels_validated():
         LabeledDataset(batch, [0, 2], "binary")
     with pytest.raises(ValueError):
         LabeledDataset(batch, [0], "binary")
-    with pytest.raises(ValueError):
-        LabeledDataset(batch, [0, 1], "binary", weights=[0.7, 0.7])
 
 
 def test_minimal_csv_roundtrip(tmp_path):
@@ -445,10 +443,3 @@ def test_rng_state_children_differ():
     root = RngState(7)
     streams = {root.child(i).generator().integers(0, 1 << 62) for i in range(20)}
     assert len(streams) == 20
-
-
-def test_subset_renormalizes_weights():
-    ds = make_dataset(n=4)
-    ds = LabeledDataset(ds.batch, ds.labels, "binary", weights=np.array([0.1, 0.2, 0.3, 0.4]))
-    sub = ds.subset(np.array([1, 3]))
-    assert abs(sub.weights.sum() - 1.0) < 1e-12

@@ -156,6 +156,11 @@ def test_ablation_rows_and_shared_folds():
 def test_sublayer_flags_require_edain():
     with pytest.raises(ValueError, match="sublayer"):
         tiny_config(method="zscore", sublayers=("shift",))
+    # EDAIN-KL has no sublayer switches: the flags used to load, go unused and
+    # be echoed in the report
+    with pytest.raises(ValueError, match="^sublayer flags are only valid with edain_global and "
+                                         "edain_local, not with method 'edain_kl'$"):
+        tiny_config(method="edain_kl", sublayers=("om",))
 
 
 def test_experiment_config_json_roundtrip():
@@ -271,6 +276,20 @@ def test_unknown_config_key_is_refused_by_name(path, key, section):
     ({"dataset": {"synthetic": {"t": -2}}}, "synthetic t must be positive, got -2"),
     ({"train": {"optimizer": "adamw"}}, "optimizer must be sgd, adam or rmsprop, got 'adamw'"),
     ({"train": {"gamma": -3.0}}, "gamma must be finite and positive, got -3.0"),
+    ({"train": {"corrections": {"shift": float("inf")}}},
+     "learning-rate correction 'shift' must be nonnegative and finite, got inf"),
+    ({"train": {"milestones": [4, 4]}}, r"lr milestones must be strictly increasing, got \[4, 4\]"),
+    # the cv fields used to fail only at the first fold, after the dataset was built
+    ({"cv": {"kind": "holdout", "valid_fraction": 1.5}},
+     r"^cv.valid_fraction must be in \(0, 1\), got 1.5$"),
+    ({"cv": {"kind": "holdout", "valid_fraction": 0.0}},
+     r"^cv.valid_fraction must be in \(0, 1\), got 0.0$"),
+    ({"cv": {"kind": "holdout", "valid_fraction": float("nan")}},
+     r"^cv.valid_fraction must be in \(0, 1\), got nan$"),
+    ({"cv": {"kind": "anchored", "boundaries": [0, 80, 40, 120]}},
+     r"^cv.boundaries must be strictly increasing, got \[0, 80, 40, 120\]$"),
+    ({"cv": {"kind": "anchored", "boundaries": [0, 40, 40, 120]}},
+     r"^cv.boundaries must be strictly increasing, got \[0, 40, 40, 120\]$"),
 ])
 def test_malformed_config_values_are_refused(doc, message):
     with pytest.raises(ValueError, match=message):

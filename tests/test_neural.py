@@ -181,7 +181,7 @@ def test_gru_backward_without_the_input_gradient_gives_the_same_model_gradients(
 
 
 class _NoBackward(nn.IdentityPreproc):
-    def backward(self, grad_out, cache, input_grad=True):
+    def backward(self, grad_out, cache):
         raise AssertionError("a layer without parameters was asked for its backward pass")
 
 
@@ -335,7 +335,7 @@ def test_train_loop_learns_separable_data():
                         rng=np.random.default_rng(13))
     cfg = nn.TrainConfig(base_lr=1e-2, max_epochs=30, batch_size=32, milestones=(),
                          patience=30, seed=14)
-    result = nn.train_loop(train, valid, None, model, cfg)
+    result = nn.train_loop(train, valid, nn.IdentityPreproc(), model, cfg)
     probs, _ = nn.gru_forward(valid.batch, result.model)
     acc = ((probs >= 0.5).astype(int) == valid.labels).mean()
     assert acc > 0.95
@@ -349,7 +349,7 @@ def test_patience_zero_stops_after_first_non_improvement():
                         rng=np.random.default_rng(17))
     cfg = nn.TrainConfig(base_lr=0.5, max_epochs=50, batch_size=16, milestones=(),
                          patience=0, seed=18)
-    result = nn.train_loop(train, valid, None, model, cfg)
+    result = nn.train_loop(train, valid, nn.IdentityPreproc(), model, cfg)
     first_bad = next(i for i, h in enumerate(result.history)
                      if i > 0 and h["valid_loss"] >= result.history[i - 1]["valid_loss"])
     assert len(result.history) == first_bad + 1
@@ -364,7 +364,7 @@ def test_train_loop_bit_reproducible():
                             rng=np.random.default_rng(21))
         cfg = nn.TrainConfig(base_lr=1e-2, max_epochs=6, batch_size=16, milestones=(2,),
                              patience=5, seed=22)
-        return nn.train_loop(train, valid, None, model, cfg).history
+        return nn.train_loop(train, valid, nn.IdentityPreproc(), model, cfg).history
 
     a, b = run(), run()
     assert a == b  # bit-identical floats
@@ -396,7 +396,19 @@ def test_train_config_refuses_non_positive_counts_by_name():
         nn.TrainConfig(corrections={"outlir": 1.0})
     with pytest.raises(ValueError, match="correction 'scale' must be nonnegative"):
         nn.TrainConfig(corrections={"scale": -1.0})
+    for rate in ("nan", "inf"):  # either used to load and train its group at that rate
+        with pytest.raises(ValueError, match=f"^learning-rate correction 'shift' must be "
+                                             f"nonnegative and finite, got {rate}$"):
+            nn.TrainConfig(corrections={"shift": float(rate)})
     assert nn.TrainConfig(max_epochs=0).max_epochs == 0  # fit_kl's starting point
+
+
+@pytest.mark.parametrize("milestones", [(4, 4), (2, 5, 5), (7, 4)])
+def test_train_config_refuses_milestones_that_do_not_strictly_increase(milestones):
+    # (4, 4) used to load and decay the rate twice at epoch 4
+    want = f"lr milestones must be strictly increasing, got {list(milestones)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        nn.TrainConfig(milestones=milestones)
 
 
 @pytest.mark.parametrize("field, value, want", [
@@ -429,7 +441,7 @@ def test_frozen_neutral_edain_matches_no_preprocessing():
                              patience=5, seed=26, corrections=zero)
         return nn.train_loop(train, valid, preproc, model, cfg).history
 
-    assert run(None) == run(EdainLayer(d=2))
+    assert run(nn.IdentityPreproc()) == run(EdainLayer(d=2))
 
 
 def test_lr_schedule_decays_at_milestones():

@@ -118,7 +118,6 @@ def test_table_cache_reuses_instance():
     table_a = sg.build_inverse_cdf(sg.pdf_left_skew, -1.0, 7.0, 1e-2)
     table_b = sg.build_inverse_cdf(sg.pdf_left_skew, -1.0, 7.0, 1e-2)
     assert table_a is table_b
-    assert table_a.cached
 
 
 def test_tables_compare_and_hash_by_identity():
@@ -130,7 +129,7 @@ def test_tables_compare_and_hash_by_identity():
     assert len({a, b, a}) == 2
     cached = sg.build_inverse_cdf(sg.pdf_left_skew, -1.0, 7.0, 0.01)
     assert sg.build_inverse_cdf(sg.pdf_left_skew, -1.0, 7.0, 0.01) is cached
-    assert cached.cached and cached != a
+    assert cached != a
 
 
 def test_builtin_pdf_values():

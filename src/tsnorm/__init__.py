@@ -20,7 +20,7 @@ from .metrics import amex_metric, cohen_kappa, default_rate_captured, macro_f1, 
 from .neural import GruStack, TrainConfig, bce_loss, cross_entropy_loss, gru_backward, \
     gru_forward, predict, train_loop
 from .static_norm import KditConfig, StaticPipeline, StaticStats, apply_zscore, \
-    fit_yeo_johnson_static, fit_zscore, yeo_johnson
+    fit_yeo_johnson_static, fit_zscore
 from .synthgen import InverseCdfTable, SynthConfig, build_inverse_cdf, builtin_pdfs, \
     generate_dataset, ma_autocovariance, nearest_psd
 

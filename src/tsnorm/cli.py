@@ -289,7 +289,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_ablate(args) -> int:
     rows = run_ablation(_experiment_config(args))
     width = max(len(label) for label, _ in rows)
-    key = "bce" if "bce" in rows[0][1].aggregate else "ce"
+    key = next((k for _, report in rows for k in ("bce", "ce") if k in report.aggregate), "loss")
     print(f"{'configuration':<{width + 2}}{key:>10}{'+/-':>10}")
     for label, report in rows:
         agg = report.aggregate.get(key, {"mean": float("nan"), "half_width": float("nan")})
@@ -297,6 +297,8 @@ def _cmd_ablate(args) -> int:
     if args.out:
         save_report(ablation_json(rows), args.out)
         print(f"ablation report written to {args.out}")
+    if not any(report.rows for _, report in rows):
+        raise RuntimeError(f"all folds failed: {rows[0][1].incomplete[0]['error']}")
     return 0
 
 

@@ -392,13 +392,12 @@ def save_csv(dataset: LabeledDataset, path: str | Path) -> None:
             fh.write("".join(map(",".join, zip(ids, steps * len(block), *feats, ends))))
 
 
-def minibatch_indices(
-    n: int, batch_size: int, generator: np.random.Generator, shuffle: bool = True
-) -> Iterator[np.ndarray]:
-    """Yield index arrays covering 0..n-1 exactly once; last batch may be short."""
+def minibatch_indices(n: int, batch_size: int,
+                      generator: np.random.Generator) -> Iterator[np.ndarray]:
+    """Yield shuffled index arrays covering 0..n-1 exactly once; last batch may be short."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    order = generator.permutation(n) if shuffle else np.arange(n)
+    order = generator.permutation(n)
     for start in range(0, n, batch_size):
         yield order[start : start + batch_size]
 

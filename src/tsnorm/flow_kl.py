@@ -211,7 +211,7 @@ def fit_kl(train: TimeSeriesBatch, config: TrainConfig) -> tuple[KlBijectorParam
     history = [{"epoch": 0, "nll": best}]
     for epoch in range(1, config.max_epochs + 1):
         diverged = False
-        for idx in minibatch_indices(train.n, config.batch_size, rng, shuffle=True):
+        for idx in minibatch_indices(train.n, config.batch_size, rng):
             xb = TimeSeriesBatch(train.values[idx])
             try:
                 _, grads = negative_log_likelihood(xb, params)

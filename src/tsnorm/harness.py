@@ -86,26 +86,36 @@ ABLATION_ROWS = (
 )
 
 
+def _section_json(obj) -> dict:
+    """Each field of the dataclass ``obj`` that is set, a tuple as a list."""
+    return {f.name: list(value) if isinstance(value, tuple) else value
+            for f in fields(obj) if (value := getattr(obj, f.name)) is not None}
+
+
 @dataclass
 class ModelConfig:
     hidden: tuple[int, ...] = (32, 32)
     head: tuple[int, ...] = (64, 32)
     dropout: float = 0.2
 
-    def to_json_dict(self):
-        return {"hidden": list(self.hidden), "head": list(self.head), "dropout": self.dropout}
-
 
 @dataclass
 class CvConfig:
     kind: str = "holdout"          # holdout | kfold | anchored
-    k: int = 5
-    valid_fraction: float = 0.2
+    k: Optional[int] = None
+    valid_fraction: Optional[float] = None
     boundaries: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        if self.kind not in ("holdout", "kfold", "anchored"):
+        # each kind reads one field, whose default fills it when left out
+        own = {"holdout": "valid_fraction", "kfold": "k", "anchored": "boundaries"}.get(self.kind)
+        if own is None:
             raise ValueError(f"unknown cv scheme {self.kind!r}")
+        for name in ("k", "valid_fraction", "boundaries"):
+            if name != own and getattr(self, name) is not None:
+                raise ValueError(f"cv.{name} does not apply to cv kind {self.kind!r}")
+        if getattr(self, own) is None:
+            setattr(self, own, {"valid_fraction": 0.2, "k": 5}.get(own))
         if self.kind == "kfold" and self.k < 2:
             raise ValueError("kfold needs k >= 2")
         if self.kind == "holdout" and not 0.0 < self.valid_fraction < 1.0:
@@ -117,16 +127,6 @@ class CvConfig:
             if any(a >= b for a, b in zip(bounds, bounds[1:])):
                 raise ValueError(f"cv.boundaries must be strictly increasing, got {list(bounds)}")
 
-    def to_json_dict(self):
-        doc = {"kind": self.kind}
-        if self.kind == "kfold":
-            doc["k"] = self.k
-        elif self.kind == "holdout":
-            doc["valid_fraction"] = self.valid_fraction
-        else:
-            doc["boundaries"] = list(self.boundaries)
-        return doc
-
 
 @dataclass
 class SyntheticSource:
@@ -137,9 +137,6 @@ class SyntheticSource:
         for name in ("n", "t"):
             if getattr(self, name) < 1:
                 raise ValueError(f"synthetic {name} must be positive, got {getattr(self, name)}")
-
-    def to_json_dict(self):
-        return {"n": self.n, "t": self.t}
 
 
 @dataclass
@@ -169,6 +166,13 @@ class ExperimentConfig:
         if tuple(self.sublayers) != ALL_SUBLAYERS and not edain:
             raise ValueError(f"sublayer flags are only valid with edain_global and edain_local, "
                              f"not with method {self.method!r}")
+        # the order EdainLayer runs them in, so two configs that train alike echo alike
+        if tuple(self.sublayers) != tuple(s for s in ALL_SUBLAYERS if s in self.sublayers):
+            raise ValueError(f"sublayers must be a subset of {list(ALL_SUBLAYERS)}, each named "
+                             f"once and in that order, got {list(self.sublayers)}")
+        if self.train.seed != 0:
+            raise ValueError(f"train.seed must be 0, got {self.train.seed!r}: each fold trains "
+                             f"with a seed drawn from the config seed")
         if self.preset is not None and self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
         for name, value in (("repetitions", self.repetitions),
@@ -194,8 +198,8 @@ class ExperimentConfig:
             "seed": self.seed,
             "repetitions": self.repetitions,
             "sublayers": list(self.sublayers),
-            "model": self.model.to_json_dict(),
-            "cv": self.cv.to_json_dict(),
+            "model": _section_json(self.model),
+            "cv": _section_json(self.cv),
             "preset": self.preset,
             "kdit_alpha": self.kdit_alpha,
             "winsorize_quantiles": list(self.winsorize_quantiles),
@@ -203,7 +207,7 @@ class ExperimentConfig:
             "train": {**train, "milestones": list(self.train.milestones),
                       "corrections": self.resolved_corrections()},
             "dataset": ({"csv": self.csv_path} if self.synthetic is None
-                        else {"synthetic": self.synthetic.to_json_dict()}),
+                        else {"synthetic": _section_json(self.synthetic)}),
         }
 
     @classmethod
@@ -340,8 +344,7 @@ def make_preproc(config: ExperimentConfig, train_batch: TimeSeriesBatch):
     if method == "edain_kl":
         kl_config = TrainConfig(base_lr=1e-2, optimizer="adam", batch_size=256,
                                 max_epochs=30, milestones=(), patience=30,
-                                corrections=config.resolved_corrections(),
-                                seed=config.train.seed)
+                                corrections=config.resolved_corrections())
         params, _ = fit_kl(train_batch, kl_config)
         return KlPreproc(params)
     raise ValueError(f"unknown preprocessing method {method!r}")
@@ -423,8 +426,8 @@ def _load_dataset(config: ExperimentConfig, rep_state: RngState) -> LabeledDatas
 
 
 def fold_metrics(dataset: LabeledDataset, probs: np.ndarray) -> dict:
-    y = dataset.labels
-    if dataset.label_kind == BINARY:
+    y = dataset.labels  # the model's output width, not the labels held, sets the metrics
+    if probs.ndim == 1:
         loss, _ = bce_loss(probs, y)
         hard = (probs >= 0.5).astype(np.int64)
         m, d_rate, g = amex_metric(probs, y)

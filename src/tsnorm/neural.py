@@ -38,6 +38,9 @@ PROB_CLIP = 1e-12
 GROUP_TAGS = ("outlier", "shift", "scale", "power", "model")
 UNIT_CORRECTIONS = {"outlier": 1.0, "shift": 1.0, "scale": 1.0, "power": 1.0}  # all at base rate
 PREDICT_ROWS = 128  # series per block of the eval-mode passes (:func:`predict`)
+# Adam's moment decays and RMSProp's square decay, each with its eps
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+RMS_ALPHA, RMS_EPS = 0.99, 1e-8
 
 
 def _sigmoid(v, out=None):
@@ -314,8 +317,8 @@ def bce_loss(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     y = np.asarray(y, dtype=np.float64)
     if p.shape != y.shape:
         raise ValueError("prediction/label shape mismatch")
-    if np.any((y != 0) & (y != 1)):
-        raise ValueError("binary labels must be 0 or 1")
+    if np.any(bad := (y != 0) & (y != 1)):
+        raise ValueError(f"label {y[bad][0]:g} is outside a binary model's 2 classes, 0 and 1")
     pc = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
     loss = float(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).mean())
     d_logits = ((p - y) / len(y))[:, None]
@@ -352,11 +355,6 @@ class TrainConfig:
     gamma: float = 0.1
     patience: int = 5
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    rms_alpha: float = 0.99
-    rms_eps: float = 1e-8
 
     def __post_init__(self):
         for name, ok, want in (
@@ -365,11 +363,7 @@ class TrainConfig:
                 ("gamma", 0 < self.gamma < np.inf, "finite and positive"),
                 ("max_epochs", self.max_epochs >= 0, "nonnegative"),  # 0: fit_kl's start
                 ("batch_size", self.batch_size >= 1, "positive"),
-                ("patience", self.patience >= 0, "nonnegative"),
-                *((name, 0 <= getattr(self, name) < 1, "in [0, 1)")
-                  for name in ("adam_beta1", "adam_beta2", "rms_alpha")),
-                *((name, 0 <= getattr(self, name) < np.inf, "finite and nonnegative")
-                  for name in ("adam_eps", "rms_eps"))):
+                ("patience", self.patience >= 0, "nonnegative")):
             if not ok:
                 raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
         for tag, rate in (self.corrections or {}).items():
@@ -409,7 +403,6 @@ class Optimizer:
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              groups: dict[str, str]) -> None:
-        cfg = self.config
         self.t += 1
         for name, g in grads.items():
             p = params[name]
@@ -421,20 +414,20 @@ class Optimizer:
                     self.state[name] = {"m": np.zeros_like(p), "v": np.zeros_like(p)}
                 # moments in place, in the order of b1 * m + (1 - b1) * g
                 m, v = self.state[name]["m"], self.state[name]["v"]
-                m *= cfg.adam_beta1
-                m += (1 - cfg.adam_beta1) * g
-                v *= cfg.adam_beta2
-                v += (1 - cfg.adam_beta2) * g * g
-                m_hat = m / (1 - cfg.adam_beta1 ** self.t)
-                v_hat = v / (1 - cfg.adam_beta2 ** self.t)
-                p -= rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+                m *= ADAM_BETA1
+                m += (1 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1 - ADAM_BETA2) * g * g
+                m_hat = m / (1 - ADAM_BETA1 ** self.t)
+                v_hat = v / (1 - ADAM_BETA2 ** self.t)
+                p -= rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             else:
                 if name not in self.state:
                     self.state[name] = {"sq": np.zeros_like(p)}
                 sq = self.state[name]["sq"]
-                sq *= cfg.rms_alpha
-                sq += (1 - cfg.rms_alpha) * g * g
-                p -= rate * g / (np.sqrt(sq) + cfg.rms_eps)
+                sq *= RMS_ALPHA
+                sq += (1 - RMS_ALPHA) * g * g
+                p -= rate * g / (np.sqrt(sq) + RMS_EPS)
         if self.projection is not None:
             self.projection()
 
@@ -554,7 +547,7 @@ def train_loop(train: LabeledDataset, valid: LabeledDataset, preproc, model: Gru
         optimizer.lr = _lr_at(config, epoch)
         total_loss = 0.0
         total_count = 0
-        for idx in minibatch_indices(train.n, config.batch_size, rng, shuffle=True):
+        for idx in minibatch_indices(train.n, config.batch_size, rng):
             values = train.batch.values[idx]  # a fresh array: frozen, not copied again
             values.flags.writeable = False
             xb = TimeSeriesBatch(values)

@@ -39,8 +39,6 @@ KDIT_TERMS = 12
 KDIT_REACH = NDTR_ONE_Z + KDIT_BIN_WIDTH / 2
 KDIT_BLOCK = 2 ** 13  # (grid point, bin) pairs evaluated at once: 64 KB a temporary
 
-yeo_johnson = yj.forward
-
 
 @dataclass
 class StaticStats:

@@ -4,11 +4,15 @@
 times is called once at a small shape, so a refactor that renames or
 re-signs a function it uses fails here rather than in a benchmark run.
 Every ``tsnorm`` attribute that ``micro.py``, ``workloads.py`` and ``run.py``
-name, including the dotted names of ``run.TRACED_FUNCTIONS``, must resolve.
+name, including the dotted names of ``run.TRACED_FUNCTIONS``, must resolve,
+and the arguments of every call that ``micro.py`` and ``workloads.py`` make
+to a ``tsnorm`` callable must bind to its signature, so a removed or renamed
+parameter or config field fails here too.
 """
 
 import ast
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -51,28 +55,55 @@ def _dotted(node) -> list[str]:
     return [node.id, *parts] if isinstance(node, ast.Name) else []
 
 
+def _parse(file: str) -> tuple[ast.Module, dict[str, str]]:
+    """The syntax tree of a bench file and the package name of each alias it
+    binds through ``from tsnorm import m [as a]`` or ``import tsnorm``."""
+    tree = ast.parse((BENCH / file).read_text(encoding="utf-8"))
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "tsnorm":
+            aliases.update({a.asname or a.name: f"tsnorm.{a.name}" for a in node.names})
+        elif isinstance(node, ast.Import):
+            aliases.update({a.asname or a.name: a.name for a in node.names if a.name == "tsnorm"})
+    return tree, aliases
+
+
 def bench_names() -> set[tuple[str, str]]:
     """(file, full dotted name) of every package attribute that a bench file
-    reads through ``from tsnorm import m [as a]`` or ``import tsnorm``, and
-    of every entry of ``TRACED_FUNCTIONS``."""
+    reads through an alias of :func:`_parse`, and of every entry of
+    ``TRACED_FUNCTIONS``."""
     names = set()
     for file in ("micro.py", "workloads.py", "run.py"):
-        tree = ast.parse((BENCH / file).read_text(encoding="utf-8"))
-        aliases = {}
+        tree, aliases = _parse(file)
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "tsnorm":
-                aliases.update({a.asname or a.name: f"tsnorm.{a.name}" for a in node.names})
-            elif isinstance(node, ast.Import):
-                aliases.update({a.asname or a.name: a.name for a in node.names
-                                if a.name == "tsnorm"})
-            elif isinstance(node, ast.Assign) and any(
+            if isinstance(node, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "TRACED_FUNCTIONS" for t in node.targets):
                 names.update((file, f"tsnorm.{elt.value}") for elt in node.value.elts)
-        for node in ast.walk(tree):
             chain = _dotted(node)
             if len(chain) > 1 and chain[0] in aliases:
                 names.add((file, ".".join([aliases[chain[0]], *chain[1:]])))
     return names
+
+
+def bench_calls() -> list[tuple[str, str, ast.Call]]:
+    """(where, dotted name, call) of every call that ``micro.py`` and
+    ``workloads.py`` make to a ``tsnorm`` callable; a
+    ``dataclasses.replace(<x>.train, ...)`` call is one to ``TrainConfig``
+    with its first argument dropped."""
+    calls = []
+    for file in ("micro.py", "workloads.py"):
+        tree, aliases = _parse(file)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            chain, where = _dotted(node.func), f"{file}:{node.lineno}"
+            if chain == ["replace"] and isinstance(node.args[0], ast.Attribute) \
+                    and node.args[0].attr == "train":
+                calls.append((where, "tsnorm.neural.TrainConfig",
+                              ast.Call(node.func, node.args[1:], node.keywords)))
+            elif len(chain) > 1 and chain[0] in aliases:
+                calls.append((where, ".".join([aliases[chain[0]], *chain[1:]]), node))
+    return calls
 
 
 def test_every_tsnorm_name_the_bench_reads_resolves():
@@ -87,3 +118,25 @@ def test_every_tsnorm_name_the_bench_reads_resolves():
         except (ImportError, AttributeError):
             missing.append(f"{file}: {name}")
     assert not missing, "\n".join(missing)
+
+
+def test_every_bench_call_binds_to_its_tsnorm_signature():
+    calls = bench_calls()
+    called = {name for _, name, _ in calls}
+    assert {"tsnorm.neural.TrainConfig", "tsnorm.neural.GruStack", "tsnorm.harness.CvConfig",
+            "tsnorm.harness.ExperimentConfig", "tsnorm.cli.main"} <= called
+    # micro.py's TrainConfig(), the desk-fold config and the wide-fold replace(...)
+    assert sum(name == "tsnorm.neural.TrainConfig" for _, name, _ in calls) >= 3
+    unbound = []
+    for where, name, call in calls:
+        target = pkgutil.resolve_name(name)
+        if not callable(target):
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in call.args), where
+        assert all(k.arg is not None for k in call.keywords), where
+        try:
+            inspect.signature(target).bind(*[None] * len(call.args),
+                                           **{k.arg: None for k in call.keywords})
+        except TypeError as err:
+            unbound.append(f"{where}: {name}: {err}")
+    assert not unbound, "\n".join(unbound)

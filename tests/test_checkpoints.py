@@ -256,9 +256,7 @@ FULL_CONFIG = {
     "model": {"hidden": [4, 4], "head": [4], "dropout": 0.1},
     "train": {"base_lr": 0.001, "optimizer": "adam", "batch_size": 32, "max_epochs": 2,
               "milestones": [1], "gamma": 0.1, "patience": 5, "seed": 0,
-              "corrections": {"outlier": 1.0, "shift": 1.0, "scale": 1.0, "power": 1.0},
-              "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8, "rms_alpha": 0.99,
-              "rms_eps": 1e-8},
+              "corrections": {"outlier": 1.0, "shift": 1.0, "scale": 1.0, "power": 1.0}},
     "sublayers": ["om", "shift", "scale", "power"], "preset": "desk-global",
     "kdit_alpha": 1.0, "winsorize_quantiles": [0.01, 0.99], "warm_start": True,
 }

@@ -11,7 +11,7 @@ from scipy.special import ndtr
 
 from tsnorm import cli, harness, neural
 from tsnorm.cli import main
-from tsnorm.data import load_csv, save_csv
+from tsnorm.data import TERNARY, LabeledDataset, load_csv, save_csv
 
 
 def small_experiment_config(tmp_path, data_path, method="zscore", **extra):
@@ -215,6 +215,72 @@ def test_ablate_writes_seven_rows(tmp_path, dataset_csv):
                       "OM+shift+scale", "OM+shift+scale+PT"]
 
 
+def _ablation_of(losses):
+    """run_ablation's rows, each with one complete fold of the given bce, or
+    with its only fold failed where the loss is None."""
+    def report(loss):
+        if loss is None:
+            return harness.MetricsReport("zscore", [], {}, [
+                {"rep": 0, "fold": 0, "error": "FloatingPointError: diverged"}], {}, 0)
+        row = {"rep": 0, "fold": 0, "metrics": {"bce": loss}}
+        return harness.MetricsReport("edain_global", [row], harness._aggregate([row]), [], {}, 0)
+    return lambda config: [(label, report(loss))
+                           for (label, _), loss in zip(harness.ABLATION_ROWS, losses)]
+
+
+def test_ablate_reads_its_loss_column_from_any_complete_row(tmp_path, dataset_csv, monkeypatch,
+                                                            capsys):
+    # the column used to come from the first row alone: ce, and nan on every row
+    monkeypatch.setattr(cli, "run_ablation", _ablation_of([None, 0.5, 0.25, 0.125, 1.0, 2.0, 4.0]))
+    assert main(["ablate", "--config", str(small_experiment_config(tmp_path, dataset_csv))]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["configuration", "bce", "+/-"]
+    assert lines[1].split() == ["zscore", "nan", "nan"]
+    assert [line.split()[1] for line in lines[2:]] == \
+        ["0.5000", "0.2500", "0.1250", "1.0000", "2.0000", "4.0000"]
+
+
+def test_ablate_with_no_complete_fold_exits_two(tmp_path, dataset_csv, monkeypatch, capsys):
+    # it used to print a ce column of nan rows and exit 0
+    monkeypatch.setattr(cli, "run_ablation", _ablation_of([None] * 7))
+    out = tmp_path / "ablation.json"
+    assert main(["ablate", "--config", str(small_experiment_config(tmp_path, dataset_csv)),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0].split() == ["configuration", "loss", "+/-"]
+    assert captured.err == "error: RuntimeError: all folds failed: FloatingPointError: diverged\n"
+    assert len(json.loads(out.read_text())["rows"]) == 7
+
+
+def _identity_checkpoint(path, n_classes):
+    model = neural.GruStack(d_in=3, hidden=(4,), head=(4,), n_classes=n_classes, dropout=0.0,
+                            rng=np.random.default_rng(5))
+    harness.save_report({"preproc": {"kind": "identity"}, "model": model.to_json_dict()}, path)
+    return path
+
+
+def test_evaluate_takes_the_label_kind_from_the_model(tmp_path, dataset_csv):
+    # a ternary model on a file that holds only labels 0 and 1 used to end in
+    # "prediction/label shape mismatch"
+    ckpt, out = _identity_checkpoint(tmp_path / "ckpt.json", 3), tmp_path / "eval.json"
+    assert set(load_csv(dataset_csv).labels.tolist()) == {0, 1}
+    assert main(["evaluate", "--data", str(dataset_csv), "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 0
+    assert set(json.loads(out.read_text())["metrics"]) == {"ce", "accuracy", "kappa", "macro_f1"}
+
+
+def test_evaluate_refuses_a_label_the_model_cannot_predict(tmp_path, dataset_csv, capsys):
+    dataset = load_csv(dataset_csv)
+    labels = dataset.labels.copy()
+    labels[7] = 2
+    ternary = tmp_path / "ternary.csv"
+    save_csv(LabeledDataset(dataset.batch, labels, TERNARY), ternary)
+    ckpt = _identity_checkpoint(tmp_path / "ckpt.json", 1)
+    assert main(["evaluate", "--data", str(ternary), "--checkpoint", str(ckpt)]) == 2
+    assert capsys.readouterr().err == ("error: ValueError: label 2 is outside a binary "
+                                       "model's 2 classes, 0 and 1\n")
+
+
 def test_generate_with_pdf_expressions(tmp_path):
     pdf_cfg = tmp_path / "pdfs.json"
     pdf_cfg.write_text(json.dumps({
@@ -354,7 +420,7 @@ def test_partner_flag_alone_keeps_the_defaults(tmp_path):
     ({"winsorize_quantiles": [0.9, 0.1]},
      "config winsorize_quantiles must be two quantiles 0 <= lower < upper <= 1, got (0.9, 0.1)"),
     ({"train": {"max_epochs": "3"}}, "config train.max_epochs must be int, got '3'"),
-    ({"cv": {"kind": "kfold", "k": "3"}}, "config cv.k must be int, got '3'"),
+    ({"cv": {"kind": "kfold", "k": "3"}}, "config cv.k must be Optional[int], got '3'"),
 ], ids=["kdit_alpha", "winsorize_quantiles", "max_epochs", "k"])
 def test_train_refuses_a_bad_config_value_with_exit_two(tmp_path, dataset_csv, capsys, extra,
                                                         message):

@@ -420,12 +420,6 @@ def test_minibatch_sizes_and_partition():
     assert joined.tolist() == [0, 1, 2, 3, 4]
 
 
-def test_minibatch_no_shuffle_identity_order():
-    ds = make_dataset(n=6)
-    batches = list(minibatch_indices(ds.n, 4, RngState(0).generator(), shuffle=False))
-    assert np.concatenate(batches).tolist() == list(range(6))
-
-
 def test_minibatch_deterministic():
     ds = make_dataset(n=50)
     a = list(minibatch_indices(ds.n, 7, RngState(123).generator()))

@@ -254,6 +254,9 @@ def small_doc(**extra):
     (("dataset",), "cvs", "config dataset"),
     (("dataset", "synthetic"), "N", "config dataset.synthetic"),
     ((), "csv_path", "config"),
+    # the optimizers' constants used to be train fields that the report did not echo
+    *((("train",), name, "config train")
+      for name in ("adam_beta1", "adam_beta2", "adam_eps", "rms_alpha", "rms_eps")),
 ])
 def test_unknown_config_key_is_refused_by_name(path, key, section):
     doc = small_doc()
@@ -290,6 +293,27 @@ def test_unknown_config_key_is_refused_by_name(path, key, section):
      r"^cv.boundaries must be strictly increasing, got \[0, 80, 40, 120\]$"),
     ({"cv": {"kind": "anchored", "boundaries": [0, 40, 40, 120]}},
      r"^cv.boundaries must be strictly increasing, got \[0, 40, 40, 120\]$"),
+    # each fold trains with its own seed, so another train.seed would change
+    # only edain_kl's fit, and the report would not say so
+    ({"train": {"seed": 7}}, "^train.seed must be 0, got 7: each fold trains with a seed drawn "
+                             "from the config seed$"),
+    ({"train": {"seed": -1}}, "^train.seed must be 0, got -1: "),
+    # a field of another cv kind used to load, unread and left out of the echo
+    ({"cv": {"kind": "kfold", "k": 3, "valid_fraction": 1.5}},
+     "^cv.valid_fraction does not apply to cv kind 'kfold'$"),
+    ({"cv": {"kind": "holdout", "k": -4}}, "^cv.k does not apply to cv kind 'holdout'$"),
+    ({"cv": {"kind": "holdout", "boundaries": [0, 40, 80]}},
+     "^cv.boundaries does not apply to cv kind 'holdout'$"),
+    ({"cv": {"kind": "anchored", "boundaries": [0, 40, 80], "k": 3}},
+     "^cv.k does not apply to cv kind 'anchored'$"),
+    # repeats and other orders used to be echoed as given, and an unknown
+    # name failed only inside the first fold
+    *(({"method": method, "sublayers": sublayers},
+       re.escape(f"sublayers must be a subset of ['om', 'shift', 'scale', 'power'], each named "
+                 f"once and in that order, got {sublayers}"))
+      for method in ("edain_global", "edain_local")
+      for sublayers in (["shift", "shift"], ["power", "om"], ["scale", "shift"], ["bogus"],
+                        ["om", "shift", "scale", "power", "om"])),
 ])
 def test_malformed_config_values_are_refused(doc, message):
     with pytest.raises(ValueError, match=message):
@@ -298,7 +322,7 @@ def test_malformed_config_values_are_refused(doc, message):
 
 @pytest.mark.parametrize("extra, message", [
     ({"train": {"max_epochs": "3"}}, "config train.max_epochs must be int, got '3'"),
-    ({"cv": {"kind": "kfold", "k": "3"}}, "config cv.k must be int, got '3'"),
+    ({"cv": {"kind": "kfold", "k": "3"}}, "config cv.k must be Optional[int], got '3'"),
     ({"cv": {"kind": "anchored", "boundaries": [0, 1.5, 3]}},
      "config cv.boundaries must be Optional[tuple[int, ...]], got (0, 1.5, 3)"),
     ({"cv": {"kind": 3}}, "config cv.kind must be str, got 3"),
@@ -352,6 +376,44 @@ def test_config_loader_turns_lists_into_tuples():
         model=hx.ModelConfig(hidden=(4,), head=(4,), dropout=0.0),
         train=TrainConfig(max_epochs=2, batch_size=32, milestones=(), patience=5),
         cv=hx.CvConfig(kind="anchored", boundaries=(0, 40, 80, 120)))
+
+
+def test_each_cv_kind_fills_in_its_own_field():
+    assert hx.CvConfig() == hx.CvConfig(kind="holdout") == hx.CvConfig("holdout", None, 0.2)
+    assert hx.CvConfig(kind="kfold") == hx.CvConfig(kind="kfold", k=5)
+    for cv, echo in (({"kind": "holdout"}, {"kind": "holdout", "valid_fraction": 0.2}),
+                     ({"kind": "kfold"}, {"kind": "kfold", "k": 5}),
+                     ({"kind": "kfold", "k": 3}, {"kind": "kfold", "k": 3}),
+                     ({"kind": "anchored", "boundaries": [0, 40, 80]},
+                      {"kind": "anchored", "boundaries": [0, 40, 80]})):
+        assert hx.ExperimentConfig.from_json_dict(small_doc(cv=cv)).to_json_dict()["cv"] == echo
+
+
+# every method under every cv kind, plus a sublayer subset and a preset
+RERUN_CV = {"holdout": hx.CvConfig(kind="holdout"), "kfold": hx.CvConfig(kind="kfold", k=2),
+            "anchored": hx.CvConfig(kind="anchored", boundaries=(0, 30, 48, 60))}
+RERUN_CONFIGS = [*((method, cv, {}) for method in hx.METHODS for cv in RERUN_CV),
+                 ("edain_global", "kfold", {"sublayers": ("shift", "scale", "power")}),
+                 ("edain_local", "holdout", {"preset": "paper-synthetic"})]
+
+
+@pytest.mark.parametrize("method, cv, extra", RERUN_CONFIGS,
+                         ids=[f"{m}-{cv}-{'-'.join(map(str, e.values()))}"
+                              for m, cv, e in RERUN_CONFIGS])
+def test_a_reports_config_reruns_the_report(tmp_path, method, cv, extra):
+    config = hx.ExperimentConfig(
+        method=method, seed=2, synthetic=hx.SyntheticSource(n=60, t=4),
+        model=hx.ModelConfig(hidden=(2,), head=(2,), dropout=0.1),
+        train=TrainConfig(max_epochs=2, batch_size=16, milestones=(1,), gamma=0.5),
+        cv=RERUN_CV[cv], **extra)
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    hx.save_report(hx.run_experiment(config).to_json_dict(), first)
+    report = json.loads(first.read_text(encoding="utf-8"))
+    assert report["rows"] and not report["incomplete"]
+    echo = report["config"]
+    hx.save_report(hx.run_experiment(hx.ExperimentConfig.from_json_dict(echo)).to_json_dict(),
+                   again)
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_anchored_boundaries_past_the_dataset_are_refused(monkeypatch):

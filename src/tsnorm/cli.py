@@ -19,22 +19,12 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import ndtr
 
-from .adaptive import DainLayer, EdainLayer
 from .flow_kl import fit_kl
 from .data import LabeledDataset, load_csv, load_fields, save_csv, type_hints
-from .harness import (ExperimentConfig, KlPreproc, PRESETS, StaticPreproc, ablation_json,
-                      fold_metrics, run_ablation, run_experiment, save_report)
-from .neural import GruStack, IdentityPreproc, TrainConfig, history_to_csv, predict
+from .harness import (METHODS, PREPROC_KINDS, PRESETS, ExperimentConfig, ablation_json,
+                      fold_metrics, kl_fit_config, run_ablation, run_experiment, save_report)
+from .neural import GruStack, history_to_csv, predict
 from .synthgen import SynthConfig, default_config, generate_dataset
-
-
-_PREPROC_KINDS = {
-    "static": StaticPreproc,
-    "edain": EdainLayer,
-    "edain_kl": KlPreproc,
-    "dain": DainLayer,
-    "identity": IdentityPreproc,
-}
 
 
 # the fields of a checkpoint file: ``train`` writes preproc and model,
@@ -50,9 +40,9 @@ def _read_checkpoint(path: str, *required: str) -> dict:
 
 def _load_preproc(doc: dict):
     kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in _PREPROC_KINDS:
+    if not isinstance(kind, str) or kind not in PREPROC_KINDS:
         raise ValueError(f"checkpoint preproc has unknown preprocessing kind {kind!r}")
-    return _PREPROC_KINDS[kind].from_json_dict(doc)
+    return PREPROC_KINDS[kind].from_json_dict(doc)
 
 
 # the elementwise numpy functions an expression may call as np.<name>
@@ -205,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
 
     t = sub.add_parser("train", help="train a model with one preprocessing method")
-    t.add_argument("--method", help="preprocessing method tag")
+    t.add_argument("--method", help=f"preprocessing method: {', '.join(METHODS)}")
     t.add_argument("--checkpoint-out", dest="checkpoint_out",
                    help="save trained preprocessing+model JSON here")
     t.add_argument("--history-out", dest="history_out",
@@ -218,15 +208,17 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out")
 
     a = sub.add_parser("ablate", help="run the seven-row sublayer ablation")
+    a.set_defaults(method="edain_global")  # its config is checked as the EDAIN rows read it
     _add_experiment_flags(a)
 
-    k = sub.add_parser("kl-fit", help="fit the invertible normalizer unsupervised")
+    k = sub.add_parser("kl-fit", help="fit the invertible normalizer unsupervised",
+                       argument_default=argparse.SUPPRESS)
     k.add_argument("--data", required=True)
     k.add_argument("--out", required=True)
-    k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--epochs", type=int, default=30)
-    k.add_argument("--batch-size", type=int, default=256, dest="batch_size")
-    k.add_argument("--lr", type=float, default=1e-2)
+    k.add_argument("--seed", type=int)
+    k.add_argument("--epochs", type=int)
+    k.add_argument("--batch-size", type=int, dest="batch_size")
+    k.add_argument("--lr", type=float)
 
     p = sub.add_parser("preprocess", help="apply a saved preprocessing checkpoint to a dataset")
     p.add_argument("--checkpoint", required=True)
@@ -304,9 +296,9 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_kl_fit(args) -> int:
     dataset = load_csv(args.data)
-    cfg = TrainConfig(base_lr=args.lr, optimizer="adam", batch_size=args.batch_size,
-                      max_epochs=args.epochs, milestones=(), patience=args.epochs,
-                      seed=args.seed, corrections=dict(PRESETS["desk-kl"]))
+    # a flag left out is not set, and kl_fit_config supplies its default
+    flags = {k: v for k, v in vars(args).items() if k in ("seed", "lr", "batch_size", "epochs")}
+    cfg = kl_fit_config(dict(PRESETS[METHODS["edain_kl"].preset]), **flags)
     params, history = fit_kl(dataset.batch, cfg)
     save_report({"preproc": params.to_json_dict(), "history": history}, args.out)
     print(f"fitted invertible normalizer on {dataset.n} series; "

@@ -16,7 +16,7 @@ import json
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -36,21 +36,6 @@ from .yeojohnson import PowerDomainError
 FOLD_FAILURES = (FloatingPointError, np.linalg.LinAlgError, PowerDomainError, FlowDomainError,
                  NonFiniteBatchError)
 
-METHODS = (
-    "none", "zscore", "minmax", "winsorize+zscore", "zscore+yj", "winsorize+zscore+yj",
-    "cdf_inversion", "kdit", "dain", "edain_global", "edain_local", "edain_kl",
-)
-
-_STATIC_STEPS = {
-    "zscore": ["zscore"],
-    "minmax": ["minmax"],
-    "winsorize+zscore": ["winsorize", "zscore"],
-    "zscore+yj": ["zscore", "yeo_johnson"],
-    "winsorize+zscore+yj": ["winsorize", "zscore", "yeo_johnson"],
-    "cdf_inversion": ["cdf_inversion"],
-    "kdit": ["kdit"],
-}
-
 # Per-sublayer learning-rate corrections (relative to the base model rate).
 # The reference full-scale runs used an order of magnitude more gradient
 # steps than the desk-scale defaults, so the desk presets push the
@@ -68,12 +53,53 @@ PRESETS = {
     "lob-local": {"outlier": 10.0, "shift": 0.01, "scale": 1e-4, "power": 10.0},
 }
 
-DEFAULT_PRESET = {
-    "dain": "desk-dain",
-    "edain_global": "desk-global",
-    "edain_local": "desk-local",
-    "edain_kl": "desk-kl",
+
+class Method(NamedTuple):
+    """``build(config, train_batch)`` makes a fold's layer, ``reads`` names the
+    method-specific config fields it reads, ``preset`` gives the corrections
+    when the config sets none, and ``steps`` is a static method's pipeline."""
+    build: Callable
+    reads: tuple[str, ...] = ()
+    preset: Optional[str] = None
+    steps: tuple[str, ...] = ()
+
+
+def _static(*steps: str, reads: tuple[str, ...] = ()) -> Method:
+    return Method(lambda config, batch: StaticPreproc(StaticPipeline(
+        list(steps), winsorize_quantiles=config.winsorize_quantiles,
+        kdit_alpha=config.kdit_alpha).fit(batch)), reads, steps=steps)
+
+
+def kl_fit_config(corrections: dict, seed: int = 0, lr: float = 1e-2, batch_size: int = 256,
+                  epochs: int = 30) -> TrainConfig:
+    """EDAIN-KL's fit settings: Adam, no milestones and patience = epochs.  An
+    ``edain_kl`` fold fits with the defaults, and ``kl-fit``'s flags default to them."""
+    return TrainConfig(base_lr=lr, optimizer="adam", batch_size=batch_size, max_epochs=epochs,
+                       milestones=(), patience=epochs, seed=seed, corrections=corrections)
+
+
+_TUNED = ("preset", "train.corrections")
+METHODS = {
+    "none": Method(lambda config, batch: IdentityPreproc()),
+    "zscore": _static("zscore"),
+    "minmax": _static("minmax"),
+    "winsorize+zscore": _static("winsorize", "zscore", reads=("winsorize_quantiles",)),
+    "zscore+yj": _static("zscore", "yeo_johnson"),
+    "winsorize+zscore+yj": _static("winsorize", "zscore", "yeo_johnson",
+                                   reads=("winsorize_quantiles",)),
+    "cdf_inversion": _static("cdf_inversion"),
+    "kdit": _static("kdit", reads=("kdit_alpha",)),
+    "dain": Method(lambda config, batch: DainLayer(batch.d), _TUNED, "desk-dain"),
+    "edain_global": Method(lambda config, batch: EdainLayer(
+        batch.d, GLOBAL_AWARE, config.sublayers, batch if config.warm_start else None),
+        ("sublayers", "warm_start", *_TUNED), "desk-global"),
+    "edain_local": Method(lambda config, batch: EdainLayer(batch.d, LOCAL_AWARE, config.sublayers),
+                          ("sublayers", *_TUNED), "desk-local"),
+    "edain_kl": Method(lambda config, batch: KlPreproc(
+        fit_kl(batch, kl_fit_config(config.resolved_corrections()))[0]), _TUNED, "desk-kl"),
 }
+# the method-specific fields, each refused by a method that does not read it
+SETTINGS = tuple(dict.fromkeys(name for method in METHODS.values() for name in method.reads))
 
 ABLATION_ROWS = (
     ("zscore", None),
@@ -162,10 +188,6 @@ class ExperimentConfig:
         if (self.synthetic is None) == (self.csv_path is None):
             raise ValueError("exactly one of synthetic/csv_path must be set "
                              "(dataset csv or synthetic)")
-        edain = self.method in ("edain_global", "edain_local")  # edain_kl has no sublayers
-        if tuple(self.sublayers) != ALL_SUBLAYERS and not edain:
-            raise ValueError(f"sublayer flags are only valid with edain_global and edain_local, "
-                             f"not with method {self.method!r}")
         # the order EdainLayer runs them in, so two configs that train alike echo alike
         if tuple(self.sublayers) != tuple(s for s in ALL_SUBLAYERS if s in self.sublayers):
             raise ValueError(f"sublayers must be a subset of {list(ALL_SUBLAYERS)}, each named "
@@ -180,6 +202,15 @@ class ExperimentConfig:
             if value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
         check_static_fields(self.winsorize_quantiles, self.kdit_alpha, "config")
+        # a field the method does not read must echo as it does when left out
+        for name in (s for s in SETTINGS if s not in METHODS[self.method].reads):
+            value = self.train.corrections if name == "train.corrections" else getattr(self, name)
+            unread = (None, UNIT_CORRECTIONS) if name == "train.corrections" else \
+                (getattr(ExperimentConfig, name),)
+            if json.dumps(value, sort_keys=True) not in [json.dumps(v, sort_keys=True)
+                                                         for v in unread]:
+                raise ValueError(f"{name} is not read by method {self.method!r}: leave it out "
+                                 f"or at its default, got {value!r}")
 
     def resolved_corrections(self) -> dict:
         """The named preset, else the corrections the train config sets, else
@@ -188,7 +219,7 @@ class ExperimentConfig:
             return dict(PRESETS[self.preset])
         if self.train.corrections is not None:
             return dict(self.train.corrections)
-        return dict(PRESETS.get(DEFAULT_PRESET.get(self.method), UNIT_CORRECTIONS))
+        return dict(PRESETS.get(METHODS[self.method].preset, UNIT_CORRECTIONS))
 
     def to_json_dict(self):
         train = {key: getattr(self.train, key) for key in
@@ -231,23 +262,17 @@ class ExperimentConfig:
 
 def kfold_indices(n: int, k: int, rng: RngState) -> list[tuple[np.ndarray, np.ndarray]]:
     """k disjoint validation folds covering 0..n-1 after a seeded shuffle."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    CvConfig(kind="kfold", k=k)  # refuses k < 2 as a config does
     if k > n:
         raise ValueError(f"cannot split {n} rows into {k} folds")
     perm = rng.generator().permutation(n)
     folds = np.array_split(perm, k)
-    out = []
-    for i in range(k):
-        valid = np.sort(folds[i])
-        train = np.sort(np.concatenate([folds[j] for j in range(k) if j != i]))
-        out.append((train, valid))
-    return out
+    return [(np.sort(np.concatenate(folds[:i] + folds[i + 1:])), np.sort(folds[i]))
+            for i in range(k)]
 
 
 def holdout_split(n: int, valid_fraction: float, rng: RngState) -> list[tuple[np.ndarray, np.ndarray]]:
-    if not 0.0 < valid_fraction < 1.0:
-        raise ValueError("valid_fraction must be in (0, 1)")
+    CvConfig(kind="holdout", valid_fraction=valid_fraction)  # refuses one outside (0, 1)
     perm = rng.generator().permutation(n)
     n_valid = max(1, int(round(n * valid_fraction)))
     return [(np.sort(perm[n_valid:]), np.sort(perm[:n_valid]))]
@@ -256,17 +281,9 @@ def holdout_split(n: int, valid_fraction: float, rng: RngState) -> list[tuple[np
 def anchored_folds(boundaries) -> list[tuple[np.ndarray, np.ndarray]]:
     """Expanding-window folds: fold i trains on segments 1..i and validates
     on segment i+1.  m+1 boundaries give m segments and m-1 folds."""
-    bounds = [int(b) for b in boundaries]
-    if bounds != sorted(bounds) or len(set(bounds)) != len(bounds):
-        raise ValueError("boundaries must be strictly increasing")
-    if len(bounds) < 3:
-        raise ValueError("need at least three boundaries (two segments)")
-    folds = []
-    for i in range(1, len(bounds) - 1):
-        train = np.arange(bounds[0], bounds[i])
-        valid = np.arange(bounds[i], bounds[i + 1])
-        folds.append((train, valid))
-    return folds
+    bounds = CvConfig(kind="anchored", boundaries=tuple(map(int, boundaries))).boundaries
+    return [(np.arange(bounds[0], bounds[i]), np.arange(bounds[i], bounds[i + 1]))
+            for i in range(1, len(bounds) - 1)]
 
 
 def _make_folds(n: int, cv: CvConfig, rng: RngState):
@@ -319,35 +336,15 @@ class KlPreproc(IdentityPreproc):
         return cls(KlBijectorParams.from_json_dict(doc))
 
 
-def make_preproc(config: ExperimentConfig, train_batch: TimeSeriesBatch):
-    """Build (and fit, where applicable) the preprocessing for one fold.
+# the layer class of each checkpoint kind that a layer of METHODS saves
+PREPROC_KINDS = {"static": StaticPreproc, "edain": EdainLayer, "edain_kl": KlPreproc,
+                 "dain": DainLayer, "identity": IdentityPreproc}
 
-    Static pipelines and the KL layer only ever see the training rows; the
-    adaptive layers are returned untrained and learn inside the loop.
-    """
-    method = config.method
-    if method == "none":
-        return IdentityPreproc()
-    if method in _STATIC_STEPS:
-        pipeline = StaticPipeline(list(_STATIC_STEPS[method]),
-                                  winsorize_quantiles=config.winsorize_quantiles,
-                                  kdit_alpha=config.kdit_alpha)
-        pipeline.fit(train_batch)
-        return StaticPreproc(pipeline)
-    if method == "dain":
-        return DainLayer(train_batch.d)
-    if method == "edain_global":
-        return EdainLayer(train_batch.d, GLOBAL_AWARE, enabled=tuple(config.sublayers),
-                          warm_start=train_batch if config.warm_start else None)
-    if method == "edain_local":
-        return EdainLayer(train_batch.d, LOCAL_AWARE, enabled=tuple(config.sublayers))
-    if method == "edain_kl":
-        kl_config = TrainConfig(base_lr=1e-2, optimizer="adam", batch_size=256,
-                                max_epochs=30, milestones=(), patience=30,
-                                corrections=config.resolved_corrections())
-        params, _ = fit_kl(train_batch, kl_config)
-        return KlPreproc(params)
-    raise ValueError(f"unknown preprocessing method {method!r}")
+
+def make_preproc(config: ExperimentConfig, train_batch: TimeSeriesBatch):
+    """One fold's preprocessing: a static pipeline or the KL layer fitted on
+    the training rows alone, or an untrained adaptive layer."""
+    return METHODS[config.method].build(config, train_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +485,12 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
         rep_state = root.child(rep)
         dataset = _load_dataset(config, rep_state)
         folds = _make_folds(dataset.n, config.cv, rep_state.child(9999))
+        for f, (_, va_idx) in enumerate(folds if dataset.label_kind == BINARY else ()):
+            held = np.bincount(dataset.labels[va_idx], minlength=2)
+            if not held.all():
+                raise ValueError(f"rep {rep} fold {f}: the validation rows hold no "
+                                 f"{'positive' if held[0] else 'negative'} label, so the "
+                                 f"fold's binary metrics are undefined")
         for f, (tr_idx, va_idx) in enumerate(folds):
             try:
                 row, result = _run_fold(config, dataset, tr_idx, va_idx, rep, f,
@@ -516,7 +519,8 @@ def run_ablation(config: ExperimentConfig) -> list[tuple[str, MetricsReport]]:
     out = []
     for label, sublayers in ABLATION_ROWS:
         if sublayers is None:
-            row_cfg = replace(config, method="zscore", sublayers=ALL_SUBLAYERS)
+            row_cfg = replace(config, method="zscore", sublayers=ALL_SUBLAYERS, warm_start=True,
+                              preset=None, train=replace(config.train, corrections=None))
         else:
             row_cfg = replace(config, method="edain_global", sublayers=sublayers)
         out.append((label, run_experiment(row_cfg)))

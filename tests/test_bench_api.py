@@ -13,8 +13,11 @@ parameter or config field fails here too.
 import ast
 import importlib.util
 import inspect
+import itertools
 import pkgutil
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -140,3 +143,29 @@ def test_every_bench_call_binds_to_its_tsnorm_signature():
         except TypeError as err:
             unbound.append(f"{where}: {name}: {err}")
     assert not unbound, "\n".join(unbound)
+
+
+def test_every_config_the_workloads_build_loads(monkeypatch):
+    # each ExperimentConfig call of workloads.py, once for every value its loop
+    # variable takes there, so a setting its method refuses fails here rather
+    # than in a benchmark run
+    from tsnorm import harness, neural
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    loops = {"method": workloads.WideFold.methods, "m": workloads.STATIC_METHODS}
+    scope = {"harness": harness, "neural": neural,
+             "self": SimpleNamespace(seed=0, csv=Path("desk-fold.csv"))}
+    built = []
+    for where, name, call in bench_calls():
+        if not (where.startswith("workloads.py") and name == "tsnorm.harness.ExperimentConfig"):
+            continue
+        code = compile(ast.Expression(call), where, "eval")
+        free = sorted({node.id for node in ast.walk(call) if isinstance(node, ast.Name)} & {*loops})
+        for values in itertools.product(*(loops[v] for v in free)):
+            built.append(eval(code, {**scope, **dict(zip(free, values))}))
+    # DeskFold's holdout edain_global, WideFold's two methods, DeskOffline's seven
+    assert sorted(config.method for config in built) == sorted(
+        ["edain_global", "edain_global", "edain_local", *workloads.STATIC_METHODS])
+    assert len(workloads.STATIC_METHODS) == 7

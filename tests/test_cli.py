@@ -215,6 +215,30 @@ def test_ablate_writes_seven_rows(tmp_path, dataset_csv):
                       "OM+shift+scale", "OM+shift+scale+PT"]
 
 
+def test_ablate_with_a_preset_runs_all_seven_rows(tmp_path, dataset_csv):
+    # the zscore row reads no preset, so it runs with the preset left out
+    cfg = small_experiment_config(tmp_path, dataset_csv)
+    out = tmp_path / "ablation.json"
+    assert main(["ablate", "--config", str(cfg), "--preset", "desk-global", "--epochs", "1",
+                 "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 7 and all(row["report"]["rows"] for row in rows)
+    assert [row["report"]["config"]["preset"] for row in rows] == [None] + ["desk-global"] * 6
+    assert rows[0]["report"]["config"]["train"]["corrections"] == dict.fromkeys(
+        ("outlier", "shift", "scale", "power"), 1.0)
+
+
+def test_kl_fit_defaults_are_the_edain_kl_methods(tmp_path, dataset_csv):
+    assert harness.kl_fit_config({"power": 2.0}) == neural.TrainConfig(
+        base_lr=1e-2, optimizer="adam", batch_size=256, max_epochs=30, milestones=(),
+        patience=30, corrections={"power": 2.0})
+    ckpt = tmp_path / "kl.json"
+    assert main(["kl-fit", "--data", str(dataset_csv), "--out", str(ckpt)]) == 0
+    config = harness.ExperimentConfig(method="edain_kl", synthetic=None, csv_path=str(dataset_csv))
+    fitted = harness.make_preproc(config, load_csv(dataset_csv).batch)
+    assert json.loads(ckpt.read_text())["preproc"] == json.loads(json.dumps(fitted.to_json_dict()))
+
+
 def _ablation_of(losses):
     """run_ablation's rows, each with one complete fold of the given bce, or
     with its only fold failed where the loss is None."""

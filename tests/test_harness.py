@@ -1,10 +1,13 @@
+import functools
 import importlib.util
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tsnorm.harness as hx
 from tsnorm.data import (LabeledDataset, NonFiniteBatchError, RngState, TimeSeriesBatch,
@@ -158,8 +161,9 @@ def test_sublayer_flags_require_edain():
         tiny_config(method="zscore", sublayers=("shift",))
     # EDAIN-KL has no sublayer switches: the flags used to load, go unused and
     # be echoed in the report
-    with pytest.raises(ValueError, match="^sublayer flags are only valid with edain_global and "
-                                         "edain_local, not with method 'edain_kl'$"):
+    with pytest.raises(ValueError, match=re.escape(
+            "sublayers is not read by method 'edain_kl': leave it out or at its default, "
+            "got ('om',)")):
         tiny_config(method="edain_kl", sublayers=("om",))
 
 
@@ -366,16 +370,25 @@ def test_static_fields_are_checked_when_the_config_loads(extra, field, method):
         hx.ExperimentConfig.from_json_dict(small_doc(method=method, **extra))
 
 
-def test_config_loader_turns_lists_into_tuples():
+def _loads_as(method, **extra):
+    """The config of ``small_doc`` with ``extra`` given as lists loads with
+    them as tuples, on a config of a ``method`` that reads them."""
     cfg = hx.ExperimentConfig.from_json_dict(small_doc(
-        sublayers=["shift", "scale"], winsorize_quantiles=[0.05, 0.95],
-        cv={"kind": "anchored", "boundaries": [0, 40, 80, 120]}))
+        method=method, cv={"kind": "anchored", "boundaries": [0, 40, 80, 120]},
+        **{name: list(value) for name, value in extra.items()}))
     assert cfg == hx.ExperimentConfig(
-        method="edain_global", seed=1, synthetic=hx.SyntheticSource(n=120, t=4),
-        sublayers=("shift", "scale"), winsorize_quantiles=(0.05, 0.95),
+        method=method, seed=1, synthetic=hx.SyntheticSource(n=120, t=4),
         model=hx.ModelConfig(hidden=(4,), head=(4,), dropout=0.0),
         train=TrainConfig(max_epochs=2, batch_size=32, milestones=(), patience=5),
-        cv=hx.CvConfig(kind="anchored", boundaries=(0, 40, 80, 120)))
+        cv=hx.CvConfig(kind="anchored", boundaries=(0, 40, 80, 120)), **extra)
+
+
+def test_config_loader_turns_lists_into_tuples():
+    _loads_as("edain_global", sublayers=("shift", "scale"))
+
+
+def test_config_loader_turns_winsorize_quantiles_into_a_tuple():
+    _loads_as("winsorize+zscore", winsorize_quantiles=(0.05, 0.95))
 
 
 def test_each_cv_kind_fills_in_its_own_field():
@@ -428,6 +441,135 @@ def test_anchored_boundaries_past_the_dataset_are_refused(monkeypatch):
     assert calls == []  # refused before any fold ran
 
 
+def _labelled_csv(tmp_path, labels) -> str:
+    path = tmp_path / "labels.csv"
+    values = np.random.default_rng(4).normal(size=(len(labels), 2, 3))
+    save_csv(LabeledDataset(TimeSeriesBatch(values), np.asarray(labels)), path)
+    return str(path)
+
+
+def test_anchored_validation_segment_of_one_class_is_refused(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(hx, "_run_fold", lambda *args: calls.append(args))
+    labels = [*(np.arange(80) % 2), *[0] * 40]  # no positive in the last segment
+    config = tiny_config(synthetic=None, csv_path=_labelled_csv(tmp_path, labels),
+                         cv=hx.CvConfig(kind="anchored", boundaries=(0, 40, 80, 120)))
+    with pytest.raises(ValueError, match="^rep 0 fold 1: the validation rows hold no positive "
+                                         "label, so the fold's binary metrics are undefined$"):
+        hx.run_experiment(config)
+    assert calls == []  # refused before fold 0 trained
+
+
+@pytest.mark.parametrize("rare, missing", [(1, "positive"), (0, "negative")])
+def test_kfold_validation_fold_of_one_class_is_refused(tmp_path, monkeypatch, rare, missing):
+    calls = []
+    monkeypatch.setattr(hx, "_run_fold", lambda *args: calls.append(args))
+    labels = np.full(120, 1 - rare)
+    labels[[3, 70]] = rare  # two series of the rare class cannot reach all five folds
+    config = tiny_config(seed=5, synthetic=None, csv_path=_labelled_csv(tmp_path, labels),
+                         cv=hx.CvConfig(kind="kfold", k=5))
+    folds = hx._make_folds(120, config.cv, RngState(5).child(0).child(9999))
+    first = next(f for f, (_, valid) in enumerate(folds) if rare not in labels[valid])
+    with pytest.raises(ValueError, match=f"^rep 0 fold {first}: the validation rows hold no "
+                                         f"{missing} label"):
+        hx.run_experiment(config)
+    assert calls == []
+
+
+def test_each_method_saves_a_kind_its_checkpoint_reloads_by():
+    batch = TimeSeriesBatch(np.random.default_rng(6).normal(size=(12, 2, 3)))
+    for method in hx.METHODS:
+        layer = hx.make_preproc(tiny_config(method), batch)
+        assert hx.PREPROC_KINDS[layer.to_json_dict()["kind"]] is type(layer), method
+
+
+# --- a config refuses a setting its method does not read ----------------------
+
+PROPERTY_TRAIN = TrainConfig(max_epochs=2, batch_size=16, milestones=(1,), gamma=0.5)
+
+
+def _property_report(method, name=None, value=None) -> dict:
+    """The report of a tiny run of ``method`` with the field ``name`` set to
+    ``value``; a ValueError when the config refuses it."""
+    given = {"train": PROPERTY_TRAIN}
+    if name == "train.corrections":
+        given["train"] = replace(PROPERTY_TRAIN, corrections=value)
+    elif name is not None:
+        given[name] = value
+    config = hx.ExperimentConfig(
+        method=method, seed=2, synthetic=hx.SyntheticSource(n=60, t=4),
+        model=hx.ModelConfig(hidden=(2,), head=(2,), dropout=0.1), **given)
+    return json.loads(json.dumps(hx.run_experiment(config).to_json_dict()))
+
+
+_default_report = functools.cache(_property_report)
+
+
+def _changes(method, name):
+    """Values of the field ``name`` that change what ``method`` trains if it
+    reads the field: every learning-rate group moves for a preset or a
+    correction, so a preset equal to the default on the groups a method
+    trains is not drawn."""
+    default = hx.ExperimentConfig(method=method).resolved_corrections()
+    return {
+        "sublayers": st.sampled_from([("shift", "scale"), ("om",), ("shift", "scale", "power")]),
+        "kdit_alpha": st.sampled_from([0.5, 2.0, 3.0]),
+        "winsorize_quantiles": st.sampled_from([(0.05, 0.95), (0.1, 0.9), (0.0, 1.0)]),
+        "warm_start": st.just(False),
+        "preset": st.sampled_from([p for p in sorted(hx.PRESETS)
+                                   if all(hx.PRESETS[p][g] != default[g] for g in default)]),
+        "train.corrections": st.sampled_from([0.5, 2.0, 10.0]).map(
+            lambda f: {g: rate * f for g, rate in default.items()}),
+    }[name]
+
+
+def test_the_method_table_names_every_setting():
+    assert set(hx.SETTINGS) == {"sublayers", "kdit_alpha", "winsorize_quantiles", "warm_start",
+                                "preset", "train.corrections"}
+    assert {m for m, row in hx.METHODS.items() if "kdit_alpha" in row.reads} == {"kdit"}
+    assert {m for m, row in hx.METHODS.items() if "warm_start" in row.reads} == {"edain_global"}
+    assert {m for m, row in hx.METHODS.items() if "winsorize_quantiles" in row.reads} == \
+        {"winsorize+zscore", "winsorize+zscore+yj"}
+    assert {m for m, row in hx.METHODS.items() if "sublayers" in row.reads} == \
+        {"edain_global", "edain_local"}
+    for name in ("preset", "train.corrections"):
+        assert {m for m, row in hx.METHODS.items() if name in row.reads} == \
+            {"dain", "edain_global", "edain_local", "edain_kl"}
+
+
+@pytest.mark.parametrize("name", hx.SETTINGS)
+@pytest.mark.parametrize("method", list(hx.METHODS))
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_setting_changes_the_rows_or_is_refused(method, name, data):
+    # two configs whose rows are equal must echo alike: a setting the method
+    # does not read is refused by name, and one it reads changes the rows
+    value = data.draw(_changes(method, name))
+    try:
+        report = _property_report(method, name, value)
+    except ValueError as err:
+        assert name not in hx.METHODS[method].reads
+        assert str(err) == (f"{name} is not read by method {method!r}: leave it out or at its "
+                            f"default, got {value!r}")
+        return
+    assert name in hx.METHODS[method].reads
+    default = _default_report(method)
+    assert report["config"] != default["config"]
+    assert (report["rows"], report["incomplete"]) != (default["rows"], default["incomplete"])
+
+
+@pytest.mark.parametrize("method", list(hx.METHODS))
+def test_an_unread_setting_left_as_the_echo_shows_it_loads(method):
+    # a static report echoes the unit corrections, and its config reruns it
+    unit = dict.fromkeys(("power", "scale", "shift", "outlier"), 1.0)
+    for extra in ({"kdit_alpha": 1.0}, {"winsorize_quantiles": [0.01, 0.99]},
+                  {"warm_start": True}, {"preset": None},
+                  {"sublayers": ["om", "shift", "scale", "power"]},
+                  {"train": {"max_epochs": 2, "corrections": unit}}):
+        doc = small_doc(method=method, **extra)
+        assert hx.ExperimentConfig.from_json_dict(doc).method == method
+
+
 def test_readme_example_config_loads():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"### Experiment config \(JSON\).*?```json\n(.*?)```", readme, re.S)
@@ -449,13 +591,16 @@ def test_digest_configs_load():
 
 @pytest.mark.parametrize("name", sorted(hx.PRESETS))
 def test_every_preset_reaches_the_corrections_and_the_echo(name):
-    for method in ("zscore", "dain", "edain_global", "edain_local", "edain_kl"):
+    for method in ("dain", "edain_global", "edain_local", "edain_kl"):
         for cfg in (tiny_config(method=method, preset=name),
                     hx.ExperimentConfig.from_json_dict(small_doc(method=method, preset=name))):
             assert cfg.resolved_corrections() == hx.PRESETS[name]
             echo = json.loads(json.dumps(cfg.to_json_dict()))
             assert echo["preset"] == name
             assert echo["train"]["corrections"] == hx.PRESETS[name]
+    # a static method trains no preprocessing group, so it refuses a preset
+    with pytest.raises(ValueError, match="^preset is not read by method 'zscore'"):
+        tiny_config(method="zscore", preset=name)
 
 
 def test_corrections_precedence_preset_then_config_then_method_default():
@@ -463,9 +608,14 @@ def test_corrections_precedence_preset_then_config_then_method_default():
     with_mine = TrainConfig(max_epochs=2, corrections=mine)
     assert tiny_config("edain_global", preset="lob-local", train=with_mine) \
         .resolved_corrections() == hx.PRESETS["lob-local"]
-    for method in ("zscore", "dain", "edain_global", "edain_local", "edain_kl"):
+    for method in ("dain", "edain_global", "edain_local", "edain_kl"):
         assert tiny_config(method, train=with_mine).resolved_corrections() == mine
-    for method, preset in hx.DEFAULT_PRESET.items():
+    with pytest.raises(ValueError, match="^train.corrections is not read by method 'zscore'"):
+        tiny_config("zscore", train=with_mine)
+    presets = {method: row.preset for method, row in hx.METHODS.items() if row.preset}
+    assert presets == {"dain": "desk-dain", "edain_global": "desk-global",
+                       "edain_local": "desk-local", "edain_kl": "desk-kl"}
+    for method, preset in presets.items():
         assert tiny_config(method).resolved_corrections() == hx.PRESETS[preset]
     assert tiny_config("zscore").resolved_corrections() == dict.fromkeys(mine, 1.0)
 

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradcheck import check_grads, rel_err
-from tsnorm.data import TimeSeriesBatch
+from tsnorm.data import TimeSeriesBatch, minibatch_indices
 from tsnorm import flow_kl as fk
 from tsnorm import yeojohnson as yj
-from tsnorm.neural import TrainConfig
+from tsnorm.harness import KlPreproc
+from tsnorm.neural import Optimizer, TrainConfig
+from tsnorm.static_norm import fit_zscore
+from tsnorm.synthgen import default_config, generate_dataset
 
 
 BE, SE = yj.BRANCH_EPS, yj.SERIES_EPS
@@ -141,11 +144,10 @@ def test_nll_gradients_match_fd():
         assert max(worst.values()) < 1e-5, (lam0, worst)
 
 
-def reference_nll_grads(batch, params):
-    """An independent forward chain and reverse pass, in the operation order
-    of a stand-alone bijector: d/dbeta, d/dm and d/dlam must match
-    ``negative_log_likelihood`` bit for bit; d/ds sums g*(-v3/s) per element,
-    where the stage functions divide the sum of g*v3 by s."""
+def reference_forward(batch, params):
+    """An independent whole-batch forward chain with (1, d, 1) parameter
+    operands: the per-series NLL, z, the per-series log-det and the
+    intermediates of the reverse pass."""
     beta = params.beta[None, :, None]
     mu = params.mu_hat[None, :, None]
     m = params.m[None, :, None]
@@ -164,7 +166,20 @@ def reference_nll_grads(batch, params):
     z = power.forward()
     ld4 = power.log_dx()
     per_series = (0.5 * fk.LOG_2PI + 0.5 * z * z - ld1 - ld3 - ld4).sum(axis=(1, 2))
-    n, d, t = x.shape
+    log_det = (ld1 + ld3 + ld4).sum(axis=(1, 2))
+    return per_series, z, log_det, {"u": u, "th": th, "v3": v3, "power": power}
+
+
+def reference_nll_grads(batch, params):
+    """An independent forward chain and reverse pass, in the operation order
+    of a stand-alone bijector: d/dbeta, d/dm and d/dlam must match
+    ``negative_log_likelihood`` bit for bit; d/ds sums g*(-v3/s) per element,
+    where the stage functions divide the sum of g*v3 by s."""
+    beta = params.beta[None, :, None]
+    s = params.s[None, :, None]
+    per_series, z, _, inner = reference_forward(batch, params)
+    u, th, v3, power = inner["u"], inner["th"], inner["v3"], inner["power"]
+    n, _, t = batch.values.shape
     nll = float(per_series.sum())
 
     # reverse-mode through the four stages
@@ -213,24 +228,75 @@ def test_nll_invariant_to_series_permutation():
     assert a == pytest.approx(b, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
-def test_series_nll_blocks_match_the_full_pass(n):
+def straddling(d, t):
+    """Batch sizes around the row block of a (d, t) shape: 1, block - 1,
+    block, block + 1 and 2 * block + 1 series."""
+    block = fk.KL_BLOCK_ELEMENTS // (d * t)
+    return [1, block - 1, block, block + 1, 2 * block + 1]
+
+
+def assert_blocks_match_the_full_pass(n, d, t):
     rng = np.random.default_rng(12)
-    x = TimeSeriesBatch(rng.normal(0.3, 1.5, size=(n, 2, 4)))
-    params = random_params(rng, 2)
-    per_series = fk.series_nll(x, params)
-    full, _ = fk._series_nll(x.values, params)
-    assert np.array_equal(per_series, full)
+    x = TimeSeriesBatch(rng.normal(0.3, 1.5, size=(n, d, t)))
+    params = random_params(rng, d)
+    per_series, z, log_det, _ = reference_forward(x, params)
+    assert np.array_equal(fk.series_nll(x, params), per_series)
     assert float(per_series.sum()) == fk.negative_log_likelihood(x, params)[0]
+    got_z, got_log_det = fk.normalize_direction(x, params)
+    assert np.array_equal(got_z.values, z)
+    assert np.array_equal(got_log_det, log_det)
+    # the frozen normalizer takes z alone through the same blocks
+    frozen, _ = KlPreproc(params).forward(x, training=False)
+    assert np.array_equal(frozen.values, z)
+
+
+# d = 2, T = 64 puts 128 series in a block
+@pytest.mark.parametrize("n", straddling(2, 64))
+def test_series_nll_blocks_match_the_full_pass(n):
+    assert_blocks_match_the_full_pass(n, 2, 64)
+
+
+# the credit-default-like width: 9 series a block
+@pytest.mark.parametrize("n", straddling(128, 13))
+def test_series_nll_blocks_match_the_full_pass_at_a_wide_shape(n):
+    assert_blocks_match_the_full_pass(n, 128, 13)
 
 
 def test_series_nll_names_a_non_finite_series_in_a_later_block():
-    # lam = 600 overflows the power stage at 3.0 but not at 0.1
+    # lam = 600 overflows the power stage at 3.0 but not at 0.1; T = 128 puts
+    # series 200 in the second block
     params = fk.KlBijectorParams(beta=[1e3], m=[0.0], s=[1.0], lam=[600.0], mu_hat=[0.0])
-    values = np.full((300, 1, 4), 0.1)
+    values = np.full((300, 1, 128), 0.1)
     values[200, 0, 2] = 3.0
+    assert fk.KL_BLOCK_ELEMENTS // 128 <= 200
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError, match=r"series 200$"):
+        with pytest.raises(FloatingPointError,
+                           match=r"series 200, feature 0, timestep 2 \(value 3\.0\)$"):
+            fk.series_nll(TimeSeriesBatch(values), params)
+
+
+@pytest.mark.parametrize("nll", [fk.series_nll, fk.negative_log_likelihood])
+def test_the_likelihood_error_names_the_coordinate_and_its_value(nll):
+    # feature 2's exponent overflows the power stage at 3.0
+    params = fk.KlBijectorParams(beta=[1e3] * 3, m=[0.0] * 3, s=[1.0] * 3,
+                                 lam=[1.0, 1.0, 600.0], mu_hat=[0.0] * 3)
+    values = np.full((5, 3, 4), 0.1)
+    values[3, 2, 1] = 3.0
+    values[3, 0, 3] = 7.5  # finite under feature 0's exponent
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=r"^non-finite likelihood for series 3, "
+                                                     r"feature 2, timestep 1 \(value 3\.0\)$"):
+            nll(TimeSeriesBatch(values), params)
+
+
+def test_an_overflowing_sum_names_its_largest_term():
+    # every 0.5*z^2 is finite (s = 1.5e-156 maps 0.02 to z = 1.3e154), their
+    # sum over the series is not
+    params = fk.KlBijectorParams(beta=[1e300], m=[0.0], s=[1.5e-156], lam=[1.0], mu_hat=[0.0])
+    values = np.array([[[0.01, 0.02, 0.015, 0.018]]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError,
+                           match=r"series 0, feature 0, timestep 1 \(value 0\.02\)$"):
             fk.series_nll(TimeSeriesBatch(values), params)
 
 
@@ -284,6 +350,99 @@ def test_fit_kl_history_is_the_full_batch_nll():
         params, history = fk.fit_kl(batch, fit_config(epochs=0))
         nll, _ = fk.negative_log_likelihood(batch, params)
         assert history == [{"epoch": 0, "nll": nll / batch.values.size}], seed
+
+
+def synth3_300():
+    return generate_dataset(default_config(n=300, t=10, seed=3)).batch
+
+
+def blow_up_config(lr=1e-2, optimizer="adam", batch_size=64, epochs=10, **corrections):
+    return TrainConfig(base_lr=lr, optimizer=optimizer, batch_size=batch_size, max_epochs=epochs,
+                       milestones=(), patience=epochs, seed=0,
+                       corrections={**dict.fromkeys(fk.GROUPS.values(), 1.0), **corrections})
+
+
+def reference_fit(train, config):
+    """fit_kl's loop with a loss at every step: each step calls
+    negative_log_likelihood and stops at the first non-finite loss or gradient."""
+    pooled = fit_zscore(train)
+    std = np.maximum(pooled.std, fk.SCALE_FLOOR)
+    params = fk.KlBijectorParams(beta=np.maximum(3.0 * std, fk.BETA_MIN), m=pooled.mean, s=std,
+                                 lam=np.ones(train.d), mu_hat=pooled.mean)
+    optimizer = Optimizer(config, projection=lambda: fk.project_kl(params))
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    best = float(fk.series_nll(train, params).sum()) / train.values.size
+    best_snap, history = params.snapshot(), [{"epoch": 0, "nll": best}]
+    for epoch in range(1, config.max_epochs + 1):
+        for idx in minibatch_indices(train.n, config.batch_size, rng):
+            try:
+                _, grads = fk.negative_log_likelihood(TimeSeriesBatch(train.values[idx]), params)
+            except FloatingPointError:
+                break
+            if not all(np.all(np.isfinite(g)) for g in grads.values()):
+                break
+            optimizer.step(params.parameters(), grads, fk.GROUPS)
+        else:
+            nll = float(fk.series_nll(train, params).sum()) / train.values.size
+            if np.isfinite(nll):
+                history.append({"epoch": epoch, "nll": nll})
+                if nll < best:
+                    best, best_snap = nll, params.snapshot()
+                continue
+        break
+    params.restore(best_snap)
+    return params, history
+
+
+def outcome(fit, batch, config):
+    try:
+        params, history = fit(batch, config)
+    except FloatingPointError as err:
+        return str(err)
+    return params.to_json_dict(), history
+
+
+@pytest.mark.parametrize("config", [
+    blow_up_config(lr=1e3),                                  # stops at the first step
+    blow_up_config(outlier=1e6),                             # runs every epoch
+    blow_up_config(power=1e3),                               # never beats epoch 0
+    blow_up_config(power=1e5),                               # stops in the first epoch
+    blow_up_config(optimizer="sgd", batch_size=300, epochs=2),  # epoch-end NLL overflows
+], ids=["lr-1e3", "outlier-1e6", "power-1e3", "power-1e5", "sgd-whole-batch"])
+def test_fit_kl_matches_a_loop_that_checks_every_minibatch_loss(config):
+    batch = synth3_300()
+    with np.errstate(all="ignore"):
+        assert outcome(fk.fit_kl, batch, config) == outcome(reference_fit, batch, config)
+
+
+def test_fit_kl_stops_at_a_non_finite_gradient_and_returns_the_best_epoch(monkeypatch):
+    batch, finite = synth3_300(), []
+    grads_of = fk._nll_grads
+
+    def recording(*args):
+        grads = grads_of(*args)
+        finite.append(all(np.isfinite(g).all() for g in grads.values()))
+        return grads
+
+    monkeypatch.setattr(fk, "_nll_grads", recording)
+    with np.errstate(all="ignore"):
+        params, history = fk.fit_kl(batch, blow_up_config(power=1e5))
+    start, start_history = fk.fit_kl(batch, blow_up_config(epochs=0))
+    assert finite[-1] is False and all(finite[:-1]) and len(finite) < 1 + 300 // 64
+    assert history == start_history
+    assert params.to_json_dict() == start.to_json_dict()
+
+
+def test_fit_kl_raises_when_an_epoch_end_nll_is_not_finite():
+    # whole-batch SGD steps on the summed NLL overshoot: the second step's
+    # gradients are finite, the NLL after it is not
+    batch = synth3_300()
+    with np.errstate(all="ignore"):
+        _, history = fk.fit_kl(batch, blow_up_config(optimizer="sgd", batch_size=300, epochs=1))
+        assert len(history) == 2 and np.isfinite(history[1]["nll"])
+        with pytest.raises(FloatingPointError, match=r"^non-finite likelihood for series \d+, "
+                                                     r"feature \d+, timestep \d+ \(value "):
+            fk.fit_kl(batch, blow_up_config(optimizer="sgd", batch_size=300, epochs=2))
 
 
 def test_fit_kl_rejects_empty():

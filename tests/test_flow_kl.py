@@ -250,7 +250,7 @@ def assert_blocks_match_the_full_pass(n, d, t):
     assert np.array_equal(frozen.values, z)
 
 
-# d = 2, T = 64 puts 128 series in a block
+# d = 2, T = 64 puts 128 series in a block of 2**14 values
 @pytest.mark.parametrize("n", straddling(2, 64))
 def test_series_nll_blocks_match_the_full_pass(n):
     assert_blocks_match_the_full_pass(n, 2, 64)
@@ -282,7 +282,7 @@ def test_the_likelihood_error_names_the_coordinate_and_its_value(nll):
                                  lam=[1.0, 1.0, 600.0], mu_hat=[0.0] * 3)
     values = np.full((5, 3, 4), 0.1)
     values[3, 2, 1] = 3.0
-    values[3, 0, 3] = 7.5  # finite under feature 0's exponent
+    values[3, 0, 3] = 7.5  # a larger term, but finite: the non-finite one is named
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match=r"^non-finite likelihood for series 3, "
                                                      r"feature 2, timestep 1 \(value 3\.0\)$"):

@@ -127,7 +127,8 @@ def _extract(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
+        # extraction filters exist from Python 3.10.12 and 3.11.4 on
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
 def _run(command: list[str], tree: Path) -> dict:

@@ -11,8 +11,10 @@ Two layers live here:
   matrices.
 
 Backward passes are exact chain-rule derivatives, checked against central
-finite differences in the test suite.  Each parameter carries a learning
-rate group tag so the optimizer can apply per-sublayer corrections.
+finite differences in the test suite.  Each layer class maps its arrays to
+learning-rate groups in ``GROUPS`` (per-sublayer corrections) and to feasible
+intervals in ``BOUNDS`` (EDAIN's ``alpha`` in [0, 1], ``beta`` >= ``BETA_MIN``,
+``s`` >= ``SCALE_FLOOR``), which ``neural.Trainable`` reads.
 
 The stage arithmetic exists once, on ndarrays: ``winsorize``, ``shift_scale``
 and ``power`` and their ``*_grads`` (per-element gradients, which EDAIN sums
@@ -97,13 +99,6 @@ def init_edain_params(d: int, mode: str = GLOBAL_AWARE) -> EdainParams:
         alpha=np.zeros(d), beta=np.full(d, 3.0), m=np.zeros(d),
         s=np.ones(d), lam=np.ones(d), mode=mode,
     )
-
-
-def project_edain(params: EdainParams) -> None:
-    """Clamp onto the feasible set after an optimizer step."""
-    np.clip(params.alpha, 0.0, 1.0, out=params.alpha)
-    np.maximum(params.beta, BETA_MIN, out=params.beta)
-    np.maximum(params.s, SCALE_FLOOR, out=params.s)
 
 
 @dataclass(frozen=True)
@@ -642,6 +637,9 @@ def dain_backward(grad_out: np.ndarray, cache: dict,
 class EdainLayer(IdentityPreproc):
     """Owns EDAIN parameters, the running-mean state, and the sublayer flags."""
 
+    GROUPS = EDAIN_GROUPS
+    BOUNDS = {"alpha": (0.0, 1.0), "beta": (BETA_MIN, np.inf), "s": (SCALE_FLOOR, np.inf)}
+
     def __init__(self, d: int, mode: str = GLOBAL_AWARE,
                  enabled: tuple[str, ...] = ALL_SUBLAYERS,
                  warm_start: Optional[TimeSeriesBatch] = None):
@@ -661,9 +659,6 @@ class EdainLayer(IdentityPreproc):
     def parameters(self) -> dict[str, np.ndarray]:
         return {name: getattr(self.params, name) for name in EDAIN_GROUPS}
 
-    def groups(self) -> dict[str, str]:
-        return dict(EDAIN_GROUPS)
-
     def forward(self, x: TimeSeriesBatch, training: bool) -> tuple[TimeSeriesBatch, dict]:
         out, cache, new_state = edain_forward(
             x, self.params, self.state, training=training, enabled=self.enabled
@@ -674,9 +669,6 @@ class EdainLayer(IdentityPreproc):
 
     def backward(self, grad_out: np.ndarray, cache: dict) -> dict:
         return edain_backward(grad_out, cache, input_grad=False)[0]
-
-    def projection(self) -> None:
-        project_edain(self.params)
 
     def snapshot(self):
         return super().snapshot(), self.state
@@ -717,9 +709,6 @@ class DainLayer(IdentityPreproc):
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {name: getattr(self.params, name) for name in self.GROUPS}
-
-    def groups(self) -> dict[str, str]:
-        return dict(self.GROUPS)
 
     def forward(self, x: TimeSeriesBatch, training: bool) -> tuple[TimeSeriesBatch, dict]:
         return dain_forward(x, self.params)

@@ -1,14 +1,14 @@
 """Containers and IO for labeled multivariate time series.
 
 The data model is deliberately small: a dense ``(N, d, T)`` float64 array of
-N series with d features observed at T timesteps, an integer label per
-series, and an optional per-series weight vector.  Everything downstream
-(normalization layers, the training stack, the synthetic generator) passes
-these batches around.  Building a :class:`TimeSeriesBatch` scans its values
-for NaN/Inf and freezes a private copy unless it is handed an array that is
-already read-only and C-contiguous.  Callers that build a fresh array for a
-batch (a minibatch, a row subset, EDAIN's output) freeze it themselves, so
-such a batch costs the scan but no second copy.
+N series with d features observed at T timesteps and an integer label per
+series.  Everything downstream (normalization layers, the training stack,
+the synthetic generator) passes these batches around.  Building a
+:class:`TimeSeriesBatch` scans its values for NaN/Inf and freezes a private
+copy unless it is handed an array that is already read-only and
+C-contiguous.  Callers that build a fresh array for a batch (a minibatch, a
+row subset, EDAIN's output) freeze it themselves, so such a batch costs the
+scan but no second copy.
 
 The CSV codec works ``LOAD_CHUNK`` rows at a time, so its temporaries stay
 small: :func:`load_csv` parses plain chunks with numpy's C text parser and

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from . import yeojohnson as yj
 from .adaptive import (BETA_MIN, SCALE_FLOOR, _tile, checkpoint_width, power, power_grads,
                        shift_scale, shift_scale_grads, winsorize, winsorize_grads)
 from .data import TimeSeriesBatch, load_arrays, load_fields, minibatch_indices
-from .neural import Optimizer, Trainable, TrainConfig
+from .neural import Optimizer, Trainable, TrainConfig, _lr_at
 from .static_norm import fit_zscore
 
 LOG_2 = math.log(2.0)
@@ -42,6 +41,9 @@ class FlowDomainError(ValueError):
 @dataclass
 class KlBijectorParams(Trainable):
     """Per-feature bijector parameters plus the fixed pooled mean."""
+
+    GROUPS = GROUPS
+    BOUNDS = {"beta": (BETA_MIN, np.inf), "s": (SCALE_FLOOR, np.inf)}
 
     beta: np.ndarray
     m: np.ndarray
@@ -78,11 +80,6 @@ class KlBijectorParams(Trainable):
 def init_kl_params(d: int) -> KlBijectorParams:
     return KlBijectorParams(beta=np.full(d, 3.0), m=np.zeros(d), s=np.ones(d),
                             lam=np.ones(d), mu_hat=np.zeros(d))
-
-
-def project_kl(params: KlBijectorParams) -> None:
-    np.maximum(params.beta, BETA_MIN, out=params.beta)
-    np.maximum(params.s, SCALE_FLOOR, out=params.s)
 
 
 def _log_sech2(u: np.ndarray) -> np.ndarray:
@@ -125,27 +122,21 @@ def _nll_terms(c: dict) -> np.ndarray:
         - c["point"].log_dx()
 
 
-def _normalize(x: TimeSeriesBatch, params: KlBijectorParams,
-               with_log_det: bool) -> tuple[TimeSeriesBatch, Optional[np.ndarray]]:
-    z, log_det = np.empty(x.values.shape), np.empty(x.n) if with_log_det else None
-    for rows, c in _blocks(x.values, params):
-        z[rows] = c["z"]
-        if with_log_det:
-            ld = _log_sech2(c["u"]) - np.log(c["s"]) + c["point"].log_dx()
-            ld.sum(axis=(1, 2), out=log_det[rows])
-    z.flags.writeable = False
-    return TimeSeriesBatch(z), log_det
-
-
 def normalize_direction(x: TimeSeriesBatch, params: KlBijectorParams) -> tuple[TimeSeriesBatch, np.ndarray]:
     """Map data toward the base distribution; returns (z, per-series log-det).
 
     The log-det is the sum over all d*T coordinates of the log-derivative of
     the normalizing map, so density values satisfy
     log p(x) = sum log phi(z) + log_det.  Both run in row blocks
-    (:func:`_blocks`); ``harness.KlPreproc`` takes z alone through them.
+    (:func:`_blocks`); ``harness.KlPreproc`` keeps z.
     """
-    return _normalize(x, params, True)
+    z, log_det = np.empty(x.values.shape), np.empty(x.n)
+    for rows, c in _blocks(x.values, params):
+        z[rows] = c["z"]
+        ld = _log_sech2(c["u"]) - np.log(c["s"]) + c["point"].log_dx()
+        ld.sum(axis=(1, 2), out=log_det[rows])
+    z.flags.writeable = False
+    return TimeSeriesBatch(z), log_det
 
 
 def generate_direction(z: TimeSeriesBatch, params: KlBijectorParams) -> TimeSeriesBatch:
@@ -226,40 +217,44 @@ def fit_kl(train: TimeSeriesBatch, config: TrainConfig) -> tuple[KlBijectorParam
     Training starts from the pooled statistics of ``train`` (one pass, before
     any step): mu_hat and the shift m at the pooled mean, the scale s at the
     pooled standard deviation and beta at three of them, so the initial map is
-    a z-score with mild winsorization.  mu_hat stays fixed.  A step forms its
-    minibatch gradients only; the full-data NLL (:func:`series_nll`) is taken
-    at the start and after each epoch, and the best-NLL parameters seen are
-    returned with the per-epoch history.  A gradient with a NaN or Inf entry
-    ends the fit before its step, as does an NLL sum that overflows; a
-    non-finite per-series NLL raises series_nll's FloatingPointError.
+    a z-score with mild winsorization; mu_hat stays fixed.  A step follows the
+    minibatch's summed NLL, so an SGD rate scales with batch x d x T.  As in
+    ``neural.train_loop``, the rate decays at the milestones and the fit stops after
+    ``patience`` epochs without a new best full-data NLL (:func:`series_nll`, also
+    taken at the start); the best parameters are returned with the history.  A NaN
+    or Inf gradient entry ends the fit before its step, as does an overflowing NLL
+    sum; a non-finite per-series NLL raises series_nll's FloatingPointError.
     """
     pooled = fit_zscore(train)
     std = np.maximum(pooled.std, SCALE_FLOOR)
     params = KlBijectorParams(beta=np.maximum(3.0 * std, BETA_MIN), m=pooled.mean, s=std,
                               lam=np.ones(train.d), mu_hat=pooled.mean)
-    optimizer = Optimizer(config, projection=lambda: project_kl(params))
+    optimizer = Optimizer(config, projection=params.projection)
     rng = np.random.Generator(np.random.PCG64(config.seed))
 
     def full_nll() -> float:
         # one sum of the (N,) values keeps the order of negative_log_likelihood
         return float(series_nll(train, params).sum()) / (train.n * train.d * train.t)
 
-    best, best_snap = full_nll(), params.snapshot()
+    best, best_snap, stale = full_nll(), params.snapshot(), 0
     history = [{"epoch": 0, "nll": best}]
     for epoch in range(1, config.max_epochs + 1):
+        optimizer.lr = _lr_at(config, epoch)
         for idx in minibatch_indices(train.n, config.batch_size, rng):
             values = train.values[idx]
             grads = _nll_grads(_chain(values, _tiles(params, values)), params.s)
             if not all(np.isfinite(g).all() for g in grads.values()):
                 break
-            optimizer.step(params.parameters(), grads, GROUPS)
+            optimizer.step(params.parameters(), grads, params.groups())
         else:  # every step was taken
             epoch_nll = full_nll()
             if np.isfinite(epoch_nll):
                 history.append({"epoch": epoch, "nll": epoch_nll})
-                if epoch_nll < best:
+                stale = 0 if epoch_nll < best else stale + 1
+                if stale == 0:
                     best, best_snap = epoch_nll, params.snapshot()
-                continue
+                if stale <= config.patience:
+                    continue
         break
     params.restore(best_snap)
     return params, history

@@ -23,7 +23,7 @@ import numpy as np
 from .adaptive import ALL_SUBLAYERS, DainLayer, EdainLayer, GLOBAL_AWARE, LOCAL_AWARE
 from .data import (BINARY, LabeledDataset, NonFiniteBatchError, RngState, TimeSeriesBatch,
                    check_keys, from_fields, load_csv, load_fields)
-from .flow_kl import FlowDomainError, KlBijectorParams, _normalize, fit_kl
+from .flow_kl import FlowDomainError, KlBijectorParams, fit_kl, normalize_direction
 from .metrics import (amex_metric, binary_accuracy, cohen_kappa, macro_f1, ternary_accuracy)
 from .neural import UNIT_CORRECTIONS, GruStack, IdentityPreproc, TrainConfig, TrainResult, \
     bce_loss, cross_entropy_loss, train_loop
@@ -325,7 +325,7 @@ class KlPreproc(IdentityPreproc):
         self.params = params
 
     def forward(self, x: TimeSeriesBatch, training: bool):
-        return _normalize(x, self.params, with_log_det=False)[0], None
+        return normalize_direction(x, self.params)[0], None
 
     def to_json_dict(self):
         return self.params.to_json_dict()

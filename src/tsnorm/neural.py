@@ -60,10 +60,24 @@ def _softmax(v):
 
 
 class Trainable:
-    """Anything with trained arrays; ``parameters()`` names them all."""
+    """Anything with trained arrays; ``parameters()`` names them all.  A class
+    maps a name to its learning-rate group in ``GROUPS`` (``"model"`` if absent)
+    and to its closed feasible interval in ``BOUNDS``, which ``projection()``
+    clips onto after each optimizer step."""
+
+    GROUPS: dict[str, str] = {}
+    BOUNDS: dict[str, tuple[float, float]] = {}
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {}
+
+    def groups(self) -> dict[str, str]:
+        return {name: self.GROUPS.get(name, "model") for name in self.parameters()}
+
+    def projection(self) -> None:  # clamps in place; np.inf is no ceiling
+        arrays = self.parameters()
+        for name, (lo, hi) in self.BOUNDS.items():
+            np.clip(arrays[name], lo, hi, out=arrays[name])
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self.parameters().items()}
@@ -135,9 +149,6 @@ class GruStack(Trainable):
                  for g, gate in enumerate("rzn") for kind, arr in cell.items()}
         heads = {name: arr for name, arr in self.parameters().items() if name.startswith("head")}
         return {**gates, **heads}
-
-    def groups(self) -> dict[str, str]:
-        return {name: "model" for name in self.parameters()}
 
     def to_json_dict(self) -> dict:
         return {
@@ -382,8 +393,8 @@ class Optimizer:
 
     Each parameter belongs to a group tag; the effective step size is
     lr * correction[tag] with the model group pinned at correction 1.  An
-    optional projection hook runs after every step to clamp constrained
-    parameters back onto their feasible set.
+    optional projection hook (a ``Trainable.projection``) runs after every
+    step to clamp bounded parameters back onto their feasible intervals.
     """
 
     def __init__(self, config: TrainConfig, projection: Optional[Callable[[], None]] = None):
@@ -438,18 +449,12 @@ class Optimizer:
 
 class IdentityPreproc(Trainable):
     """No-op preprocessing layer and the base of every preprocessing layer:
-    the trainable ones override ``parameters()``, add ``backward(grad_out,
-    cache)``, which gives their parameter gradients, and inherit snapshot and
-    restore."""
-
-    def groups(self):
-        return {}
+    the trainable ones override ``parameters()``, declare ``GROUPS`` and
+    ``BOUNDS``, add ``backward(grad_out, cache)``, which gives their parameter
+    gradients, and inherit snapshot and restore."""
 
     def forward(self, x: TimeSeriesBatch, training: bool):
         return x, None
-
-    def projection(self):
-        return None
 
     def to_json_dict(self) -> dict:
         return {"kind": "identity"}

@@ -93,12 +93,9 @@ def fit_zscore(train: TimeSeriesBatch) -> StaticStats:
     pooled = train.values
     mean = pooled.mean(axis=(0, 2))
     std = np.sqrt(((pooled - mean[None, :, None]) ** 2).mean(axis=(0, 2)))
-    # Equal values can give std > 0, but only by the rounding of the mean, far
-    # below 1e-12*|mean|; a NaN or inf std (an overflowing mean) is suspect too.
-    # Only suspect features pay for the min/max pass.
-    zero = std == 0.0
-    for k in np.flatnonzero(~(std > 1e-12 * np.abs(mean)) & ~zero):
-        zero[k] = pooled[:, k, :].min() == pooled[:, k, :].max()
+    # equal values can give std > 0 (the mean rounds), unequal ones std == 0
+    # (squares underflow); == ignores which signed zero the reductions keep
+    zero = (pooled.min(axis=0).min(axis=1) == pooled.max(axis=0).max(axis=1)) | (std == 0.0)
     return StaticStats(mean=mean, std=std, zero_variance=zero)
 
 
@@ -112,14 +109,7 @@ def apply_zscore(x: TimeSeriesBatch, stats: StaticStats) -> TimeSeriesBatch:
 
 def fit_minmax(train: TimeSeriesBatch) -> StaticStats:
     _require_data(train)
-    # one contiguous pass down the (N, d*T) rows, then a (d, T) reduction.
-    # min and max are exact in any order, except which signed zero wins a
-    # tie, so a zero extreme is taken from the pooled strided reduction.
-    rows = train.values.reshape(train.n, train.d * train.t)
-    mn = rows.min(axis=0).reshape(train.d, train.t).min(axis=1)
-    mx = rows.max(axis=0).reshape(train.d, train.t).max(axis=1)
-    if not (mn.all() and mx.all()):
-        mn, mx = train.values.min(axis=(0, 2)), train.values.max(axis=(0, 2))
+    mn, mx = train.values.min(axis=(0, 2)), train.values.max(axis=(0, 2))
     return StaticStats(minimum=mn, maximum=mx, zero_variance=mx == mn)
 
 
@@ -376,10 +366,11 @@ def fit_kdit(train: TimeSeriesBatch, config: KditConfig) -> StaticStats:
     :func:`_kernel_cdf` drops the kernel terms below ndtr(-8.3) = 5.2e-17
     and sums the others by bins, from a series cut at 3.5e-17 a term, so
     each CDF value is within 8.7e-17 of the dense kernel mean, plus
-    rounding.  An ``alpha`` that gives a feature
-    a bandwidth that is not a positive normal float, a grid that is not
-    finite in bandwidths, or a CDF that does not rise over the training
-    range is a ValueError naming ``alpha`` and the feature.
+    rounding.  A feature whose standard deviation overflows is a
+    FloatingPointError naming its largest-magnitude value.  An ``alpha``
+    that gives a feature a bandwidth that is not a positive normal float, a
+    grid that is not finite in bandwidths, or a CDF that does not rise over
+    the training range is a ValueError naming ``alpha`` and the feature.
     """
     _require_data(train)
     grids, cdfs = [], []
@@ -390,7 +381,13 @@ def fit_kdit(train: TimeSeriesBatch, config: KditConfig) -> StaticStats:
     for k in range(train.d):
         centers = train.pooled(k)
         n = centers.size
-        sd = centers.std()
+        with np.errstate(over="ignore", invalid="ignore"):
+            sd = centers.std()
+        if not np.isfinite(sd):  # pooled index j is series j // T, timestep j % T
+            j = int(np.argmax(np.abs(centers)))
+            raise FloatingPointError(f"kdit feature {k} has a non-finite spread: its value "
+                                     f"{float(centers[j])!r} (series {j // train.t}, timestep "
+                                     f"{j % train.t}) overflows the standard deviation")
         if sd == 0.0 or centers.min() == centers.max():  # equal values can give sd > 0
             zero[k] = True
             grids.append(np.array([centers[0] - 1.0, centers[0] + 1.0]))

@@ -369,9 +369,10 @@ def test_edain_sublayer_flags():
 
 
 def test_projection_clamps_feasible_set():
-    params = ad.EdainParams(alpha=np.array([-0.5, 1.5]), beta=np.array([0.2, 5.0]),
-                            m=np.zeros(2), s=np.array([1e-9, 2.0]), lam=np.ones(2))
-    ad.project_edain(params)
+    layer = ad.EdainLayer(2)
+    layer.params = params = ad.EdainParams(alpha=np.array([-0.5, 1.5]), beta=np.array([0.2, 5.0]),
+                                           m=np.zeros(2), s=np.array([1e-9, 2.0]), lam=np.ones(2))
+    layer.projection()
     assert np.all(params.alpha >= 0.0) and np.all(params.alpha <= 1.0)
     assert np.all(params.beta >= ad.BETA_MIN)
     assert np.all(params.s >= ad.SCALE_FLOOR)

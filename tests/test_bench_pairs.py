@@ -114,3 +114,30 @@ def test_a_run_without_a_result_leaves_its_pair_out(tool):
     assert (summary["pairs"], summary["complete_pairs"]) == (3, 2)
     assert summary["failed_ops"]["change"]["runs_without_result"] == 1
     assert summary["metrics"]["job_s"]["ties"] == 2
+
+
+def test_a_spread_wider_than_the_bound_leaves_a_metric_unresolved(tool):
+    def setup_summary(parent, change):
+        runs = tool.plan(["desk-fold"], len(parent), 1)
+        for run in runs:
+            setup = (parent if run["side"] == "parent" else change)[run["pair"] - 1]
+            run["result"] = tool.result_line(line(6.4, 700.0, setup_s=setup))
+        return tool.summarise(runs, END_TO_END)["desk-fold"]["metrics"]
+
+    # desk-fold's bimodal setup: runs near 0.09 s and near 0.16-0.17 s on both sides
+    parent = [0.089, 0.165, 0.091, 0.170, 0.090, 0.162, 0.088, 0.168, 0.092, 0.116]
+    change = [0.163, 0.090, 0.171, 0.089, 0.166, 0.091, 0.160, 0.093, 0.169, 0.118]
+    bimodal = setup_summary(parent, change)
+    setup = bimodal["setup_s"]
+    assert (setup["parent"]["q3"] - setup["parent"]["q1"]) / setup["parent"]["median"] > 0.25
+    assert setup["unresolved"] and not setup["gain"]
+    assert not bimodal["job_s"]["unresolved"]  # equal in every pair: no spread
+    # the same parent spread, but every change run reads better than every parent run
+    faster = setup_summary(parent, [0.080 + i * 0.0005 for i in range(10)])["setup_s"]
+    assert not faster["unresolved"] and faster["wins"] == 10
+    # every change run slower than every parent run is still unresolved
+    slower = setup_summary(parent, [0.2 + i * 0.001 for i in range(10)])["setup_s"]
+    assert slower["unresolved"] and not slower["within_bound"]
+    # a tight parent spread resolves the metric whatever the change reads
+    tight = setup_summary([0.09 + i * 1e-4 for i in range(10)], change)["setup_s"]
+    assert not tight["unresolved"]

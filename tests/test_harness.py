@@ -15,6 +15,7 @@ from tsnorm.data import (LabeledDataset, NonFiniteBatchError, RngState, TimeSeri
 from tsnorm.flow_kl import FlowDomainError
 from tsnorm.yeojohnson import PowerDomainError
 from tsnorm.neural import TrainConfig
+from tsnorm.synthgen import default_config, generate_dataset
 
 
 def tiny_config(method="zscore", seed=0, **kw):
@@ -229,6 +230,25 @@ def test_constant_feature_under_power_transform_is_a_recorded_fold_failure(tmp_p
     assert [(r["rep"], r["fold"]) for r in report.incomplete] == [(0, 0), (0, 1), (0, 2)]
     for row in report.incomplete:
         assert row["error"].startswith("PowerDomainError: feature 1: ")
+
+
+def test_a_kdit_spread_overflow_is_a_recorded_fold_failure(tmp_path):
+    dataset = generate_dataset(default_config(n=300, t=10, seed=3))
+    values = np.array(dataset.batch.values)
+    values[17, 1, 4] = 1.7e308
+    path = tmp_path / "overflow.csv"
+    save_csv(LabeledDataset(TimeSeriesBatch(values), dataset.labels), path)
+    config = tiny_config("kdit", synthetic=None, csv_path=str(path),
+                         cv=hx.CvConfig(kind="kfold", k=2))
+    report = hx.run_experiment(config)
+    # the fold that trains on series 17 fails; the series counts within its training rows
+    folds = hx._make_folds(300, config.cv, RngState(config.seed).child(0).child(9999))
+    (fold,) = [f for f, (tr_idx, _) in enumerate(folds) if 17 in tr_idx]
+    series = int(np.flatnonzero(folds[fold][0] == 17)[0])
+    assert [row["fold"] for row in report.rows] == [1 - fold]
+    assert report.incomplete == [{"rep": 0, "fold": fold, "error": (
+        f"FloatingPointError: kdit feature 1 has a non-finite spread: its value 1.7e+308 "
+        f"(series {series}, timestep 4) overflows the standard deviation")}]
 
 
 def test_non_finite_batch_error_is_a_value_error():

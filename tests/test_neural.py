@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from gradcheck import check_grads, numeric_grad, rel_err
-from tsnorm.adaptive import GLOBAL_AWARE, LOCAL_AWARE, DainLayer, EdainLayer, RunningMean
+from tsnorm.adaptive import (BETA_MIN, GLOBAL_AWARE, LOCAL_AWARE, SCALE_FLOOR, DainLayer,
+                             EdainLayer, RunningMean)
 from tsnorm.data import LabeledDataset, TimeSeriesBatch
-from tsnorm.flow_kl import KlBijectorParams
+from tsnorm.flow_kl import KlBijectorParams, init_kl_params
 from tsnorm.harness import KlPreproc, StaticPreproc
 from tsnorm.static_norm import StaticPipeline
 from tsnorm import neural as nn
@@ -327,6 +328,52 @@ def test_unknown_group_tag_rejected():
     opt = nn.Optimizer(nn.TrainConfig())
     with pytest.raises(ValueError, match="group tag"):
         opt.step({"w": np.array([1.0])}, {"w": np.array([1.0])}, {"w": "mystery"})
+
+
+EDAIN_MAP = {"alpha": "outlier", "beta": "outlier", "m": "shift", "s": "scale", "lam": "power"}
+# each trained object's learning-rate groups and its clamps after a step, as
+# explicit maps and as the np.clip/np.maximum formulas they replaced
+EDAIN_CLAMPS = {"alpha": lambda a: np.clip(a, 0.0, 1.0),
+                "beta": lambda a: np.maximum(a, BETA_MIN),
+                "s": lambda a: np.maximum(a, SCALE_FLOOR)}
+TRAINED_OBJECTS = {
+    "gru": (SNAPSHOT_LAYERS["gru"], None, {}),
+    "edain_global": (SNAPSHOT_LAYERS["edain_global"], EDAIN_MAP, EDAIN_CLAMPS),
+    "edain_local": (SNAPSHOT_LAYERS["edain_local"], EDAIN_MAP, EDAIN_CLAMPS),
+    "dain": (SNAPSHOT_LAYERS["dain"],
+             {"w_a": "shift", "w_b": "scale", "w_c": "model", "bias": "model"}, {}),
+    "kl_bijector": (lambda: init_kl_params(2),
+                    {"beta": "outlier", "m": "shift", "s": "scale", "lam": "power"},
+                    {name: EDAIN_CLAMPS[name] for name in ("beta", "s")}),
+    "identity": (nn.IdentityPreproc, {}, {}),
+    "static": (lambda: StaticPreproc(StaticPipeline(["zscore"]).fit(
+        TimeSeriesBatch(np.arange(8.0).reshape(2, 2, 2)))), {}, {}),
+    "kl_preproc": (lambda: KlPreproc(init_kl_params(2)), {}, {}),
+}
+
+
+@pytest.mark.parametrize("kind", TRAINED_OBJECTS)
+def test_groups_equal_each_objects_explicit_map(kind):
+    make, want, _ = TRAINED_OBJECTS[kind]
+    obj = make()
+    assert obj.groups() == (want if want is not None else dict.fromkeys(obj.parameters(), "model"))
+
+
+@pytest.mark.parametrize("kind", TRAINED_OBJECTS)
+def test_projection_equals_the_clip_and_maximum_formulas_bit_for_bit(kind):
+    make, _, clamps = TRAINED_OBJECTS[kind]
+    obj = make()
+    # -inf, below every floor, below SCALE_FLOOR and BETA_MIN, NaN, feasible, +inf
+    special = np.array([-np.inf, -0.5, 1e-9, 0.2, np.nan, 0.7, 2.0, np.inf])
+    want = {}
+    for name, arr in obj.parameters().items():
+        arr[...] = np.resize(special, arr.shape)
+        want[name] = clamps.get(name, np.copy)(arr.copy())
+    obj.projection()
+    got = obj.parameters()
+    assert got.keys() == want.keys()
+    for name, arr in got.items():
+        assert arr.tobytes() == want[name].tobytes(), (kind, name)
 
 
 def test_train_loop_learns_separable_data():

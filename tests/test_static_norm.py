@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from tsnorm.data import TimeSeriesBatch
 from tsnorm.harness import METHODS
 from tsnorm import static_norm as sn
 from tsnorm import yeojohnson as yj
+from tsnorm.synthgen import default_config, generate_dataset
 
 
 def batch_from(values):
@@ -55,11 +57,12 @@ def test_zscore_constant_feature_with_nonzero_computed_std():
 
 def test_zscore_constant_flags_equal_the_full_min_max_check():
     # constant, near-constant (one value an ulp up), +-1e308 constant (the
-    # mean overflows: its std is NaN or inf) and ordinary features, over
-    # series counts whose means round differently
+    # mean overflows: its std is NaN or inf), ordinary features and one whose
+    # squared deviations underflow (std 0.0 with min < max), over series
+    # counts whose means round differently
     for n in (1, 3, 12, 257):
         rng = np.random.default_rng(n)
-        values = rng.normal(size=(n, 7, 5))
+        values = rng.normal(size=(n, 8, 5))
         values[:, 0] = 1.858603571952818
         values[:, 1] = 0.1
         values[-1, 1, -1] = np.nextafter(0.1, 1.0)
@@ -67,11 +70,14 @@ def test_zscore_constant_flags_equal_the_full_min_max_check():
         values[:, 3] = -1e308
         values[:, 4] = -3.0e-300
         values[:, 5] *= 1e-9
+        values[:, 7] = 1e-200
+        values[-1, 7, -1] = 2e-200
         with np.errstate(over="ignore", invalid="ignore"):
             stats = sn.fit_zscore(TimeSeriesBatch(values))
         full = (stats.std == 0.0) | (values.min(axis=(0, 2)) == values.max(axis=(0, 2)))
         assert stats.zero_variance.tolist() == full.tolist(), n
-        assert stats.zero_variance.tolist() == [True, False, True, True, True, False, False]
+        assert stats.std[7] == 0.0 and values[:, 7].min() < values[:, 7].max()
+        assert stats.zero_variance.tolist() == [True, False, True, True, True, False, False, True]
 
 
 def test_zscore_refit_is_standard():
@@ -443,6 +449,22 @@ def test_kdit_fit_refuses_a_degenerate_bandwidth(alpha, why):
         sn.fit_kdit(train, sn.KditConfig(alpha=alpha))
     assert f"kdit field 'alpha' = {alpha!r} gives feature 0 " in str(info.value)
     assert why in str(info.value)
+
+
+def overflow_probe():
+    """synth3 n=300 seed 3 with one cell at 1.7e308: feature 1's spread overflows."""
+    values = np.array(generate_dataset(default_config(n=300, t=10, seed=3)).batch.values)
+    values[17, 1, 4] = 1.7e308
+    return values
+
+
+def test_kdit_fit_blames_the_data_when_a_features_spread_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=r"^kdit feature 1 has a non-finite spread: "
+                                                     r"its value 1\.7e\+308 \(series 17, "
+                                                     r"timestep 4\)"):
+            sn.fit_kdit(TimeSeriesBatch(overflow_probe()), sn.KditConfig())
 
 
 def test_kdit_fit_with_bandwidth_below_data_spacing():

@@ -17,10 +17,12 @@ the commits, the commands, every run (side, order, seed, exit status and its
 JSON result line) and, per workload and end-to-end metric of
 ``BENCHMARK.json``, each side's median and quartiles, the ratio of the
 medians (change over parent), the pairs the change won, lost and tied,
-whether the change's median is inside the metric's bound, and whether a gain
-may be claimed: the change wins at least nine tenths of the pairs and the
-medians differ by more than the parent's interquartile range.  ``--dry-run``
-prints the plan and runs nothing.
+whether the change's median is inside the metric's bound, whether the
+metric is unresolved (the parent's interquartile range is wider than the
+bound, relative to its median, and not every change run reads better than
+every parent run), and whether a gain may be claimed: the change wins at
+least nine tenths of the pairs and the medians differ by more than the
+parent's interquartile range.  ``--dry-run`` prints the plan and runs nothing.
 """
 
 from __future__ import annotations
@@ -72,8 +74,9 @@ def _quartiles(values: list[float]) -> dict:
 def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload: the failed-operation share of each side, and per
     end-to-end metric each side's median and quartiles over the pairs in
-    which both sides gave a result line, the ratio, wins, the bound check and
-    the claim rule.  ``runs`` are :func:`plan` entries with a ``result``
+    which both sides gave a result line, the ratio, wins, the bound check,
+    whether the parent's spread leaves the metric unresolved, and the claim
+    rule.  ``runs`` are :func:`plan` entries with a ``result``
     (the parsed result line, or None for a run that gave none)."""
     out = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
@@ -105,11 +108,15 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
             ties = sum(c == p for p, c in pairs)
             ratio = change["median"] / parent["median"] if parent["median"] else math.nan
             worse_by = (ratio - 1.0) if lower else (1.0 - ratio)
+            olds, news = [p for p, _ in pairs], [c for _, c in pairs]
+            all_better = max(news) < min(olds) if lower else min(news) > max(olds)
             metrics[name] = {
                 "unit": spec.get("unit"), "better": spec["better"], "bound": spec["bound"],
                 "parent": parent, "change": change, "ratio": ratio,
                 "wins": wins, "losses": len(pairs) - wins - ties, "ties": ties,
                 "within_bound": worse_by <= spec["bound"],
+                "unresolved": parent["q3"] - parent["q1"] > spec["bound"] * abs(parent["median"])
+                              and not all_better,
                 "gain": wins >= 0.9 * len(pairs) and (1.0 if lower else -1.0) *
                         (parent["median"] - change["median"]) > parent["q3"] - parent["q1"],
                 "pairs": [{"parent": p, "change": c} for p, c in pairs]}

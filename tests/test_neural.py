@@ -337,18 +337,18 @@ EDAIN_CLAMPS = {"alpha": lambda a: np.clip(a, 0.0, 1.0),
                 "beta": lambda a: np.maximum(a, BETA_MIN),
                 "s": lambda a: np.maximum(a, SCALE_FLOOR)}
 TRAINED_OBJECTS = {
-    "gru": (SNAPSHOT_LAYERS["gru"], None, {}),
-    "edain_global": (SNAPSHOT_LAYERS["edain_global"], EDAIN_MAP, EDAIN_CLAMPS),
-    "edain_local": (SNAPSHOT_LAYERS["edain_local"], EDAIN_MAP, EDAIN_CLAMPS),
-    "dain": (SNAPSHOT_LAYERS["dain"],
+    "gru": (lambda: nn.GruStack(d_in=8, hidden=(3,), head=(4,)), None, {}),
+    "edain_global": (lambda: EdainLayer(8), EDAIN_MAP, EDAIN_CLAMPS),
+    "edain_local": (lambda: EdainLayer(8, mode=LOCAL_AWARE), EDAIN_MAP, EDAIN_CLAMPS),
+    "dain": (lambda: DainLayer(8),
              {"w_a": "shift", "w_b": "scale", "w_c": "model", "bias": "model"}, {}),
-    "kl_bijector": (lambda: init_kl_params(2),
+    "kl_bijector": (lambda: init_kl_params(8),
                     {"beta": "outlier", "m": "shift", "s": "scale", "lam": "power"},
                     {name: EDAIN_CLAMPS[name] for name in ("beta", "s")}),
     "identity": (nn.IdentityPreproc, {}, {}),
     "static": (lambda: StaticPreproc(StaticPipeline(["zscore"]).fit(
-        TimeSeriesBatch(np.arange(8.0).reshape(2, 2, 2)))), {}, {}),
-    "kl_preproc": (lambda: KlPreproc(init_kl_params(2)), {}, {}),
+        TimeSeriesBatch(np.arange(16.0).reshape(2, 8, 1)))), {}, {}),
+    "kl_preproc": (lambda: KlPreproc(init_kl_params(8)), {}, {}),
 }
 
 
@@ -367,6 +367,7 @@ def test_projection_equals_the_clip_and_maximum_formulas_bit_for_bit(kind):
     special = np.array([-np.inf, -0.5, 1e-9, 0.2, np.nan, 0.7, 2.0, np.inf])
     want = {}
     for name, arr in obj.parameters().items():
+        assert name not in clamps or arr.size >= special.size, name  # holds every value
         arr[...] = np.resize(special, arr.shape)
         want[name] = clamps.get(name, np.copy)(arr.copy())
     obj.projection()

@@ -13,8 +13,7 @@ Two layers live here:
 Backward passes are exact chain-rule derivatives, checked against central
 finite differences in the test suite.  Each layer class maps its arrays to
 learning-rate groups in ``GROUPS`` (per-sublayer corrections) and to feasible
-intervals in ``BOUNDS`` (EDAIN's ``alpha`` in [0, 1], ``beta`` >= ``BETA_MIN``,
-``s`` >= ``SCALE_FLOOR``), which ``neural.Trainable`` reads.
+intervals in ``BOUNDS``, which ``neural.Trainable`` reads.
 
 The stage arithmetic exists once, on ndarrays: ``winsorize``, ``shift_scale``
 and ``power`` and their ``*_grads`` (per-element gradients, which EDAIN sums
@@ -54,6 +53,7 @@ ALL_SUBLAYERS = ("om", "shift", "scale", "power")
 
 BETA_MIN = 1.0
 SCALE_FLOOR = 1e-6
+SHIFT_SCALE_BOUNDS = {"beta": (BETA_MIN, np.inf), "s": (SCALE_FLOOR, np.inf)}  # EDAIN and EDAIN-KL
 SIGMA_FLOOR = 1e-6
 
 # Values per row block of the EDAIN chain: 512 KB a float64 temporary, so a
@@ -638,7 +638,7 @@ class EdainLayer(IdentityPreproc):
     """Owns EDAIN parameters, the running-mean state, and the sublayer flags."""
 
     GROUPS = EDAIN_GROUPS
-    BOUNDS = {"alpha": (0.0, 1.0), "beta": (BETA_MIN, np.inf), "s": (SCALE_FLOOR, np.inf)}
+    BOUNDS = {"alpha": (0.0, 1.0), **SHIFT_SCALE_BOUNDS}
 
     def __init__(self, d: int, mode: str = GLOBAL_AWARE,
                  enabled: tuple[str, ...] = ALL_SUBLAYERS,

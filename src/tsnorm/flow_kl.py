@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import yeojohnson as yj
-from .adaptive import (BETA_MIN, SCALE_FLOOR, _tile, checkpoint_width, power, power_grads,
-                       shift_scale, shift_scale_grads, winsorize, winsorize_grads)
+from .adaptive import (BETA_MIN, SCALE_FLOOR, SHIFT_SCALE_BOUNDS, _tile, checkpoint_width, power,
+                       power_grads, shift_scale, shift_scale_grads, winsorize, winsorize_grads)
 from .data import TimeSeriesBatch, load_arrays, load_fields, minibatch_indices
-from .neural import Optimizer, Trainable, TrainConfig, _lr_at
+from .neural import Optimizer, Trainable, TrainConfig
 from .static_norm import fit_zscore
 
 LOG_2 = math.log(2.0)
@@ -43,7 +43,7 @@ class KlBijectorParams(Trainable):
     """Per-feature bijector parameters plus the fixed pooled mean."""
 
     GROUPS = GROUPS
-    BOUNDS = {"beta": (BETA_MIN, np.inf), "s": (SCALE_FLOOR, np.inf)}
+    BOUNDS = SHIFT_SCALE_BOUNDS
 
     beta: np.ndarray
     m: np.ndarray
@@ -218,13 +218,16 @@ def fit_kl(train: TimeSeriesBatch, config: TrainConfig) -> tuple[KlBijectorParam
     any step): mu_hat and the shift m at the pooled mean, the scale s at the
     pooled standard deviation and beta at three of them, so the initial map is
     a z-score with mild winsorization; mu_hat stays fixed.  A step follows the
-    minibatch's summed NLL, so an SGD rate scales with batch x d x T.  As in
-    ``neural.train_loop``, the rate decays at the milestones and the fit stops after
-    ``patience`` epochs without a new best full-data NLL (:func:`series_nll`, also
-    taken at the start); the best parameters are returned with the history.  A NaN
-    or Inf gradient entry ends the fit before its step, as does an overflowing NLL
-    sum; a non-finite per-series NLL raises series_nll's FloatingPointError.
+    minibatch's summed NLL (an SGD rate scales with batch x d x T) at ``base_lr``
+    in every epoch, so ``milestones`` or ``patience < max_epochs`` is a
+    ValueError.  The best full-data NLL (:func:`series_nll`, at the start and after
+    each epoch) picks the parameters returned with the history.  A NaN or Inf
+    gradient entry ends the fit before its step, as does an overflowing NLL sum;
+    a non-finite per-series NLL raises series_nll's FloatingPointError.
     """
+    if config.milestones or config.patience < config.max_epochs:
+        raise ValueError(f"fit_kl needs milestones=() and patience >= max_epochs "
+                         f"({config.max_epochs}), got {config.milestones!r} and {config.patience}")
     pooled = fit_zscore(train)
     std = np.maximum(pooled.std, SCALE_FLOOR)
     params = KlBijectorParams(beta=np.maximum(3.0 * std, BETA_MIN), m=pooled.mean, s=std,
@@ -236,10 +239,9 @@ def fit_kl(train: TimeSeriesBatch, config: TrainConfig) -> tuple[KlBijectorParam
         # one sum of the (N,) values keeps the order of negative_log_likelihood
         return float(series_nll(train, params).sum()) / (train.n * train.d * train.t)
 
-    best, best_snap, stale = full_nll(), params.snapshot(), 0
+    best, best_snap = full_nll(), params.snapshot()
     history = [{"epoch": 0, "nll": best}]
     for epoch in range(1, config.max_epochs + 1):
-        optimizer.lr = _lr_at(config, epoch)
         for idx in minibatch_indices(train.n, config.batch_size, rng):
             values = train.values[idx]
             grads = _nll_grads(_chain(values, _tiles(params, values)), params.s)
@@ -250,11 +252,9 @@ def fit_kl(train: TimeSeriesBatch, config: TrainConfig) -> tuple[KlBijectorParam
             epoch_nll = full_nll()
             if np.isfinite(epoch_nll):
                 history.append({"epoch": epoch, "nll": epoch_nll})
-                stale = 0 if epoch_nll < best else stale + 1
-                if stale == 0:
+                if epoch_nll < best:
                     best, best_snap = epoch_nll, params.snapshot()
-                if stale <= config.patience:
-                    continue
+                continue
         break
     params.restore(best_snap)
     return params, history

@@ -446,28 +446,14 @@ def test_fit_kl_raises_when_an_epoch_end_nll_is_not_finite():
             fk.fit_kl(batch, blow_up_config(optimizer="sgd", batch_size=300, epochs=2))
 
 
-def test_fit_kl_decays_its_rate_at_the_milestones():
-    batch = synth3_300()
-    _, plain = fk.fit_kl(batch, blow_up_config(epochs=6))
-    _, frozen = fk.fit_kl(batch, replace(blow_up_config(epochs=6), milestones=(1,), gamma=1e-9))
-    _, late = fk.fit_kl(batch, replace(blow_up_config(epochs=6), milestones=(4,), gamma=1e-9))
-    assert len(plain) == len(frozen) == len(late) == 7 and frozen != plain
-    assert all(abs(row["nll"] - plain[0]["nll"]) < 1e-9 for row in frozen)
-    assert plain[3]["nll"] < plain[0]["nll"] - 1e-2
-    assert late[:4] == plain[:4] and abs(late[6]["nll"] - late[3]["nll"]) < 1e-9
-
-
-def test_fit_kl_stops_after_patience_epochs_without_a_new_best():
-    # NLL per epoch: 2.376, 2.229, 2.227, 2.188, 2.191 (no new best), 2.177, 2.172
-    batch = synth3_300()
-    config = blow_up_config(epochs=6, power=100.0)
-    _, full = fk.fit_kl(batch, config)
-    assert full[4]["nll"] > full[3]["nll"] and full[5]["nll"] < full[3]["nll"]
-    params, history = fk.fit_kl(batch, replace(config, patience=0))
-    best_epoch, _ = fk.fit_kl(batch, replace(config, max_epochs=3))
-    assert history == full[:5]
-    assert params.to_json_dict() == best_epoch.to_json_dict()
-    assert fk.fit_kl(batch, replace(config, patience=1))[1] == full
+@pytest.mark.parametrize("field, got", [({"milestones": (1,)}, "(1,) and 6"),
+                                        ({"patience": 5}, "() and 5")])
+def test_fit_kl_refuses_a_schedule_or_early_stopping(field, got):
+    config = replace(blow_up_config(epochs=6), **field)
+    with pytest.raises(ValueError) as err:
+        fk.fit_kl(synth3_300(), config)
+    assert str(err.value) == f"fit_kl needs milestones=() and patience >= max_epochs (6), got {got}"
+    fk.fit_kl(synth3_300(), replace(config, milestones=(), patience=7, max_epochs=1))
 
 
 def test_fit_kl_rejects_empty():

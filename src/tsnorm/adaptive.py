@@ -17,12 +17,10 @@ intervals in ``BOUNDS``, which ``neural.Trainable`` reads.
 
 The stage arithmetic exists once, on ndarrays: ``winsorize``, ``shift_scale``
 and ``power`` and their ``*_grads`` (per-element gradients, which EDAIN sums
-and ``flow_kl``, EDAIN-KL, first offsets by its log-det gradients).  EDAIN's
-per-block stage code (``_outlier_block``/``_outlier_grads``,
-``_local_shift_scale``/``_shift_scale_grads``, ``power``/``power_grads``)
-serves both ``edain_forward``/``edain_backward``, which run it over row
-blocks, and the whole-batch per-stage wrappers (``outlier_forward`` and
-the rest), which run it once.
+and ``flow_kl``, EDAIN-KL, first offsets by its log-det gradients).  EDAIN
+runs them only in ``edain_forward``/``edain_backward``, over row blocks; each
+per-stage function (``outlier_forward`` and the rest) is that pass with one
+stage enabled.
 
 ``EdainLayer`` and ``DainLayer`` subclass ``neural.IdentityPreproc``: their
 ``parameters()`` is the one list of trained arrays, and the inherited
@@ -188,7 +186,7 @@ class _FeatureSums:
         part = self.parts[name]
         return part if self.shape is None else part.sum(axis=0)
 
-    def grads(self, d: int, s: Optional[np.ndarray], local: bool) -> dict[str, np.ndarray]:
+    def grads(self, d: int, s: np.ndarray, local: bool) -> dict[str, np.ndarray]:
         """The parameter gradients; a stage or half that added no term gets zeros."""
         grads = {name: np.zeros(d) for name in EDAIN_GROUPS}
         for name in ("alpha", "beta", "lam"):
@@ -238,10 +236,11 @@ def _outlier_block(x: np.ndarray, mu, alpha, beta, rest) -> tuple[np.ndarray, di
     return out, {"x": x, "mu": mu, "u": u, "th": th}
 
 
-def _outlier_grads(g, c: dict, alpha, beta, rest, local: bool, want_x: bool,
-                   sums: _FeatureSums, rows: slice) -> Optional[np.ndarray]:
-    """Adds one block's d/dalpha and d/dbeta terms to ``sums``; d/dx if ``want_x``."""
+def _outlier_grads(g, c: dict, cache: dict, want_x: bool, sums: _FeatureSums,
+                   rows: slice) -> Optional[np.ndarray]:
+    """Adds the d/dalpha and d/dbeta terms of block cache ``c`` to ``sums``; d/dx if ``want_x``."""
     x, mu, u, th = c["x"], c["mu"], c["u"], c["th"]
+    alpha, beta, rest = (cache["tiles"][name] for name in ("alpha", "beta", "rest"))
     g_alpha = g * alpha  # shared by the mu path and d/dbeta
     sech2, term = winsorize_grads(g_alpha, u, th)
     sums.add("beta", rows, term)
@@ -250,7 +249,7 @@ def _outlier_grads(g, c: dict, alpha, beta, rest, local: bool, want_x: bool,
         grad_x = alpha * sech2
         grad_x += rest
         grad_x *= g
-        if local:
+        if cache["local"]:
             # mu is the per-series time mean, so each timestep also receives the
             # averaged gradient routed through mu: dh1/dmu = alpha*(1 - sech2)
             grad_x += (g_alpha * (1.0 - sech2)).sum(axis=2, keepdims=True) / x.shape[2]
@@ -265,25 +264,19 @@ def _outlier_grads(g, c: dict, alpha, beta, rest, local: bool, want_x: bool,
 def outlier_forward(x: TimeSeriesBatch, params: EdainParams, mean_source) -> tuple[TimeSeriesBatch, dict]:
     """Smoothed winsorization blended with the identity by ratio alpha.
 
-    ``mean_source`` is a RunningMean in global mode (its mu_hat is treated as
-    a constant) or a LocalSummary in local mode (gradients flow through the
-    per-series mean).
-    """
-    local = isinstance(mean_source, LocalSummary)
-    mu = mean_source.mu_x[:, :, None] if local else mean_source.mu_hat[None, :, None]
-    alpha = params.alpha[None, :, None]
-    out, cache = _outlier_block(x.values, mu, alpha, params.beta[None, :, None], 1.0 - alpha)
-    cache.update(alpha=params.alpha, beta=params.beta, local=local)
-    return TimeSeriesBatch(out), cache
+    The mode is ``params.mode``: in global mode ``mean_source`` is the
+    RunningMean whose mu_hat is a constant; in local mode it is not read, and
+    gradients flow through the series means of ``x``.  A source of the other
+    mode's type is a ValueError."""
+    local = params.mode == LOCAL_AWARE
+    if isinstance(mean_source, RunningMean if local else LocalSummary):
+        raise ValueError(f"a {type(mean_source).__name__} is not a {params.mode} mean source")
+    return edain_forward(x, params, None if local else mean_source, enabled=("om",))[:2]
 
 
 def outlier_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (d/dx, d/dalpha, d/dbeta) for the outlier sublayer."""
-    alpha = cache["alpha"][None, :, None]
-    sums = _FeatureSums()
-    grad_x = _outlier_grads(grad_out, cache, alpha, cache["beta"][None, :, None], 1.0 - alpha,
-                            cache["local"], True, sums, slice(None))
-    grads = sums.grads(len(cache["alpha"]), None, cache["local"])
+    grads, grad_x = edain_backward(grad_out, cache)
     return grad_x, grads["alpha"], grads["beta"]
 
 
@@ -316,11 +309,11 @@ def _local_shift_scale(x: np.ndarray, m, s, use_shift: bool,
                  "denom": denom, "out": out}
 
 
-def _shift_scale_grads(g, c: dict, want_x: bool, sums: _FeatureSums, rows: slice,
-                       sum_shift: bool = True) -> Optional[np.ndarray]:
-    """Adds one block's d/dm (unless ``sum_shift`` is off) and d/ds terms to
-    ``sums``; d/dx if ``want_x``."""
-    m, local, use_shift, use_scale = c["m"], c["local"], c["use_shift"], c["use_scale"]
+def _shift_scale_grads(g, c: dict, cache: dict, want_x: bool, sums: _FeatureSums, rows: slice,
+                       sum_shift: bool) -> Optional[np.ndarray]:
+    """Adds the d/dm (unless ``sum_shift`` is off) and d/ds terms of block cache
+    ``c`` to ``sums``; d/dx if ``want_x``."""
+    m, local, use_shift, use_scale = cache["m"], cache["local"], cache["use_shift"], cache["use_scale"]
     denom = c["denom"][:, :, None] if local else c["denom"]
     # grad_x also reaches the shift; g*out is read only by d/ds
     grad_x, g_out = shift_scale_grads(g, c["out"] if use_scale else None, denom)
@@ -353,31 +346,17 @@ def _shift_scale_grads(g, c: dict, want_x: bool, sums: _FeatureSums, rows: slice
     return grad_x
 
 
-def shift_scale_forward(
-    x: TimeSeriesBatch,
-    params: EdainParams,
-    use_shift: bool = True,
-    use_scale: bool = True,
-) -> tuple[TimeSeriesBatch, dict]:
+def shift_scale_forward(x: TimeSeriesBatch, params: EdainParams, use_shift: bool = True,
+                        use_scale: bool = True) -> tuple[TimeSeriesBatch, dict]:
     """Global: (x - m)/s.  Local: (x - m*mu_x)/(s*sigma_x), sigma floored, from
     the per-series statistics of ``x``, the input the sublayer sees in the stack."""
-    local = params.mode == LOCAL_AWARE
-    if local:
-        out, cache = _local_shift_scale(x.values, params.m, params.s, use_shift, use_scale)
-    else:
-        denom = params.s[None, :, None] if use_scale else 1.0
-        out = shift_scale(x.values, params.m[None, :, None] if use_shift else 0.0, denom)
-        cache = {"out": out, "denom": denom}
-    cache.update(x=x.values, local=local, m=params.m, s=params.s,
-                 use_shift=use_shift, use_scale=use_scale)
-    return TimeSeriesBatch(out), cache
+    enabled = ("shift",) * use_shift + ("scale",) * use_scale
+    return edain_forward(x, params, enabled=enabled)[:2]
 
 
 def shift_scale_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (d/dx, d/dm, d/ds)."""
-    sums = _FeatureSums()
-    grad_x = _shift_scale_grads(grad_out, cache, True, sums, slice(None))
-    grads = sums.grads(len(cache["m"]), cache["s"], cache["local"])
+    grads, grad_x = edain_backward(grad_out, cache)
     return grad_x, grads["m"], grads["s"]
 
 
@@ -406,13 +385,12 @@ def power_grads(g: np.ndarray, point: yj.PowerPoint,
 
 
 def power_forward(x: TimeSeriesBatch, params: EdainParams) -> tuple[TimeSeriesBatch, dict]:
-    z, point = power(x.values, params.lam[None, :, None])
-    return TimeSeriesBatch(z), {"point": point}
+    return edain_forward(x, params, enabled=("power",))[:2]
 
 
 def power_backward(grad_out: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray]:
-    grad_x, g_lam = power_grads(grad_out, cache["point"])
-    return grad_x, g_lam.sum(axis=(0, 2))
+    grads, grad_x = edain_backward(grad_out, cache)
+    return grad_x, grads["lam"]
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +459,8 @@ def edain_forward(
         tiles["denom"] = _tile(params.s, t) if use_scale else 1.0
     if "power" in stages:
         tiles["lam"] = _tile(params.lam, t)
-    # what every block's shift/scale cache holds, under the wrapper's keys
-    halves = {"m": params.m.copy(), "local": local, "use_shift": use_shift,
-              "use_scale": use_scale}
-    cache = {"d": d, "stages": stages, "s": params.s.copy(), "tiles": tiles, **halves,
+    cache = {"d": d, "stages": stages, "m": params.m.copy(), "s": params.s.copy(),
+             "local": local, "use_shift": use_shift, "use_scale": use_scale, "tiles": tiles,
              "blocks": _edain_blocks(n, d, t), "block_caches": []}
     if not stages:
         return x, cache, new_state
@@ -498,11 +474,10 @@ def edain_forward(
             _check_finite(cur, "outlier")
         if "shift_scale" in stages:
             if local:
-                cur, c = _local_shift_scale(cur, params.m, params.s, use_shift, use_scale)
+                cur, bc["shift_scale"] = _local_shift_scale(cur, params.m, params.s, use_shift, use_scale)
             else:
                 cur = shift_scale(cur, tiles["shift"], tiles["denom"])
-                c = {"out": cur, "denom": tiles["denom"]}
-            bc["shift_scale"] = {**c, **halves}
+                bc["shift_scale"] = {"out": cur, "denom": tiles["denom"]}
             _check_finite(cur, "shift/scale")
         if "power" in stages:
             cur, bc["power"] = power(cur, tiles["lam"])
@@ -525,7 +500,7 @@ def edain_backward(grad_out: np.ndarray, cache: dict,
     if not stages:
         return {name: np.zeros(d) for name in EDAIN_GROUPS}, grad_out if input_grad else None
     grad_out = np.asarray(grad_out)
-    blocks, tiles = cache["blocks"], cache["tiles"]
+    blocks = cache["blocks"]
     use_shift, use_scale = cache["use_shift"], cache["use_scale"]
     sums = _FeatureSums((grad_out.shape[0], d) if len(blocks) > 1 else None)
     # A gradient that reaches the global shift straight from the caller keeps
@@ -543,10 +518,9 @@ def edain_backward(grad_out: np.ndarray, cache: dict,
                 g, g_lam = power_grads(g, bc["power"], want_x)
                 sums.add("lam", rows, g_lam)
             elif name == "shift_scale":
-                g = _shift_scale_grads(g, bc["shift_scale"], want_x, sums, rows, not whole_shift)
+                g = _shift_scale_grads(g, bc["shift_scale"], cache, want_x, sums, rows, not whole_shift)
             else:
-                g = _outlier_grads(g, bc["om"], tiles["alpha"], tiles["beta"], tiles["rest"],
-                                   local, want_x, sums, rows)
+                g = _outlier_grads(g, bc["om"], cache, want_x, sums, rows)
         if input_grad:
             grad_in[rows] = g
     grads = sums.grads(d, cache["s"], local)

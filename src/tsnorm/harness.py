@@ -28,7 +28,7 @@ from .metrics import (amex_metric, binary_accuracy, cohen_kappa, macro_f1, terna
 from .neural import UNIT_CORRECTIONS, GruStack, IdentityPreproc, TrainConfig, TrainResult, \
     bce_loss, cross_entropy_loss, train_loop
 from .static_norm import StaticPipeline, check_static_fields
-from .synthgen import default_config, generate_dataset
+from .synthgen import check_sizes, default_config, generate_dataset
 from .yeojohnson import PowerDomainError
 
 # numeric failures that end one fold and are recorded as an incomplete row;
@@ -160,9 +160,7 @@ class SyntheticSource:
     t: int = 10
 
     def __post_init__(self):
-        for name in ("n", "t"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"synthetic {name} must be positive, got {getattr(self, name)}")
+        check_sizes(self.n, self.t)
 
 
 @dataclass

@@ -101,10 +101,10 @@ def amex_metric(predictions, labels, weights=None) -> tuple[float, float, float]
     return 0.5 * (g + d), d, g
 
 
-def binary_accuracy(probabilities, labels, threshold: float = 0.5) -> float:
+def binary_accuracy(probabilities, labels) -> float:
     p = np.asarray(probabilities, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    return float(((p >= threshold).astype(np.int64) == y).mean())
+    return float(((p >= 0.5).astype(np.int64) == y).mean())
 
 
 def ternary_accuracy(probabilities, labels) -> float:

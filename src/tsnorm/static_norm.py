@@ -38,6 +38,7 @@ KDIT_TERMS = 12
 # a bin this far from g, in bandwidths, has every member NDTR_ONE_Z or more away
 KDIT_REACH = NDTR_ONE_Z + KDIT_BIN_WIDTH / 2
 KDIT_BLOCK = 2 ** 13  # (grid point, bin) pairs evaluated at once: 64 KB a temporary
+KDIT_GRID_SIZE = 1024  # points of the per-feature grid the CDF is evaluated on
 
 
 @dataclass
@@ -237,19 +238,15 @@ class KditConfig:
 
     ``alpha`` scales the rule-of-thumb bandwidth h = alpha * std * (NT)^(-1/5);
     large alpha approaches min-max scaling, small alpha approaches the
-    empirical quantile transform.  ``grid_size`` is the number of points of
-    the per-feature grid the CDF is evaluated on.  The fitted state is a
-    :class:`StaticStats` returned by :func:`fit_kdit`.
+    empirical quantile transform.  The fitted state is a :class:`StaticStats`
+    returned by :func:`fit_kdit`.
     """
 
     alpha: float = 1.0
-    grid_size: int = 1024
 
     def __post_init__(self):
         check_fields(self, "kdit")
         _check_alpha(self.alpha, "kdit alpha")
-        if self.grid_size < 2:
-            raise ValueError(f"kdit grid_size must be at least 2, got {self.grid_size!r}")
 
 
 def _check_alpha(value: float, name: str) -> None:
@@ -403,7 +400,7 @@ def fit_kdit(train: TimeSeriesBatch, config: KditConfig) -> StaticStats:
                              f"bandwidth {float(h)!r}; it must be a positive normal float "
                              f"that spans the grid in finitely many bandwidths")
         bw[k] = h
-        grid = np.linspace(first, last, config.grid_size)
+        grid = np.linspace(first, last, KDIT_GRID_SIZE)
         cdf = _kernel_cdf(grid, centers, h)
         grids.append(grid)
         cdfs.append(cdf)

@@ -58,6 +58,13 @@ class InverseCdfTable:
 _TABLE_CACHE: dict = {}
 
 
+def check_sizes(n: int, t: int) -> None:
+    """The size rule of SynthConfig and of ``harness.SyntheticSource``."""
+    for name, value in (("n", n), ("t", t)):
+        if value < 1:
+            raise ValueError(f"synthetic {name} must be positive, got {value}")
+
+
 @dataclass
 class SynthConfig:
     """Complete description of one synthetic dataset.
@@ -84,6 +91,7 @@ class SynthConfig:
     response_threshold: Union[float, str] = "adaptive"
 
     def __post_init__(self):
+        check_sizes(self.n, self.t)
         if not self.pdfs:
             raise ValueError("no features: pdfs must hold at least one density")
         self.theta = np.asarray(self.theta, dtype=np.float64)

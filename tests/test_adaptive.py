@@ -92,6 +92,22 @@ def test_outlier_backward_matches_fd_both_modes():
         assert max(worst.values()) < 1e-6, (mode, worst)
 
 
+def test_outlier_stage_mode_is_params_mode():
+    rng = np.random.default_rng(24)
+    x = TimeSeriesBatch(rng.normal(size=(3, 2, 4)))
+    local = random_params(rng, 2, ad.LOCAL_AWARE)
+    with pytest.raises(ValueError, match="local_aware"):
+        ad.outlier_forward(x, local, ad.RunningMean(rng.normal(size=2), 3))
+    with pytest.raises(ValueError, match="global_aware"):
+        ad.outlier_forward(x, random_params(rng, 2), ad.local_summary(x))
+    # local mode reads no source: a summary and None give the same bits
+    g = rng.normal(size=x.values.shape)
+    runs = [ad.outlier_forward(x, local, source) for source in (ad.local_summary(x), None)]
+    assert np.array_equal(runs[0][0].values, runs[1][0].values)
+    for got, want in zip(ad.outlier_backward(g, runs[0][1]), ad.outlier_backward(g, runs[1][1])):
+        assert np.array_equal(got, want)
+
+
 # --- shift/scale sublayer ----------------------------------------------------
 
 def test_shift_scale_identity_and_example():
@@ -153,13 +169,17 @@ def test_shift_scale_backward_fd_and_floor():
 
 # --- backward passes against their unshared reference forms -------------------
 
-def ref_outlier_backward(grad_out, cache):
-    x, mu, u, th = cache["x"], cache["mu"], cache["u"], cache["th"]
-    alpha = cache["alpha"][None, :, None]
-    beta = cache["beta"][None, :, None]
+def ref_outlier_backward(grad_out, x, params, mu_hat):
+    """Every intermediate from the formulas, with (1, d, 1) operands; ``mu_hat``
+    is the running mean in global mode and unused in local mode."""
+    alpha, beta = params.alpha[None, :, None], params.beta[None, :, None]
+    local = params.mode == ad.LOCAL_AWARE
+    mu = x.mean(axis=2, keepdims=True) if local else mu_hat[None, :, None]
+    u = (x - mu) / beta
+    th = np.tanh(u)
     sech2 = 1.0 - th * th
     grad_x = grad_out * (alpha * sech2 + (1.0 - alpha))
-    if cache["local"]:
+    if local:
         t = x.shape[2]
         grad_x = grad_x + (grad_out * alpha * (1.0 - sech2)).sum(axis=2, keepdims=True) / t
     grad_alpha = (grad_out * (beta * th + mu - x)).sum(axis=(0, 2))
@@ -167,18 +187,23 @@ def ref_outlier_backward(grad_out, cache):
     return grad_x, grad_alpha, grad_beta
 
 
-def ref_shift_scale_backward(grad_out, cache):
-    m, s, out = cache["m"], cache["s"], cache["out"]
-    use_shift, use_scale = cache["use_shift"], cache["use_scale"]
+def ref_shift_scale_backward(grad_out, x, params, use_shift, use_scale):
+    """Every intermediate from the formulas, with (1, d, 1) or (N, d, 1) operands."""
+    m, s = params.m, params.s
     d = len(m)
-    if not cache["local"]:
+    if params.mode == ad.GLOBAL_AWARE:
         denom = s[None, :, None] if use_scale else 1.0
+        out = (x - (m[None, :, None] if use_shift else 0.0)) / denom
         grad_m = -(grad_out / denom).sum(axis=(0, 2)) if use_shift else np.zeros(d)
         grad_s = -(grad_out * out).sum(axis=(0, 2)) / s if use_scale else np.zeros(d)
         return grad_out / denom, grad_m, grad_s
-    mu_x, sig_raw, sig, x = cache["mu_x"], cache["sig_raw"], cache["sig"], cache["x"]
     t = x.shape[2]
-    denom = cache["denom"][:, :, None]
+    mu_x = x.mean(axis=2)
+    sig_raw = np.sqrt(np.square(x - mu_x[:, :, None]).mean(axis=2))
+    sig = np.maximum(sig_raw, ad.SIGMA_FLOOR)
+    shift = m[None, :] * mu_x if use_shift else np.zeros_like(mu_x)
+    denom = (s[None, :] * sig if use_scale else np.ones_like(sig))[:, :, None]
+    out = (x - shift[:, :, None]) / denom
     grad_m = (-(grad_out / denom).sum(axis=2) * mu_x).sum(axis=0) if use_shift else np.zeros(d)
     grad_s = -(grad_out * out).sum(axis=(0, 2)) / s if use_scale else np.zeros(d)
     grad_x = grad_out / denom
@@ -205,12 +230,13 @@ def test_outlier_and_shift_scale_backward_match_reference_bitwise(mode, strided)
     source = (ad.local_summary(x) if mode == ad.LOCAL_AWARE
               else ad.update_running_mean(ad.RunningMean.zeros(4), x))
     _, cache = ad.outlier_forward(x, params, source)
-    for got, want in zip(ad.outlier_backward(grad, cache), ref_outlier_backward(grad, cache)):
+    ref = ref_outlier_backward(grad, values, params, getattr(source, "mu_hat", None))
+    for got, want in zip(ad.outlier_backward(grad, cache), ref):
         assert np.array_equal(got, want)
     for use_shift, use_scale in ((True, True), (True, False), (False, True), (False, False)):
         _, cache = ad.shift_scale_forward(x, params, use_shift, use_scale)
         got = ad.shift_scale_backward(grad, cache)
-        want = ref_shift_scale_backward(grad, cache)
+        want = ref_shift_scale_backward(grad, values, params, use_shift, use_scale)
         for g, w in zip(got, want):
             assert np.array_equal(g, w), (use_shift, use_scale)
         assert got[1] is not got[2]
@@ -497,14 +523,15 @@ def test_edain_layer_warm_start_is_zscore():
     assert np.allclose(out.values, want.values)
 
 
-# --- the blocked chain against the whole-batch stage wrappers -----------------
+# --- the blocked chain against the per-stage functions run as one block --------
 
 EDAIN_SUBSETS = [rows for _, rows in ABLATION_ROWS if rows is not None]
 
 
 def wrapper_chain(x, params, state, enabled, grad):
-    """EDAIN as one whole-batch pass of each enabled per-stage wrapper; returns
-    (output, {param: grad}, grad_input, state)."""
+    """EDAIN as one pass of each enabled per-stage function; returns (output,
+    {param: grad}, grad_input, state).  Each pass must run as one block (see
+    ``whole_batch``)."""
     local = params.mode == ad.LOCAL_AWARE
     use_shift, use_scale = "shift" in enabled, "scale" in enabled
     steps = []
@@ -519,6 +546,7 @@ def wrapper_chain(x, params, state, enabled, grad):
     if "power" in enabled:
         x, c = ad.power_forward(x, params)
         steps.append(("pw", c))
+    assert all(len(c["blocks"]) == 1 for _, c in steps)
     grads = {name: np.zeros(params.d) for name in ad.EDAIN_GROUPS}
     g = grad
     for name, c in reversed(steps):
@@ -558,7 +586,7 @@ def _same_bits(got, want):
 
 @pytest.mark.parametrize("shape, blocks", CHAIN_SHAPES)
 @pytest.mark.parametrize("mode", [ad.GLOBAL_AWARE, ad.LOCAL_AWARE])
-def test_blocked_chain_equals_stage_wrappers_bitwise(shape, blocks, mode):
+def test_blocked_chain_equals_stage_wrappers_bitwise(shape, blocks, mode, monkeypatch):
     rng = np.random.default_rng(sum(shape))
     n, d, t = shape
     values = rng.standard_t(4, size=shape) * 2.0 + 0.3
@@ -573,8 +601,10 @@ def test_blocked_chain_equals_stage_wrappers_bitwise(shape, blocks, mode):
                                                  enabled=enabled)
         assert len(cache["blocks"]) == blocks
         for g in (grad, gru_layout(grad)):
-            want_out, want_grads, want_gx, want_state = wrapper_chain(x, params, state,
-                                                                      enabled, g)
+            with monkeypatch.context() as whole_batch:
+                whole_batch.setattr(ad, "EDAIN_BLOCK_ELEMENTS", n * d * t)
+                want_out, want_grads, want_gx, want_state = wrapper_chain(x, params, state,
+                                                                          enabled, g)
             assert _same_bits(out.values, want_out), enabled
             if "om" in enabled and mode == ad.GLOBAL_AWARE:
                 assert _same_bits(new_state.mu_hat, want_state.mu_hat)

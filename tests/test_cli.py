@@ -404,6 +404,22 @@ def test_non_positive_flag_exits_two_and_names_the_field(capsys, command, flags,
     assert f"error: ValueError: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "0"], "synthetic n must be positive, got 0"),
+    (["--t", "0"], "synthetic t must be positive, got 0"),
+    (["--n", "-3"], "synthetic n must be positive, got -3"),
+    (["--t", "-1"], "synthetic t must be positive, got -1"),
+], ids=["n-0", "t-0", "n-neg", "t-neg"])
+@pytest.mark.parametrize("pdf_config", [False, True])
+def test_generate_with_a_size_below_one_exits_two(tmp_path, capsys, flags, message, pdf_config):
+    pdf_cfg, out = tmp_path / "pdfs.json", tmp_path / "custom.csv"
+    pdf_cfg.write_text(json.dumps({"features": [{"pdf": "phi(x)", "bounds": [-6, 6]}]}))
+    extra = ["--pdf-config", str(pdf_cfg)] if pdf_config else []
+    assert main(["generate", *extra, *flags, "--out", str(out)]) == 2
+    assert f"error: ValueError: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_data_and_synth_n_together_are_refused(dataset_csv, capsys):
     assert main(["train", "--data", str(dataset_csv), "--synth-n", "50"]) == 2
     assert "exactly one of synthetic/csv_path must be set" in capsys.readouterr().err

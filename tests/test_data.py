@@ -1,6 +1,8 @@
 import csv
 import functools
+import math
 import random
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -411,6 +413,96 @@ def test_loader_agrees_with_its_csv_module_path(tmp_path_factory, line_no, colum
     with open(path, "w", newline="") as fh:
         fh.write(ending.join(lines) + ending)
     assert load_outcome(path, forced=False) == load_outcome(path, forced=True)
+
+# The one-cell property: a cell of a small saved file replaced by a value from
+# a grammar of spellings; the load gives what Python's int()/float() read from
+# the cell, or a CsvFormatError that names a row or a series.  With
+# LOAD_CHUNK = 2 the row falls in a chunk of numpy's parser unless the cell
+# sends it on; with LOAD_CHUNK = 1 and a quote in data row 1, in a chunk of
+# the csv module.
+INT_COLUMNS = (0, 1, 4)  # series_id, timestep, label; f1 and f2 are columns 2 and 3
+LISTED_SPELLINGS = [
+    "", " ", "  ", "nan", "NaN", "-nan", "inf", "-inf", "+Infinity", "1e400", "-1e400", "1e-400",
+    "1_000", "1__0", "_1", '"2.5"', '"1"', '" 0 "', '""', "\u0663", "\uff11", "\xa01", "\x1c1",
+    "1\x1f", "\x0b1", str(2 ** 63), str(2 ** 63 - 1), str(-2 ** 63), str(-2 ** 63 - 1),
+    str(2 ** 64), "2.5", "1.0", "1e0", "-0.0", "-0", "+1", " 1 ", "\t2", "0x10", "0b1", "1e", ".",
+    "-", "abc", "1 2", "5e-324", "1.7976931348623157e308", "1.8e308",
+]
+GENERATED_SPELLINGS = st.one_of(
+    st.integers(-2 ** 64, 2 ** 64).map(str),
+    st.floats(width=64).map(repr),
+    st.text("0123456789+-.e_ ", max_size=6),
+)
+
+
+@functools.lru_cache(maxsize=1)
+def small_file():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "small.csv"
+        save_csv(make_dataset(n=4, d=2, t=3, seed=9), path)
+        return path.read_text().splitlines(), load_csv(path)
+
+
+def check_one_cell(path, row, column, spelling, via_csv_module):
+    lines, original = small_file()
+    lines = list(lines)
+    cells = lines[row].split(",")
+    sid, step = int(cells[0]), int(cells[1])
+    before, cells[column] = cells[column], spelling
+    lines[row] = ",".join(cells)
+    if via_csv_module:  # a quote in data row 1 sends it and every later row to the csv module
+        first = lines[1].split(",")
+        quoted = 1 if column == 0 else 0
+        first[quoted] = f'"{first[quoted]}"'
+        lines[1] = ",".join(first)
+    write_lines(path, lines)
+    text = (next(csv.reader([spelling])) or [""])[0]  # the cell as the csv module decodes it
+    try:
+        value = int(text) if column in INT_COLUMNS else float(text)
+        readable = (-2 ** 63 <= value < 2 ** 63 if column in INT_COLUMNS
+                    else math.isfinite(value))
+    except ValueError:
+        readable = False
+    case = (row, column, spelling, via_csv_module)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "LOAD_CHUNK", 1 if via_csv_module else 2)
+        try:
+            got = load_csv(path)
+        except CsvFormatError as exc:
+            if not readable:  # a cell int() or float() refuses is named by its row
+                assert str(exc).startswith(f"row {row + 1}: "), (case, exc)
+            else:  # a readable cell that breaks the layout is named by a row or a series
+                assert re.match(r"(row \d+|series -?\d+|ragged series: series -?\d+)[: ]",
+                                str(exc)), (case, exc)
+                assert column in INT_COLUMNS and value != int(before), (case, exc)
+            return
+    assert readable, case
+    want = original.batch.values.copy()
+    if column in INT_COLUMNS:
+        assert value == int(before), case
+    else:
+        want[sid, column - 2, step] = value
+    assert same_bits(got.batch.values, want), case
+    assert np.array_equal(got.labels, original.labels), case
+
+
+@pytest.mark.parametrize("spelling", LISTED_SPELLINGS)
+def test_one_listed_cell_loads_as_python_reads_it_or_names_a_row(tmp_path, spelling):
+    for row in (1, 3, 12):
+        for column in range(5):
+            for via_csv_module in (False, True):
+                check_one_cell(tmp_path / "m.csv", row, column, spelling, via_csv_module)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(row=st.integers(1, 12), column=st.integers(0, 4), spelling=GENERATED_SPELLINGS,
+       via_csv_module=st.booleans())
+def test_one_generated_cell_loads_as_python_reads_it_or_names_a_row(tmp_path_factory, row,
+                                                                    column, spelling,
+                                                                    via_csv_module):
+    check_one_cell(tmp_path_factory.mktemp("cell") / "m.csv", row, column, spelling,
+                   via_csv_module)
+
 
 def test_minibatch_sizes_and_partition():
     ds = make_dataset(n=5)

@@ -530,8 +530,8 @@ EDAIN_SUBSETS = [rows for _, rows in ABLATION_ROWS if rows is not None]
 
 def wrapper_chain(x, params, state, enabled, grad):
     """EDAIN as one pass of each enabled per-stage function; returns (output,
-    {param: grad}, grad_input, state).  Each pass must run as one block (see
-    ``whole_batch``)."""
+    {param: grad}, grad_input, state).  Run with EDAIN_BLOCK_ELEMENTS at the
+    batch's size, each pass is one whole-batch block."""
     local = params.mode == ad.LOCAL_AWARE
     use_shift, use_scale = "shift" in enabled, "scale" in enabled
     steps = []

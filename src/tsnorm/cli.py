@@ -311,7 +311,7 @@ def _cmd_preprocess(args) -> int:
     preproc = _load_preproc(_read_checkpoint(args.checkpoint, "preproc")["preproc"])
     dataset = load_csv(args.data)
     out_batch, _ = preproc.forward(dataset.batch, training=False)
-    save_csv(LabeledDataset(out_batch, dataset.labels, dataset.label_kind), args.out)
+    save_csv(LabeledDataset(out_batch, dataset.labels), args.out)
     print(f"normalized dataset written to {args.out}")
     return 0
 

@@ -1,11 +1,11 @@
 """Containers and IO for labeled multivariate time series.
 
 The data model is deliberately small: a dense ``(N, d, T)`` float64 array of
-N series with d features observed at T timesteps and an integer label per
-series.  Everything downstream (normalization layers, the training stack,
-the synthetic generator) passes these batches around.  Building a
-:class:`TimeSeriesBatch` scans its values for NaN/Inf and freezes a private
-copy unless it is handed an array that is already read-only and
+N series with d features observed at T timesteps and a label per series: 0 or
+1, or 0, 1 or 2 for a 3-class task.  Everything downstream (normalization
+layers, training, the synthetic generator) passes these batches around.
+Building a :class:`TimeSeriesBatch` scans its values for NaN/Inf and freezes
+a private copy unless it is handed an array that is already read-only and
 C-contiguous.  Callers that build a fresh array for a batch (a minibatch, a
 row subset, EDAIN's output) freeze it themselves, so such a batch costs the
 scan but no second copy.
@@ -37,11 +37,6 @@ from types import MappingProxyType
 from typing import Any, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
-
-BINARY = "binary"
-TERNARY = "ternary"
-
-_CLASS_COUNT = {BINARY: 2, TERNARY: 3}
 
 LOAD_CHUNK = 4096  # data rows the CSV codec parses or formats at a time
 _INT64 = np.iinfo(np.int64)
@@ -123,11 +118,11 @@ class TimeSeriesBatch:
 
 @dataclass(eq=False)
 class LabeledDataset:
-    """A batch plus one integer label per series."""
+    """A batch plus one integer label per series, each 0, 1 or 2.  The task's
+    :attr:`classes` is worked out from the labels, never stored."""
 
     batch: TimeSeriesBatch
     labels: np.ndarray
-    label_kind: str = BINARY
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
@@ -135,22 +130,25 @@ class LabeledDataset:
             raise ValueError(
                 f"labels shape {labels.shape} does not match batch of {self.batch.n} series"
             )
-        if self.label_kind not in _CLASS_COUNT:
-            raise ValueError(f"unknown label kind {self.label_kind!r}")
-        n_classes = _CLASS_COUNT[self.label_kind]
-        if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-            raise ValueError(f"labels out of range for {self.label_kind} task")
+        if np.any(bad := (labels < 0) | (labels > 2)):
+            raise ValueError(f"series {np.argmax(bad)}: label {labels[bad][0]}; "
+                             "labels must be in {0,1} or {0,1,2}")
         self.labels = labels
 
     @property
     def n(self) -> int:
         return self.batch.n
 
+    @property
+    def classes(self) -> int:
+        """3 when any label is 2, else 2 (also for no rows)."""
+        return 3 if (self.labels == 2).any() else 2
+
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
         indices = np.asarray(indices, dtype=np.int64)
         values = self.batch.values[indices]  # a fresh array: frozen, not copied again
         values.flags.writeable = False
-        return LabeledDataset(TimeSeriesBatch(values), self.labels[indices], self.label_kind)
+        return LabeledDataset(TimeSeriesBatch(values), self.labels[indices])
 
 
 def _parse_header(header: list[str]) -> int:
@@ -359,9 +357,8 @@ def load_csv(path: str | Path) -> LabeledDataset:
         i = np.argmax(outside)
         raise CsvFormatError(f"series {sids[starts[i]]}: label {labels[i]}; "
                              "labels must be in {0,1} or {0,1,2}")
-    kind = TERNARY if labels.max() > 1 else BINARY
     values = np.take(feats, order, axis=1).reshape(d, n, t).transpose(1, 0, 2)
-    return LabeledDataset(TimeSeriesBatch(values), labels, kind)
+    return LabeledDataset(TimeSeriesBatch(values), labels)
 
 
 def save_csv(dataset: LabeledDataset, path: str | Path) -> None:

@@ -21,12 +21,12 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .adaptive import ALL_SUBLAYERS, DainLayer, EdainLayer, GLOBAL_AWARE, LOCAL_AWARE
-from .data import (BINARY, LabeledDataset, NonFiniteBatchError, RngState, TimeSeriesBatch,
+from .data import (LabeledDataset, NonFiniteBatchError, RngState, TimeSeriesBatch,
                    check_keys, from_fields, load_csv, load_fields)
 from .flow_kl import FlowDomainError, KlBijectorParams, fit_kl, normalize_direction
-from .metrics import (amex_metric, binary_accuracy, cohen_kappa, macro_f1, ternary_accuracy)
+from .metrics import amex_metric, cohen_kappa, macro_f1, predicted_class
 from .neural import UNIT_CORRECTIONS, GruStack, IdentityPreproc, TrainConfig, TrainResult, \
-    bce_loss, cross_entropy_loss, train_loop
+    model_loss, train_loop
 from .static_norm import StaticPipeline, check_static_fields
 from .synthgen import check_sizes, default_config, generate_dataset
 from .yeojohnson import PowerDomainError
@@ -273,6 +273,9 @@ def holdout_split(n: int, valid_fraction: float, rng: RngState) -> list[tuple[np
     CvConfig(kind="holdout", valid_fraction=valid_fraction)  # refuses one outside (0, 1)
     perm = rng.generator().permutation(n)
     n_valid = max(1, int(round(n * valid_fraction)))
+    if n_valid >= n:
+        raise ValueError(f"holdout of {n} series at valid_fraction {valid_fraction} "
+                         "leaves no training rows")
     return [(np.sort(perm[n_valid:]), np.sort(perm[:n_valid]))]
 
 
@@ -420,26 +423,19 @@ def _load_dataset(config: ExperimentConfig, rep_state: RngState) -> LabeledDatas
 
 
 def fold_metrics(dataset: LabeledDataset, probs: np.ndarray) -> dict:
-    y = dataset.labels  # the model's output width, not the labels held, sets the metrics
+    """A fold's metrics, set by the model's output width, not by the labels
+    held: ``bce`` and ``amex_*`` for (N,) probabilities, ``ce`` for (N, C)
+    rows, and accuracy, kappa and macro-F1 of the predicted class for both."""
+    y = dataset.labels
+    loss, _ = model_loss(probs, y)
+    hard = predicted_class(probs)
+    classes = 2 if probs.ndim == 1 else probs.shape[1]
+    metrics = {"bce" if probs.ndim == 1 else "ce": loss, "accuracy": float((hard == y).mean())}
     if probs.ndim == 1:
-        loss, _ = bce_loss(probs, y)
-        hard = (probs >= 0.5).astype(np.int64)
-        m, d_rate, g = amex_metric(probs, y)
-        return {
-            "bce": loss,
-            "accuracy": binary_accuracy(probs, y),
-            "amex_m": m, "amex_d": d_rate, "amex_g": g,
-            "kappa": cohen_kappa(hard, y, num_classes=2),
-            "macro_f1": macro_f1(hard, y, num_classes=2),
-        }
-    loss, _ = cross_entropy_loss(probs, y)
-    hard = probs.argmax(axis=1)
-    return {
-        "ce": loss,
-        "accuracy": ternary_accuracy(probs, y),
-        "kappa": cohen_kappa(hard, y, num_classes=3),
-        "macro_f1": macro_f1(hard, y, num_classes=3),
-    }
+        metrics["amex_m"], metrics["amex_d"], metrics["amex_g"] = amex_metric(probs, y)
+    metrics["kappa"] = cohen_kappa(hard, y, num_classes=classes)
+    metrics["macro_f1"] = macro_f1(hard, y, num_classes=classes)
+    return metrics
 
 
 def _run_fold(config: ExperimentConfig, dataset: LabeledDataset,
@@ -448,9 +444,8 @@ def _run_fold(config: ExperimentConfig, dataset: LabeledDataset,
     train_ds = dataset.subset(train_idx)
     valid_ds = dataset.subset(valid_idx)
     preproc = make_preproc(config, train_ds.batch)
-    n_classes = 1 if dataset.label_kind == BINARY else 3
     model = GruStack(d_in=dataset.batch.d, hidden=config.model.hidden,
-                     head=config.model.head, n_classes=n_classes,
+                     head=config.model.head, n_classes=1 if dataset.classes == 2 else 3,
                      dropout=config.model.dropout,
                      rng=fold_state.child(1).generator())
     train_cfg = replace(config.train, seed=fold_state.child(2).seed,
@@ -482,7 +477,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
         rep_state = root.child(rep)
         dataset = _load_dataset(config, rep_state)
         folds = _make_folds(dataset.n, config.cv, rep_state.child(9999))
-        for f, (_, va_idx) in enumerate(folds if dataset.label_kind == BINARY else ()):
+        for f, (_, va_idx) in enumerate(folds if dataset.classes == 2 else ()):
             held = np.bincount(dataset.labels[va_idx], minlength=2)
             if not held.all():
                 raise ValueError(f"rep {rep} fold {f}: the validation rows hold no "

@@ -101,16 +101,11 @@ def amex_metric(predictions, labels, weights=None) -> tuple[float, float, float]
     return 0.5 * (g + d), d, g
 
 
-def binary_accuracy(probabilities, labels) -> float:
+def predicted_class(probabilities) -> np.ndarray:
+    """The class a model predicts: ``p >= 0.5`` for (N,) sigmoid
+    probabilities, the row's argmax for (N, C) softmax rows."""
     p = np.asarray(probabilities, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    return float(((p >= 0.5).astype(np.int64) == y).mean())
-
-
-def ternary_accuracy(probabilities, labels) -> float:
-    p = np.asarray(probabilities, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    return float((p.argmax(axis=1) == y).mean())
+    return (p >= 0.5).astype(np.int64) if p.ndim == 1 else p.argmax(axis=1)
 
 
 def confusion_matrix(pred_labels, true_labels, num_classes: Optional[int] = None) -> np.ndarray:

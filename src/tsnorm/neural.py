@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .data import BINARY, LabeledDataset, TimeSeriesBatch, load_arrays, load_fields, \
+from .data import LabeledDataset, TimeSeriesBatch, load_arrays, load_fields, \
     minibatch_indices, type_hints
 
 PROB_CLIP = 1e-12
@@ -339,15 +339,24 @@ def bce_loss(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
 def cross_entropy_loss(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean multiclass cross-entropy; gradient w.r.t. the softmax logits."""
     y = np.asarray(y, dtype=np.int64)
+    if p.ndim != 2 or y.shape != p.shape[:1]:
+        raise ValueError("prediction/label shape mismatch")
     n, c = p.shape
-    if y.shape != (n,) or y.min() < 0 or y.max() >= c:
-        raise ValueError("labels out of range")
+    if np.any(bad := (y < 0) | (y >= c)):
+        kind = "ternary" if c == 3 else f"{c}-class"
+        raise ValueError(f"label {y[bad][0]} is outside a {kind} model's {c} classes, "
+                         f"{', '.join(map(str, range(c - 1)))} and {c - 1}")
     pc = np.clip(p, PROB_CLIP, 1.0)
     loss = float(-np.log(pc[np.arange(n), y]).mean())
     onehot = np.zeros_like(p)
     onehot[np.arange(n), y] = 1.0
     d_logits = (p - onehot) / n
     return loss, d_logits
+
+
+def model_loss(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """The loss of the model's output width: BCE for (N,) probabilities, else cross-entropy."""
+    return bce_loss(p, y) if p.ndim == 1 else cross_entropy_loss(p, y)
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +525,7 @@ def predict(batch: TimeSeriesBatch, preproc, model: GruStack) -> np.ndarray:
 def evaluate_loss(dataset: LabeledDataset, preproc, model: GruStack) -> tuple[float, np.ndarray]:
     """Validation loss and probabilities with frozen preprocessing state."""
     probs = predict(dataset.batch, preproc, model)
-    if dataset.label_kind == BINARY:
-        loss, _ = bce_loss(probs, dataset.labels)
-    else:
-        loss, _ = cross_entropy_loss(probs, dataset.labels)
+    loss, _ = model_loss(probs, dataset.labels)
     return loss, probs
 
 
@@ -530,10 +536,10 @@ def train_loop(train: LabeledDataset, valid: LabeledDataset, preproc, model: Gru
     Multi-step learning-rate decay at the configured milestones, early
     stopping on validation loss (the patience counter is never reset by a
     milestone), and restoration of the best-validation checkpoint at the end.
-    Identical seeds give bit-identical histories.
+    Identical seeds give bit-identical histories; :func:`model_loss` picks the loss.
     """
-    if train.label_kind != valid.label_kind:
-        raise ValueError("train and validation label kinds differ")
+    if train.n == 0:
+        raise ValueError("train_loop needs at least one training series, got 0")
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = {**model.parameters(), **preproc.parameters()}
@@ -559,10 +565,7 @@ def train_loop(train: LabeledDataset, valid: LabeledDataset, preproc, model: Gru
             yb = train.labels[idx]
             xn, pcache = preproc.forward(xb, training=True)
             probs, mcache = gru_forward(xn, model, training=True, rng=rng)
-            if train.label_kind == BINARY:
-                loss, d_logits = bce_loss(probs, yb)
-            else:
-                loss, d_logits = cross_entropy_loss(probs, yb)
+            loss, d_logits = model_loss(probs, yb)
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite training loss at epoch {epoch} (batch of {len(idx)})"

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy.special import ndtr
 
-from .data import BINARY, LabeledDataset, TimeSeriesBatch
+from .data import LabeledDataset, TimeSeriesBatch
 
 PSD_JITTER = 1e-10
 DEGENERATE_VAR = 1e-12
@@ -359,7 +359,7 @@ def generate_dataset(config: SynthConfig, return_latent: bool = False):
         values[:, j, :] = inv_cdf_lookup(table, u_mat[:, j, :])
     values.flags.writeable = False  # the batch keeps it without a copy
 
-    dataset = LabeledDataset(TimeSeriesBatch(values), labels, BINARY)
+    dataset = LabeledDataset(TimeSeriesBatch(values), labels)
     if return_latent:
         return dataset, u_mat
     return dataset

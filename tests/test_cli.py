@@ -11,7 +11,7 @@ from scipy.special import ndtr
 
 from tsnorm import cli, harness, neural
 from tsnorm.cli import main
-from tsnorm.data import TERNARY, LabeledDataset, load_csv, save_csv
+from tsnorm.data import LabeledDataset, load_csv, save_csv
 
 
 def small_experiment_config(tmp_path, data_path, method="zscore", **extra):
@@ -298,11 +298,19 @@ def test_evaluate_refuses_a_label_the_model_cannot_predict(tmp_path, dataset_csv
     labels = dataset.labels.copy()
     labels[7] = 2
     ternary = tmp_path / "ternary.csv"
-    save_csv(LabeledDataset(dataset.batch, labels, TERNARY), ternary)
+    save_csv(LabeledDataset(dataset.batch, labels), ternary)
     ckpt = _identity_checkpoint(tmp_path / "ckpt.json", 1)
     assert main(["evaluate", "--data", str(ternary), "--checkpoint", str(ckpt)]) == 2
     assert capsys.readouterr().err == ("error: ValueError: label 2 is outside a binary "
                                        "model's 2 classes, 0 and 1\n")
+
+
+@pytest.mark.parametrize("method", ["none", "dain", "zscore", "edain_global"])
+def test_holdout_that_leaves_no_training_rows_exits_two(capsys, method):
+    assert main(["train", "--synth-n", "10", "--synth-t", "4", "--method", method, "--cv",
+                 "holdout", "--valid-fraction", "0.99", "--epochs", "1"]) == 2
+    assert capsys.readouterr().err == ("error: ValueError: holdout of 10 series at "
+                                       "valid_fraction 0.99 leaves no training rows\n")
 
 
 def test_generate_with_pdf_expressions(tmp_path):

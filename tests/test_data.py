@@ -16,11 +16,11 @@ from tsnorm.data import (CsvFormatError, LabeledDataset, RngState, TimeSeriesBat
                          load_csv, minibatch_indices, save_csv)
 
 
-def make_dataset(n=4, d=2, t=3, seed=0, kind="binary"):
+def make_dataset(n=4, d=2, t=3, seed=0, classes=2):
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(n, d, t))
-    labels = rng.integers(0, 2 if kind == "binary" else 3, size=n)
-    return LabeledDataset(TimeSeriesBatch(values), labels, kind)
+    labels = rng.integers(0, classes, size=n)
+    return LabeledDataset(TimeSeriesBatch(values), labels)
 
 
 def test_batch_shape_and_accessors():
@@ -63,9 +63,30 @@ def test_batch_copies_a_transposed_input_once():
 def test_labels_validated():
     batch = TimeSeriesBatch(np.zeros((2, 1, 1)))
     with pytest.raises(ValueError):
-        LabeledDataset(batch, [0, 2], "binary")
+        LabeledDataset(batch, [0, 3])
     with pytest.raises(ValueError):
-        LabeledDataset(batch, [0], "binary")
+        LabeledDataset(batch, [0])
+
+
+def test_classes_follow_the_labels():
+    def dataset(labels):
+        return LabeledDataset(TimeSeriesBatch(np.zeros((len(labels), 1, 2))), labels)
+
+    assert dataset([0, 1, 1]).classes == 2
+    assert dataset([1, 1]).classes == 2
+    assert dataset([]).classes == 2
+    assert dataset([0, 2, 1]).classes == 3
+    assert dataset([2]).classes == 3
+    assert dataset([0, 2, 1]).subset(np.array([0, 2])).classes == 2
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([0, 1, 3], "series 2: label 3; labels must be in {0,1} or {0,1,2}"),
+    ([-1, 1, 0], "series 0: label -1; labels must be in {0,1} or {0,1,2}"),
+])
+def test_a_label_outside_the_three_classes_is_refused_by_series(labels, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LabeledDataset(TimeSeriesBatch(np.zeros((3, 1, 2))), labels)
 
 
 def test_minimal_csv_roundtrip(tmp_path):
@@ -78,7 +99,7 @@ def test_minimal_csv_roundtrip(tmp_path):
     ds = load_csv(path)
     assert (ds.batch.n, ds.batch.d, ds.batch.t) == (2, 1, 2)
     assert ds.labels.tolist() == [0, 1]
-    assert ds.label_kind == "binary"
+    assert ds.classes == 2
 
 
 def test_ragged_series_rejected(tmp_path):
@@ -121,7 +142,7 @@ def test_inconsistent_label_rejected(tmp_path):
 
 
 def test_save_rejects_zero_features(tmp_path):
-    ds = LabeledDataset(TimeSeriesBatch(np.zeros((2, 0, 3))), [0, 1], "binary")
+    ds = LabeledDataset(TimeSeriesBatch(np.zeros((2, 0, 3))), [0, 1])
     with pytest.raises(ValueError, match="zero feature"):
         save_csv(ds, tmp_path / "x.csv")
 
@@ -130,7 +151,7 @@ def test_roundtrip_bit_exact(tmp_path):
     # random doubles, including awkward magnitudes, must survive text IO exactly
     rng = np.random.default_rng(42)
     values = rng.normal(size=(5, 3, 4)) * 10.0 ** rng.integers(-8, 8, size=(5, 3, 4))
-    ds = LabeledDataset(TimeSeriesBatch(values), rng.integers(0, 2, 5), "binary")
+    ds = LabeledDataset(TimeSeriesBatch(values), rng.integers(0, 2, 5))
     path = tmp_path / "rt.csv"
     save_csv(ds, path)
     back = load_csv(path)
@@ -139,11 +160,11 @@ def test_roundtrip_bit_exact(tmp_path):
 
 
 def test_ternary_labels_roundtrip(tmp_path):
-    ds = make_dataset(n=6, kind="ternary", seed=3)
+    ds = make_dataset(n=6, classes=3, seed=3)
     path = tmp_path / "t.csv"
     save_csv(ds, path)
     back = load_csv(path)
-    assert back.label_kind == "ternary"
+    assert back.classes == 3
     assert set(np.unique(back.labels)) <= {0, 1, 2}
 
 
@@ -177,20 +198,20 @@ def test_roundtrip_bit_exact_property(tmp_path_factory, shape, ternary, data_):
     n, d, t = shape
     cells = data_.draw(st.lists(finite, min_size=n * d * t, max_size=n * d * t))
     labels = data_.draw(st.lists(st.integers(0, 2 if ternary else 1), min_size=n, max_size=n))
-    kind = "ternary" if max(labels) == 2 else "binary"
-    ds = LabeledDataset(TimeSeriesBatch(np.array(cells).reshape(n, d, t)), labels, kind)
+    classes = 3 if max(labels) == 2 else 2
+    ds = LabeledDataset(TimeSeriesBatch(np.array(cells).reshape(n, d, t)), labels)
     path = tmp_path_factory.mktemp("rt") / "p.csv"
     save_csv(ds, path)
     back = load_csv(path)
     assert same_bits(back.batch.values, ds.batch.values)
-    assert np.array_equal(back.labels, ds.labels) and back.label_kind == kind
+    assert np.array_equal(back.labels, ds.labels) and back.classes == classes
 
 
 def test_save_bytes_equal_csv_writer(tmp_path):
     rng = np.random.default_rng(5)
     values = rng.normal(size=(9, 3, 4)) * 10.0 ** rng.integers(-300, 300, size=(9, 3, 4))
     values[0, 0, :] = [0.0, -0.0, 5e-324, -1e300]
-    ds = LabeledDataset(TimeSeriesBatch(values), rng.integers(0, 3, 9), "ternary")
+    ds = LabeledDataset(TimeSeriesBatch(values), rng.integers(0, 3, 9))
     save_csv(ds, tmp_path / "new.csv")
     reference_save_csv(ds, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -376,7 +397,7 @@ LINE_EDITS = {
 def small_csv_lines():
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "small.csv"
-        save_csv(make_dataset(n=15, d=2, t=10, seed=8, kind="ternary"), path)
+        save_csv(make_dataset(n=15, d=2, t=10, seed=8, classes=3), path)
         return path.read_bytes().decode().split("\r\n")[:-1]
 
 
@@ -392,7 +413,7 @@ def load_outcome(path, forced):
         except Exception as exc:  # the reference may raise anything; both must agree
             return type(exc).__name__, str(exc)
     return records, ds.batch.values.shape, ds.batch.values.tobytes(), ds.labels.tolist(), \
-        ds.label_kind
+        ds.classes
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tsnorm.harness as hx
+from tsnorm import metrics as mx, neural as nn
 from tsnorm.data import (LabeledDataset, NonFiniteBatchError, RngState, TimeSeriesBatch,
                          save_csv)
 from tsnorm.flow_kl import FlowDomainError
@@ -67,6 +68,50 @@ def test_holdout_split_sizes():
     (train, valid), = hx.holdout_split(100, 0.2, RngState(1))
     assert len(valid) == 20 and len(train) == 80
     assert len(np.intersect1d(train, valid)) == 0
+
+
+@pytest.mark.parametrize("n, fraction", [(10, 0.99), (3, 0.9), (1, 0.5)])
+def test_holdout_that_leaves_no_training_rows_is_refused(n, fraction):
+    with pytest.raises(ValueError, match=f"^holdout of {n} series at valid_fraction {fraction} "
+                                         "leaves no training rows$"):
+        hx.holdout_split(n, fraction, RngState(1))
+
+
+def two_branch_fold_metrics(y, probs):
+    """The fold metrics written out as one branch per output width."""
+    if probs.ndim == 1:
+        hard = (probs >= 0.5).astype(np.int64)
+        m, d_rate, g = mx.amex_metric(probs, y)
+        return {"bce": nn.bce_loss(probs, y)[0], "accuracy": float((hard == y).mean()),
+                "amex_m": m, "amex_d": d_rate, "amex_g": g,
+                "kappa": mx.cohen_kappa(hard, y, num_classes=2),
+                "macro_f1": mx.macro_f1(hard, y, num_classes=2)}
+    hard = probs.argmax(axis=1)
+    return {"ce": nn.cross_entropy_loss(probs, y)[0],
+            "accuracy": float((probs.argmax(axis=1) == y).mean()),
+            "kappa": mx.cohen_kappa(hard, y, num_classes=3),
+            "macro_f1": mx.macro_f1(hard, y, num_classes=3)}
+
+
+unit = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 0.25]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(width=st.sampled_from([1, 3]), top=st.sampled_from([1, 2]), data_=st.data())
+def test_fold_metrics_are_set_by_the_width(width, top, data_):
+    n = data_.draw(st.integers(2, 30))
+    top = 1 if width == 1 else top  # a 1-wide model refuses a label 2
+    y = np.array(data_.draw(st.lists(st.integers(0, top), min_size=n - 2, max_size=n - 2)) + [0, 1])
+    cells = np.array(data_.draw(st.lists(unit, min_size=n * width, max_size=n * width)))
+    if width == 1:
+        probs = cells
+    else:
+        cells = cells.reshape(n, 3) + 1e-3  # rows of positive weights, ties kept
+        probs = cells / cells.sum(axis=1, keepdims=True)
+    got = hx.fold_metrics(LabeledDataset(TimeSeriesBatch(np.zeros((n, 1, 1))), y), probs)
+    want = two_branch_fold_metrics(y, probs)
+    assert list(got) == list(want)
+    assert [float(v).hex() for v in got.values()] == [float(v).hex() for v in want.values()]
 
 
 def test_fold_assignment_ignores_data_and_method():

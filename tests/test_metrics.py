@@ -234,6 +234,14 @@ def test_agreement_metrics_permutation_invariant():
     assert mx.macro_f1(pred, true) == pytest.approx(mx.macro_f1(pred[perm], true[perm]))
 
 
+def test_predicted_class_is_set_by_the_width():
+    p1 = np.array([0.0, 0.4999999999999999, 0.5, 1.0])
+    assert mx.predicted_class(p1).tolist() == [0, 0, 1, 1]
+    p3 = np.array([[0.2, 0.5, 0.3], [0.4, 0.2, 0.4], [0.1, 0.1, 0.8], [1 / 3, 1 / 3, 1 / 3]])
+    assert mx.predicted_class(p3).tolist() == [1, 0, 2, 0]  # a tie goes to the lowest class
+    assert mx.predicted_class(p1).dtype == mx.predicted_class(p3).dtype == np.int64
+
+
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         mx.cohen_kappa(np.array([]), np.array([]))

@@ -10,7 +10,7 @@ from tsnorm.adaptive import (BETA_MIN, GLOBAL_AWARE, LOCAL_AWARE, SCALE_FLOOR, D
                              EdainLayer, RunningMean)
 from tsnorm.data import LabeledDataset, TimeSeriesBatch
 from tsnorm.flow_kl import KlBijectorParams, init_kl_params
-from tsnorm.harness import KlPreproc, StaticPreproc
+from tsnorm.harness import KlPreproc, StaticPreproc, fold_metrics
 from tsnorm.static_norm import StaticPipeline
 from tsnorm import neural as nn
 
@@ -20,7 +20,7 @@ def toy_dataset(n=60, d=2, t=4, seed=0, separation=3.0):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, n)
     values = rng.normal(size=(n, d, t)) + separation * labels[:, None, None]
-    return LabeledDataset(TimeSeriesBatch(values), labels, "binary")
+    return LabeledDataset(TimeSeriesBatch(values), labels)
 
 
 def test_zero_weights_give_half_probability():
@@ -233,6 +233,65 @@ def test_cross_entropy_fd():
     assert rel_err(d_logits, numeric_grad(loss_fn, logits)) < 1e-6
     with pytest.raises(ValueError):
         nn.cross_entropy_loss(softmax(logits), np.array([0, 1, 2, 3, 0]))
+
+
+def test_cross_entropy_names_what_it_refuses():
+    p = np.full((4, 3), 1.0 / 3.0)
+    with pytest.raises(ValueError, match="^label 3 is outside a ternary model's 3 classes, "
+                                         "0, 1 and 2$"):
+        nn.cross_entropy_loss(p, np.array([0, 1, 3, 2]))
+    with pytest.raises(ValueError, match="^label -1 is outside a ternary model's 3 classes"):
+        nn.cross_entropy_loss(p, np.array([0, -1, 1, 2]))
+    for probs, y in ((p, np.array([0, 1, 2])), (p[:, 0], np.array([0, 1, 2, 0]))):
+        with pytest.raises(ValueError, match="^prediction/label shape mismatch$"):
+            nn.cross_entropy_loss(probs, y)
+
+
+def test_model_loss_is_set_by_the_width():
+    y = np.array([0, 1, 1, 0])
+    p1 = np.array([0.2, 0.7, 0.9, 0.5])
+    p3 = np.array([[0.5, 0.3, 0.2], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4], [0.6, 0.2, 0.2]])
+    for probs, loss in ((p1, nn.bce_loss), (p3, nn.cross_entropy_loss)):
+        got, want = nn.model_loss(probs, y), loss(probs, y)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
+BINARY_REFUSAL = "^label 2 is outside a binary model's 2 classes, 0 and 1$"
+
+
+def test_a_binary_model_refuses_a_label_two_by_name():
+    data = toy_dataset(n=20, seed=21)
+    labels = data.labels.copy()
+    labels[3] = 2
+    three = LabeledDataset(data.batch, labels)
+    model = nn.GruStack(d_in=2, hidden=(3,), head=(3,), n_classes=1, dropout=0.0,
+                        rng=np.random.default_rng(4))
+    config = nn.TrainConfig(batch_size=32, max_epochs=1, seed=1)
+    with pytest.raises(ValueError, match=BINARY_REFUSAL):
+        nn.train_loop(three, three, nn.IdentityPreproc(), model, config)
+    with pytest.raises(ValueError, match=BINARY_REFUSAL):
+        nn.evaluate_loss(three, nn.IdentityPreproc(), model)
+
+
+def test_a_ternary_model_trains_on_binary_labels():
+    train, valid = toy_dataset(n=40, seed=22), toy_dataset(n=20, seed=23)
+    assert train.classes == valid.classes == 2
+    model = nn.GruStack(d_in=2, hidden=(3,), head=(3,), n_classes=3, dropout=0.0,
+                        rng=np.random.default_rng(5))
+    result = nn.train_loop(train, valid, nn.IdentityPreproc(), model,
+                           nn.TrainConfig(batch_size=16, max_epochs=3, seed=2))
+    assert result.valid_probs.shape == (20, 3)
+    best = min(row["valid_loss"] for row in result.history)
+    assert result.history[result.best_epoch - 1]["valid_loss"] == best
+    assert fold_metrics(valid, result.valid_probs)["ce"].hex() == best.hex()
+
+
+def test_train_loop_refuses_an_empty_training_set():
+    valid = toy_dataset(n=10, seed=24)
+    model = nn.GruStack(d_in=2, hidden=(3,), head=(3,), dropout=0.0, rng=np.random.default_rng(6))
+    with pytest.raises(ValueError, match="^train_loop needs at least one training series, got 0$"):
+        nn.train_loop(valid.subset(np.array([], dtype=np.int64)), valid, nn.IdentityPreproc(),
+                      model, nn.TrainConfig(max_epochs=1))
 
 
 def test_sgd_scalar_step():
@@ -624,7 +683,7 @@ def test_evaluate_loss_memory_does_not_grow_with_n():
     peaks = {}
     for n in (500, 4000):
         valid = LabeledDataset(TimeSeriesBatch(rng.normal(size=(n, 3, 10))),
-                               rng.integers(0, 2, n), "binary")
+                               rng.integers(0, 2, n))
         tracemalloc.start()
         try:
             nn.evaluate_loss(valid, layer, model)

@@ -88,7 +88,7 @@ def two_branch_fold_metrics(y, probs):
                 "macro_f1": mx.macro_f1(hard, y, num_classes=2)}
     hard = probs.argmax(axis=1)
     return {"ce": nn.cross_entropy_loss(probs, y)[0],
-            "accuracy": float((probs.argmax(axis=1) == y).mean()),
+            "accuracy": float((hard == y).mean()),
             "kappa": mx.cohen_kappa(hard, y, num_classes=3),
             "macro_f1": mx.macro_f1(hard, y, num_classes=3)}
 
